@@ -31,9 +31,9 @@ from .martingale import (
 from .serialize import dump_json
 from .simulate import PathSampler, SimSpec, sample_autonomous, sample_levy, sample_sde
 from .symbol import ProbeSettings, estimate_symbol, symbol_independence_check, write_grid_csv
-from .triplet import check_growth, check_sector, eval_symbol
+from .triplet import QuadratureError, check_growth, check_sector, eval_symbol
 
-__all__ = ["main", "dispatch"]
+__all__ = ["main"]
 
 
 def _floats(text: str) -> list[float]:
@@ -329,13 +329,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ModelConfigError, ModelInvariantError, FileNotFoundError, ValueError) as err:
+    except (ModelConfigError, ModelInvariantError, FileNotFoundError, ValueError,
+            QuadratureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-# operation name used in documentation; the CLI entry point
-dispatch = main
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

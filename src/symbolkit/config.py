@@ -209,12 +209,15 @@ def _build_measure_family(measure_raw: dict, dim: int):
             return ConstantMeasureFamily(StableMeasure(alpha, scale))
         return StableMeasureFamily(alpha, scale, dim)
     if kind == "density":
+        for key in ("density", "eps", "y_max"):
+            if key not in measure_raw:
+                raise ModelConfigError(f"levy_measure.{key}", "required for a density measure")
         expr = _coeff_spec(measure_raw["density"], 1, "levy_measure.density")
         if isinstance(expr, float):
             raise ModelConfigError("levy_measure.density", "expected an expression in x1")
         try:
             m = DensityMeasure(expr, float(measure_raw["eps"]), float(measure_raw["y_max"]))
-        except (ValueError, KeyError) as err:
+        except (ValueError, TypeError) as err:
             raise ModelConfigError("levy_measure", str(err)) from err
         return ConstantMeasureFamily(m)
     raise AssertionError(kind)
@@ -322,23 +325,19 @@ def _finite_and_tame(values: np.ndarray, pts: np.ndarray, what: str) -> None:
                 f"{what} oscillates beyond {OSCILLATION_LIMIT:g} between probe points")
 
 
-def load_model(path) -> StateModel:
-    """Read, validate and compile a model file."""
+def load_config(path) -> ModelConfig:
+    """Read and validate a model file."""
     p = FsPath(path)
     try:
         raw = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as err:
         raise ModelConfigError("<file>", f"invalid JSON: {err}") from err
-    cfg = parse_config(raw, name=p.stem)
-    return compile_model(cfg)
-
-
-def load_config(path) -> ModelConfig:
-    p = FsPath(path)
-    raw = json.loads(p.read_text())
     return parse_config(raw, name=p.stem)
+
+
+def load_model(path) -> StateModel:
+    """Read, validate and compile a model file."""
+    return compile_model(load_config(path))
 
 
 def bundled_model_path(name: str) -> FsPath:

@@ -206,14 +206,6 @@ class Path:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def state(self, i: int) -> ExtPoint:
-        s = int(self.status[i])
-        if s == STATUS_FINITE:
-            return ExtPoint.finite(self.values[i])
-        if s == STATUS_INFINITY:
-            return ExtPoint.infinity(self.dim)
-        return ExtPoint.delta(self.dim)
-
     def validate(self) -> None:
         m = len(self)
         if self.values.shape[0] != m or self.status.shape[0] != m:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expr import ExpressionDomainError
 from .serialize import dump_json, write_csv
 from .simulate import PathSampler
 from .triplet import ConditionEstimate, SectorConditionError, StateModel
@@ -305,7 +306,8 @@ def estimate_indices(model: StateModel, R_min: float, R_max: float,
 
 def _symbol_known_real(model: StateModel) -> bool:
     """Cheap structural test: zero drift and a symmetric measure force a
-    real symbol, making c0 = 0 valid without a grid estimate."""
+    real symbol, making c0 = 0 valid without a grid estimate.  A
+    density that fails to evaluate at a symmetry probe proves nothing."""
     try:
         if model.sde is not None:
             drv = model.sde.driver
@@ -319,7 +321,7 @@ def _symbol_known_real(model: StateModel) -> bool:
             from .triplet import StableMeasureFamily
             return isinstance(model.measures, StableMeasureFamily)
         return model.measures.at(np.zeros(model.dim)).is_symmetric()
-    except Exception:
+    except ExpressionDomainError:
         return False
 
 

@@ -2,10 +2,17 @@
 simulated ensembles.
 
 Local-martingale claims are tested as constant-expectation claims at
-fixed grid times on bounded fixtures.  Conventions shared by the
-checks:
+fixed grid times on bounded fixtures.  Each check is a per-path
+accumulator: an observer with the simulator's recorder protocol
+``record(j, x, status)``, fed the ensemble's grid columns one at a time.
+It keeps running trapezoid sums, the last finite state, the kill flag
+and its values at the T requested grid times, so a check needs
+O(n * (d + T)) memory beyond the ensemble, never a (paths x steps)
+copy.  Observers read ``x`` only where ``status`` is finite: the kernel
+holds the last finite state there, stored ensemble columns hold NaN.
+Conventions shared by the checks:
 
-* time integrals are trapezoidal along each path;
+* time integrals are trapezoidal along each path, summed step by step;
 * a path killed during step ``kappa`` contributes a half-step
   ``g(X_{kappa-1}) dt / 2`` to compensator-type integrals (the kill
   lands mid-step on average, making the constant-rate case exact to
@@ -35,7 +42,6 @@ __all__ = [
     "killing_compensator_check",
     "exponential_martingale_check",
     "canonical_representation_residual",
-    "l_process",
 ]
 
 
@@ -97,8 +103,9 @@ class CheckReport:
 
 
 def _valid_mask(ens: Ensemble) -> np.ndarray:
-    exploded = np.any(ens.status == STATUS_INFINITY, axis=1)
-    return ~exploded & ~ens.invalid
+    """Paths neither exploded (explosion is absorbing, so the last
+    status tells) nor invalid."""
+    return (ens.status[:, -1] != STATUS_INFINITY) & ~ens.invalid
 
 
 def _kill_rate_fn(model: StateModel):
@@ -110,58 +117,121 @@ def _kill_rate_fn(model: StateModel):
     return model.kill.lenient
 
 
-def _kill_index(ens: Ensemble) -> np.ndarray:
-    """First grid index in the Delta state, or n_times if never killed."""
-    killed = ens.status == STATUS_DELTA
-    idx = np.where(killed.any(axis=1), killed.argmax(axis=1), ens.status.shape[1])
-    return idx
+def _add_step(total, inc, j: int):
+    """Running sum over steps 1..j formed as ``np.cumsum`` forms it: the
+    first step is taken as is, not added to 0.0, keeping a zero's sign."""
+    if j == 1:
+        return inc
+    total += inc
+    return total
 
 
-def _stopped_values(ens: Ensemble) -> np.ndarray:
-    """Trajectory frozen at the last finite sample (forward fill across
-    cemetery states)."""
-    vals = ens.values.copy()
-    finite = ens.status == STATUS_FINITE
-    n, m, d = vals.shape
-    last = np.where(finite, np.arange(m)[None, :], -1)
-    last = np.maximum.accumulate(last, axis=1)
-    rows = np.arange(n)[:, None]
-    safe = np.maximum(last, 0)
-    out = vals[rows, safe, :]
-    return out
+class _RunningTrapezoid:
+    """Per-path running trapezoid sum of ``field(X_s) ds``.  The field
+    reads 0 on cemetery states, which gives the half step at a kill;
+    with ``pairwise`` only steps whose both endpoints are finite add."""
+
+    def __init__(self, field, dt: float, vec_dim: int = 0, dtype=float,
+                 pairwise: bool = False):
+        self.field, self.dt, self.dtype, self.pairwise = field, dt, dtype, pairwise
+        self.tail = (vec_dim,) if vec_dim else ()
+        self.value = self.prev = self.prev_finite = None
+
+    def record(self, j, x, status):
+        finite = status == STATUS_FINITE
+        g = np.zeros(finite.shape + self.tail, dtype=self.dtype)
+        if finite.any():
+            g[finite] = self.field(x[finite])
+        if j == 0:
+            self.value = np.zeros_like(g)
+        else:
+            inc = 0.5 * (g + self.prev) * self.dt
+            if self.pairwise:
+                inc *= (finite & self.prev_finite)[:, None]
+            self.value = _add_step(self.value, inc, j)
+        self.prev, self.prev_finite = g, finite
 
 
-def _field_on_paths(ens: Ensemble, fn, vec_dim: int = 0, dtype=float) -> np.ndarray:
-    """Evaluate a vectorised state function on every finite sample;
-    cemetery samples map to 0."""
-    finite = ens.status == STATUS_FINITE
-    flat = ens.values[finite]
-    shape = ens.status.shape + ((vec_dim,) if vec_dim else ())
-    out = np.zeros(shape, dtype=dtype)
-    if flat.size:
-        out[finite] = fn(flat)
-    return out
+class _KillingObserver:
+    """Kill indicator and accumulated hazard integral(a(X_s) ds)."""
+
+    def __init__(self, model: StateModel, dt: float, columns):
+        self.hazard = _RunningTrapezoid(_kill_rate_fn(model), dt)
+        self.columns = set(columns)
+        self.kept = {}
+
+    def record(self, j, x, status):
+        self.hazard.record(j, x, status)
+        if j in self.columns:
+            self.kept[j] = ((status == STATUS_DELTA).astype(float),
+                            self.hazard.value.copy())
 
 
-def _cumtrap_zero_filled(vals: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 1 where cemetery samples carry
-    value 0, producing the half-step kill convention automatically."""
-    inc = 0.5 * (vals[:, 1:] + vals[:, :-1]) * dt
-    out = np.zeros_like(vals)
-    out[:, 1:] = np.cumsum(inc, axis=1)
-    return out
+class _ExponentialObserver:
+    """Compensated exponential V_t = e^{i<u, H_t>} - integral of
+    e^{i<u, X_s>} (e^{i<u, 1>} a(X_s) - p(X_s, u)) ds, with
+    H_t = X_t^{stopped} + 1 * [t >= kill time]."""
+
+    def __init__(self, model: StateModel, u: np.ndarray, dt: float, columns):
+        self.u = u
+        self.phase_one = np.exp(1j * float(u.sum()))
+        kill_rate = _kill_rate_fn(model)
+
+        # complex products are not bitwise commutative: the operand
+        # order below is the one the reported numbers were fixed with
+        def integrand(xs):
+            p = model.symbol_many(xs, np.tile(u, (xs.shape[0], 1)))
+            return (self.phase_one * kill_rate(xs) - p) * np.exp(1j * (xs @ u))
+
+        self.compensator = _RunningTrapezoid(integrand, dt, dtype=complex)
+        self.columns = set(columns)
+        self.kept = {}
+        self.stopped = None
+
+    def record(self, j, x, status):
+        self.compensator.record(j, x, status)
+        finite = status == STATUS_FINITE
+        self.stopped = x.copy() if j == 0 else np.where(finite[:, None], x, self.stopped)
+        if j in self.columns:
+            h = (np.where(status == STATUS_DELTA, self.phase_one, 1.0)
+                 * np.exp(1j * (self.stopped @ self.u)))
+            self.kept[j] = h - self.compensator.value
 
 
-def _cumtrap_pairwise(vals: np.ndarray, finite: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid over steps whose both endpoints are finite
-    (no half step at the kill)."""
-    pair = (finite[:, 1:] & finite[:, :-1]).astype(float)
-    if vals.ndim == 3:
-        pair = pair[:, :, None]
-    inc = 0.5 * (vals[:, 1:] + vals[:, :-1]) * dt * pair
-    out = np.zeros_like(vals)
-    out[:, 1:] = np.cumsum(inc, axis=1)
-    return out
+class _CanonicalObserver:
+    """Residual X_t^{stopped} - x0 - B_t - (sum of increments above
+    h_radius), B the drift integral over finite steps."""
+
+    def __init__(self, model: StateModel, x0: np.ndarray, h_radius: float,
+                 dt: float, columns):
+        self.drift = _RunningTrapezoid(model.drift, dt, vec_dim=model.dim, pairwise=True)
+        self.x0, self.h_radius = x0, h_radius
+        self.columns = set(columns)
+        self.kept = {}
+        self.stopped = self.big_sum = None
+
+    def record(self, j, x, status):
+        self.drift.record(j, x, status)
+        if j == 0:
+            self.stopped = x.copy()
+            self.big_sum = np.zeros_like(self.stopped)
+        else:
+            stopped = np.where((status == STATUS_FINITE)[:, None], x, self.stopped)
+            inc = stopped - self.stopped
+            big = inc * (np.linalg.norm(inc, axis=1) > self.h_radius)[:, None]
+            self.big_sum = _add_step(self.big_sum, big, j)
+            self.stopped = stopped
+        if j in self.columns:
+            self.kept[j] = self.stopped - self.x0[None, :] - self.drift.value - self.big_sum
+
+
+def _feed(ens: Ensemble, valid: np.ndarray, observer):
+    """Pass the valid paths of an ensemble through an observer, one grid
+    column at a time."""
+    rows = np.flatnonzero(valid)
+    for j in range(len(ens.times)):
+        observer.record(j, ens.values[rows, j], ens.status[rows, j])
+    return observer.kept
 
 
 def killing_compensator_check(ens: Ensemble, model: StateModel, t_grid) -> CheckReport:
@@ -173,15 +243,13 @@ def killing_compensator_check(ens: Ensemble, model: StateModel, t_grid) -> Check
     n = int(valid.sum())
     if n == 0:
         raise ValueError("no valid paths")
-    kill_idx = _kill_index(ens)[valid]
-    a_vals = _field_on_paths(ens, _kill_rate_fn(model))[valid]
-    A = _cumtrap_zero_filled(a_vals, ens.spec.dt)
+    columns = [ens.time_index(t) for t in t_grid]
+    kept = _feed(ens, valid, _KillingObserver(model, ens.spec.dt, columns))
     rows = []
     passed = True
-    for t in t_grid:
-        j = ens.time_index(t)
-        indicator = (kill_idx <= j).astype(float)
-        diff = indicator - A[:, j]
+    for t, j in zip(t_grid, columns):
+        indicator, compensator = kept[j]
+        diff = indicator - compensator
         mean = float(diff.mean())
         se = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         ok = abs(mean) <= 3.0 * se + 1e-12
@@ -189,7 +257,7 @@ def killing_compensator_check(ens: Ensemble, model: StateModel, t_grid) -> Check
         rows.append({
             "t": t,
             "kill_prob": float(indicator.mean()),
-            "mean_compensator": float(A[:, j].mean()),
+            "mean_compensator": float(compensator.mean()),
             "difference": mean,
             "stderr": se,
             "pass": ok,
@@ -200,26 +268,6 @@ def killing_compensator_check(ens: Ensemble, model: StateModel, t_grid) -> Check
     )
 
 
-def l_process(ens: Ensemble, model: StateModel, u) -> np.ndarray:
-    """Per-path compensator integrand accumulation
-
-        L(u)_t = integral_0^{t ^ kill} (e^{i<u,1>} a(X_s) - p(X_s, u)) ds,
-
-    the process integrated against e^{i<u, X_->} in the exponential
-    compensation identity.  L(u)_0 = 0.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    phase_one = np.exp(1j * float(u.sum()))
-    kill_rate = _kill_rate_fn(model)
-
-    def rate(xs):
-        p = model.symbol_many(xs, np.tile(u, (xs.shape[0], 1)))
-        return phase_one * kill_rate(xs) - p
-
-    dl = _field_on_paths(ens, rate, dtype=complex)
-    return _cumtrap_zero_filled(dl, ens.spec.dt)
-
-
 def exponential_martingale_check(ens: Ensemble, model, u, t_grid) -> CheckReport:
     """Constant-expectation test of the exponential compensation
     identity.
@@ -228,6 +276,7 @@ def exponential_martingale_check(ens: Ensemble, model, u, t_grid) -> CheckReport
     State-dependent models: the compensated process
 
         V_t = e^{i<u, H_t>} - integral e^{i<u, X_s>} dL(u)_s,
+        L(u)_t = integral_0^{t ^ kill} (e^{i<u,1>} a(X_s) - p(X_s, u)) ds,
         H_t = X_t^{stopped} + 1 * [t >= kill time],
 
     must keep the constant mean V_0 = e^{i<u, x0>}.
@@ -254,28 +303,11 @@ def exponential_martingale_check(ens: Ensemble, model, u, t_grid) -> CheckReport
             rows.append({"t": t, "statistic": complex(stat), "stderr": se, "pass": ok})
         name = "exponential_martingale_constant"
     else:
-        dt = ens.spec.dt
-        stopped = _stopped_values(ens)[valid]
-        kill_idx = _kill_index(ens)[valid]
-        m = ens.status.shape[1]
-        killed_by = np.arange(m)[None, :] >= kill_idx[:, None]
-        phase_x = np.exp(1j * (stopped @ u))
-        h_phase = phase_x * np.where(killed_by, np.exp(1j * float(u.sum())), 1.0)
-
-        kill_rate = _kill_rate_fn(model)
-
-        def integrand(xs):
-            p = model.symbol_many(xs, np.tile(u, (xs.shape[0], 1)))
-            phase = np.exp(1j * (xs @ u))
-            return phase * (np.exp(1j * float(u.sum())) * kill_rate(xs) - p)
-
-        g_vals = _field_on_paths(ens, integrand, dtype=complex)[valid]
-        G = _cumtrap_zero_filled(g_vals, dt)
-        V = h_phase - G
+        columns = [ens.time_index(t) for t in t_grid]
+        kept = _feed(ens, valid, _ExponentialObserver(model, u, ens.spec.dt, columns))
         v0 = complex(np.exp(1j * float(ens.spec.x0 @ u)))
-        for t in t_grid:
-            j = ens.time_index(t)
-            col = V[:, j]
+        for t, j in zip(t_grid, columns):
+            col = kept[j]
             mean = complex(col.mean())
             se = math.sqrt((col.real.var(ddof=1) + col.imag.var(ddof=1)) / n)
             ok = abs(mean - v0) <= 3.0 * se + 1e-12
@@ -300,26 +332,14 @@ def canonical_representation_residual(ens: Ensemble, model: StateModel,
         h_radius = model.cutoff.support_radius
     valid = _valid_mask(ens)
     n = int(valid.sum())
-    dt = ens.spec.dt
-    finite = (ens.status == STATUS_FINITE)[valid]
-    stopped = _stopped_values(ens)[valid]
-
-    ell_vals = _field_on_paths(ens, model.drift, vec_dim=model.dim)[valid]
-    B = _cumtrap_pairwise(ell_vals, finite, dt)
-
-    inc = np.diff(stopped, axis=1)
-    big = np.linalg.norm(inc, axis=2) > h_radius
-    big_sum = np.zeros_like(stopped)
-    big_sum[:, 1:] = np.cumsum(inc * big[:, :, None], axis=1)
-
-    residual = stopped - ens.spec.x0[None, None, :] - B - big_sum
-
     t_grid = tuple(float(t) for t in ens.times[1:][:: max(1, (len(ens.times) - 1) // 8)])
+    columns = [ens.time_index(t) for t in t_grid]
+    kept = _feed(ens, valid, _CanonicalObserver(model, ens.spec.x0, h_radius,
+                                                ens.spec.dt, columns))
     rows = []
     passed = True
-    for t in t_grid:
-        j = ens.time_index(t)
-        col = residual[:, j, :]
+    for t, j in zip(t_grid, columns):
+        col = kept[j]
         mean = col.mean(axis=0)
         se = col.std(axis=0, ddof=1) / math.sqrt(n)
         ok = bool(np.all(np.abs(mean) <= 3.0 * se + 1e-12))

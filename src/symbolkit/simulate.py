@@ -1,6 +1,16 @@
 """Path ensemble generation.
 
-A single vectorised stepping kernel drives three entry points:
+One vectorised stepping kernel (``_run_chunk``, driven chunk by chunk
+by ``_run_ensemble``) serves every output.  After the start and after
+each step it calls ``recorder.record(j, x, status)`` with the grid
+index, the (n, d) states and the (n,) status codes; rows whose status
+is not finite still hold the last finite state.  Every run also counts
+``first_step_frozen``, the paths that left the optional stopping ball in
+the first step.  The recorders are the full trajectory (``Ensemble``),
+snapshots at chosen times (``snapshot_run``) and the running maximum
+(``PathSampler.running_max``).
+
+The dynamics are chosen by the entry point:
 
 * ``sample_levy`` -- constant triplet, exact-in-law increments per step
   (Gaussian part, Poisson counts per atom, stable increments) and an
@@ -10,6 +20,9 @@ A single vectorised stepping kernel drives three entry points:
   (probability 1 - exp(-abar dt) per step, abar the endpoint average)
   and absorption at the explosion threshold;
 * ``sample_sde`` -- Euler scheme dX = f(X) dZ against a constant driver.
+
+Snapshots and running maxima use the exact clock when the killing rate
+is constant (or sits on an SDE driver) and hazard killing otherwise.
 
 Determinism contract: draws come from per-(seed, purpose, chunk)
 substreams with a fixed chunk size, so results are bit-identical for a
@@ -58,7 +71,6 @@ __all__ = [
     "sample_autonomous",
     "sample_sde",
     "snapshot_run",
-    "running_max_run",
 ]
 
 CHUNK_SIZE = 1 << 14
@@ -413,7 +425,6 @@ class _SnapshotRecorder:
         self.snap_idx = {int(i): k for k, i in enumerate(snap_idx)}
         self.values = np.full((len(snap_idx), n, dim), np.nan)
         self.status = np.zeros((len(snap_idx), n), dtype=np.int8)
-        self.first_step_frozen = 0
 
     def record(self, j, x, status):
         k = self.snap_idx.get(j)
@@ -499,9 +510,7 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
             if i == 0:
                 first_step_frozen = int(just_out.sum())
         recorder.record(i + 1, x, status)
-    if isinstance(recorder, _SnapshotRecorder):
-        recorder.first_step_frozen = first_step_frozen
-    return recorder, invalid
+    return recorder, invalid, first_step_frozen
 
 
 def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
@@ -522,12 +531,8 @@ def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
 
     def work(args):
         cid, start, size = args
-        if recorder_factory is _FullRecorder:
-            rec = _FullRecorder(size, n_steps, model.dim)
-        else:
-            rec = recorder_factory(size)
-        return _run_chunk(dyn, x0, size, n_steps, dt, seed, cid, expl, rec,
-                          stop_center, stop_radius)
+        return _run_chunk(dyn, x0, size, n_steps, dt, seed, cid, expl,
+                          recorder_factory(size), stop_center, stop_radius)
 
     workers = _worker_count()
     if workers > 1 and len(chunks) > 1:
@@ -547,6 +552,11 @@ def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
 def _validate_model_spec(model: StateModel, spec: SimSpec):
     if spec.x0.shape[0] != model.dim:
         raise ValueError("x0 dimension mismatch")
+
+
+def _killing_mode(model: StateModel) -> str:
+    """Exact clock for a constant rate or an SDE driver, hazard otherwise."""
+    return "clock" if (model.kill.is_constant or model.sde is not None) else "hazard"
 
 
 def sample_levy(triplet: LevyTriplet, spec: SimSpec) -> Ensemble:
@@ -592,11 +602,11 @@ def _sample(model: StateModel, spec: SimSpec, killing_mode: str, name: str) -> E
     results, ledger, dyn = _run_ensemble(
         model, spec.x0, spec.n_paths, n_steps, spec.dt, spec.rng_seed,
         spec.explosion_threshold, killing_mode, spec.small_jump_cut,
-        _FullRecorder,
+        lambda size: _FullRecorder(size, n_steps, model.dim),
     )
-    values = np.concatenate([r.values for r, _ in results], axis=0)
-    status = np.concatenate([r.status for r, _ in results], axis=0)
-    invalid = np.concatenate([inv for _, inv in results], axis=0)
+    values = np.concatenate([r.values for r, _, _ in results], axis=0)
+    status = np.concatenate([r.status for r, _, _ in results], axis=0)
+    invalid = np.concatenate([inv for _, inv, _ in results], axis=0)
     times = np.arange(n_steps + 1) * spec.dt
     return Ensemble(times, values, status, spec, ledger, invalid,
                     model_name=name, bias_notes=dyn.bias_notes)
@@ -620,7 +630,7 @@ def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed:
     (actual_times, values (T, n, d), status (T, n), first_step_frozen)."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if killing_mode == "auto":
-        killing_mode = "clock" if (model.kill.is_constant or model.sde is not None) else "hazard"
+        killing_mode = _killing_mode(model)
     snap_idx, actual = snap_times(snap_times_req, dt)
     n_steps = max(snap_idx)
     stop = None
@@ -631,28 +641,10 @@ def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed:
         small_jump_cut, lambda size: _SnapshotRecorder(size, snap_idx, model.dim),
         stop=stop,
     )
-    values = np.concatenate([r.values for r, _ in results], axis=1)
-    status = np.concatenate([r.status for r, _ in results], axis=1)
-    frozen_first = sum(r.first_step_frozen for r, _ in results)
+    values = np.concatenate([r.values for r, _, _ in results], axis=1)
+    status = np.concatenate([r.status for r, _, _ in results], axis=1)
+    frozen_first = sum(frozen for _, _, frozen in results)
     return actual, values, status, frozen_first
-
-
-def running_max_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed: int,
-                    killing_mode: str = "auto", explosion_threshold: float = 1e9,
-                    small_jump_cut=None):
-    """Running maximum of |X_s - x0| captured at the requested times
-    (snapped to the dt grid); returns (actual_times, (n, T) array).
-    Cemetery states count as +inf."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if killing_mode == "auto":
-        killing_mode = "clock" if (model.kill.is_constant or model.sde is not None) else "hazard"
-    snap_idx, actual = snap_times(snap_times_req, dt)
-    n_steps = max(snap_idx)
-    results, _, _ = _run_ensemble(
-        model, x0, n, n_steps, dt, seed, explosion_threshold, killing_mode,
-        small_jump_cut, lambda size: _MaxRecorder(size, snap_idx, model.dim, x0),
-    )
-    return actual, np.concatenate([r.out for r, _ in results], axis=1).T
 
 
 @dataclass(frozen=True)
@@ -673,15 +665,15 @@ class PathSampler:
                             small_jump_cut=self.small_jump_cut)
 
     def running_max(self, x0, times, n, dt=None):
-        return running_max_run(self.model, x0, times, n, dt or self.dt, self.seed,
-                               explosion_threshold=self.explosion_threshold,
-                               small_jump_cut=self.small_jump_cut)
-
-    def ensemble(self, x0, horizon, n, dt=None, killing_mode=None) -> Ensemble:
-        spec = SimSpec(x0=np.atleast_1d(x0), horizon=horizon, dt=dt or self.dt,
-                       n_paths=n, rng_seed=self.seed,
-                       explosion_threshold=self.explosion_threshold,
-                       small_jump_cut=self.small_jump_cut)
-        mode = killing_mode or ("clock" if (self.model.kill.is_constant
-                                            or self.model.sde is not None) else "hazard")
-        return _sample(self.model, spec, killing_mode=mode, name=self.model.name)
+        """Running maximum of |X_s - x0| captured at the requested times
+        (snapped to the dt grid); returns (actual_times, (n, T) array).
+        Cemetery states count as +inf."""
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        dt = dt or self.dt
+        snap_idx, actual = snap_times(times, dt)
+        results, _, _ = _run_ensemble(
+            self.model, x0, n, max(snap_idx), dt, self.seed, self.explosion_threshold,
+            _killing_mode(self.model), self.small_jump_cut,
+            lambda size: _MaxRecorder(size, snap_idx, self.model.dim, x0),
+        )
+        return actual, np.concatenate([r.out for r, _, _ in results], axis=1).T

@@ -718,11 +718,6 @@ class StateModel:
                 + 0.5 * np.einsum("ni,nij,nj->n", xis, q, xis))
         return poly - self.measures.exponent_term_many(xs, xis, self.cutoff)
 
-    def conservative_exponent_many(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-        """Symbol without the killing part (used by martingale checks)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return self.symbol_many(xs, xis) - self.kill(xs)
-
 
 # ---------------------------------------------------------------------------
 # operations

@@ -205,3 +205,38 @@ def test_density_model_file(tmp_path):
     rc = main(["symbol", "--model", str(f), "--x", "0", "--xi", "1.5",
                "--samples", "2000", "--out", str(tmp_path / "out")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("missing", ["density", "eps", "y_max"])
+def test_density_keys_required(tmp_path, capsys, missing):
+    measure = {"kind": "density", "density": "exp(-abs(x1))/abs(x1)",
+               "eps": 1e-3, "y_max": 20.0}
+    del measure[missing]
+    f = _write(tmp_path, {**BASE, "covariance": [[0.0]], "levy_measure": measure})
+    rc = main(["symbol", "--model", str(f), "--x", "0", "--xi", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"levy_measure.{missing}" in capsys.readouterr().err
+
+
+def test_truncated_model_file(tmp_path, capsys):
+    f = tmp_path / "m.model"
+    f.write_text(json.dumps(BASE)[:40])
+    rc = main(["symbol", "--model", str(f), "--x", "0", "--xi", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "<file>: invalid JSON" in capsys.readouterr().err
+
+
+def test_quadrature_error_exit_code(tmp_path, capsys, monkeypatch):
+    import symbolkit.cli
+    from symbolkit.triplet import QuadratureError
+
+    def fail(*args, **kwargs):
+        raise QuadratureError("density exponent did not converge", 1e-5)
+
+    monkeypatch.setattr(symbolkit.cli, "estimate_indices", fail)
+    rc = main(["indices", "--model", "bm", "--rmin", "0.1", "--rmax", "1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "did not converge" in capsys.readouterr().err

@@ -223,3 +223,23 @@ def test_indeterminate_flag_on_nonmonotone_grid_H(bm_model):
     rep = estimate_indices(bm_model, 1e2, 1e6, 16, "origin", c0=0.0)
     assert rep.indeterminate
     assert any("not monotone" in n for n in rep.notes)
+
+
+
+def test_symbol_known_real_propagates_unrelated_errors(monkeypatch, bm_model):
+    # a density failing a symmetry probe proves nothing; any other error
+    # is a fault and must surface
+    from symbolkit.expr import ExpressionDomainError
+    from symbolkit.indices import _symbol_known_real
+
+    def failing(error):
+        def is_symmetric(self):
+            raise error
+        return is_symmetric
+
+    monkeypatch.setattr(ZeroMeasure, "is_symmetric",
+                        failing(ExpressionDomainError("log of non-positive value")))
+    assert _symbol_known_real(bm_model) is False
+    monkeypatch.setattr(ZeroMeasure, "is_symmetric", failing(RuntimeError("unrelated")))
+    with pytest.raises(RuntimeError, match="unrelated"):
+        _symbol_known_real(bm_model)

@@ -1,4 +1,7 @@
+import json
 import math
+import tracemalloc
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from symbolkit.martingale import (
     canonical_representation_residual,
     exponential_martingale_check,
     killing_compensator_check,
-    l_process,
     truncate_jumps,
 )
 from symbolkit.simulate import SimSpec, sample_autonomous, sample_levy
@@ -144,15 +146,6 @@ class TestExponentialMartingale:
             verdicts.append(abs(e.mean() - target) <= 3 * complex_se(e))
         assert rep.passed == all(verdicts)
 
-    def test_l_process_starts_at_zero(self, bm_model, bm_triplet):
-        ens = sample_levy(bm_triplet, _spec(n=50, dt=0.1, seed=80))
-        L = l_process(ens, bm_model, [1.0])
-        assert np.all(L[:, 0] == 0.0)
-        # constant model: dL/dt = -psi(u) everywhere before killing
-        expected = -complex(0.5)
-        assert np.allclose(L[:, -1] / 1.0, expected, atol=1e-9)
-
-
 class TestCanonicalResidual:
     def test_bm_with_drift(self):
         tri = LevyTriplet(0.0, [2.0], [[1.0]], ZeroMeasure())
@@ -214,3 +207,158 @@ class TestSdeEnsembles:
         assert rep2.passed, rep2.rows
         with pytest.raises(ValueError, match="autonomous or constant"):
             canonical_representation_residual(ens, model)
+
+
+# ---------------------------------------------------------------------------
+# reports pinned bit for bit: the ensembles of the tests above, plus the
+# two bundled verify models at 10^4 paths and seed 101
+
+def _levy_case(tri, spec):
+    return sample_levy(tri, spec), tri
+
+
+def _autonomous_case(model, spec):
+    return sample_autonomous(model, spec), model
+
+
+def _sde_case():
+    from symbolkit.simulate import make_sde_model, sample_sde
+    driver = LevyTriplet(0.4, [0.0], [[1.0]], ZeroMeasure())
+    model = make_sde_model(parse_expression("1 + 0.1*x1"), driver)
+    ens = sample_sde(model.sde.coefficient, driver,
+                     _spec(n=10_000, dt=0.005, seed=86, x0=(0.5,)))
+    return ens, model
+
+
+def _bundled_case(name, dt):
+    from symbolkit.config import bundled_model_path, load_model
+    model = load_model(bundled_model_path(name))
+    spec = SimSpec(x0=[0.0], horizon=1.0, dt=dt, n_paths=10_000, rng_seed=101)
+    return sample_autonomous(model, spec), model
+
+
+_BM = LevyTriplet(0.0, [0.0], [[1.0]], ZeroMeasure())
+_T3 = (0.25, 0.5, 1.0)
+_EXPLODING = dict(x0=[1.0], horizon=1.0, dt=1e-3, explosion_threshold=1e5)
+
+# name -> (ensemble builder, u, t_grid)
+REPORT_CASES = {
+    **{f"constant_rate_{a}": (
+        lambda a=a: _autonomous_case(_model(a, [0.0], [[0.0]]),
+                                     _spec(n=10_000, dt=0.002, seed=73)),
+        [1.0], _T3) for a in (0.0, 0.1, 0.5, 2.0)},
+    "state_dependent_rate": (
+        lambda: _autonomous_case(
+            _model(parse_expression("x1^2"), [1.0], [[0.0]], box=((-3.0, 3.0),)),
+            _spec(dt=0.005, seed=74)),
+        [1.0], _T3),
+    "explosions": (
+        lambda: _autonomous_case(
+            _model(0.3, [parse_expression("x1^3")], [[0.0]], box=((-2.0, 2.0),)),
+            SimSpec(n_paths=200, rng_seed=75, **_EXPLODING)),
+        [1.0], (0.1,)),
+    "bm": (lambda: _levy_case(_BM, _spec(dt=0.01, seed=76)), [1.0], _T3),
+    "killed_levy": (
+        lambda: _levy_case(LevyTriplet(0.5, [0.0], [[0.0]], ZeroMeasure()),
+                           _spec(dt=0.01, seed=77)),
+        [1.7], _T3),
+    "autonomous_killing_diffusion": (
+        lambda: _autonomous_case(
+            _model(parse_expression("1 + sin(x1)^2"), [0.0], [[1.0]]),
+            _spec(dt=0.005, seed=78)),
+        [1.0], _T3),
+    "compound_poisson": (
+        lambda: _levy_case(
+            LevyTriplet(0.0, [0.0], [[0.0]], DiscreteMeasure([[2.0]], [1.0]),
+                        CutoffFunction(radius=1.0)),
+            _spec(n=10_000, dt=0.05, seed=79)),
+        [1.0], (0.5, 1.0)),
+    "bm_small": (lambda: _levy_case(_BM, _spec(n=50, dt=0.1, seed=80)),
+                 [1.0], (0.5, 1.0)),
+    "bm_drift": (
+        lambda: _levy_case(LevyTriplet(0.0, [2.0], [[1.0]], ZeroMeasure()),
+                           _spec(dt=0.01, seed=81)),
+        [1.0], _T3),
+    "all_jumps_big": (
+        lambda: _levy_case(
+            LevyTriplet(0.0, [0.0], [[0.0]], DiscreteMeasure([[3.0]], [1.0]),
+                        CutoffFunction(radius=1.0)),
+            _spec(n=4000, dt=0.01, seed=82)),
+        [1.0], _T3),
+    "alpha_stable": (
+        lambda: _levy_case(LevyTriplet(0.0, [0.0], [[0.0]], StableMeasure(1.5, 1.0)),
+                           _spec(n=N, dt=0.005, seed=83)),
+        [1.0], _T3),
+    "killed_drift_diffusion": (
+        lambda: _autonomous_case(_model(0.8, [1.0], [[1.0]]),
+                                 _spec(n=5000, dt=0.01, seed=84)),
+        [1.0], _T3),
+    "killing_and_explosion": (
+        lambda: _autonomous_case(
+            _model(parse_expression("0.5 + 0*x1"), [parse_expression("x1^3")],
+                   [[0.0]], box=((-2.0, 2.0),)),
+            SimSpec(n_paths=300, rng_seed=85, **_EXPLODING)),
+        [0.5], (0.1, 0.2)),
+    "sde_killed_driver": (_sde_case, [0.8], _T3),
+    "killed_autonomous": (lambda: _bundled_case("killed_autonomous", 0.01), [1.0], _T3),
+    "stable_like": (lambda: _bundled_case("stable_like", 0.005), [1.0], _T3),
+}
+
+
+def _hex(value):
+    """Report JSON with every float written exactly (float.hex)."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return [value.real.hex(), value.imag.hex()]
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in value.items()}
+    return value
+
+
+def _reports(case: str) -> dict:
+    build, u, t_grid = REPORT_CASES[case]
+    ens, model = build()
+    state_model = (StateModel.from_triplet(model) if isinstance(model, LevyTriplet)
+                   else model)
+    reports = {
+        "killing": killing_compensator_check(ens, state_model, t_grid),
+        "exponential": exponential_martingale_check(ens, model, u, t_grid),
+    }
+    if state_model.sde is None:
+        reports["canonical"] = canonical_representation_residual(ens, state_model)
+    return {k: _hex(rep.to_json()) for k, rep in reports.items()}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_reports_bit_identical(case):
+    # numbers captured before the checks became per-path accumulators
+    ref = json.loads((FsPath(__file__).parent / "data" / "martingale_reports.json")
+                     .read_text())
+    assert _reports(case) == ref[case]
+
+
+def test_checks_keep_per_path_state_only():
+    # each check streams the grid columns; its traced peak stays far
+    # below one (paths x steps) copy of the ensemble
+    model = _model(parse_expression("1 + sin(x1)^2"), [parse_expression("0.5*x1")],
+                   [[1.0]])
+    ens = sample_autonomous(model, _spec(n=2000, dt=0.002, seed=87))
+    assert len(ens.times) > 500
+    checks = (
+        lambda: killing_compensator_check(ens, model, _T3),
+        lambda: exponential_martingale_check(ens, model, [1.0], _T3),
+        lambda: canonical_representation_residual(ens, model),
+    )
+    for check in checks:
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ens.values.nbytes / 4, (peak, ens.values.nbytes)
