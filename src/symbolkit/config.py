@@ -215,8 +215,15 @@ def _build_measure_family(measure_raw: dict, dim: int):
         expr = _coeff_spec(measure_raw["density"], 1, "levy_measure.density")
         if isinstance(expr, float):
             raise ModelConfigError("levy_measure.density", "expected an expression in x1")
+        bounds = []
+        for key in ("eps", "y_max"):
+            try:
+                bounds.append(float(measure_raw[key]))
+            except (ValueError, TypeError) as err:
+                raise ModelConfigError(f"levy_measure.{key}",
+                                       f"expected a number, got {measure_raw[key]!r}") from err
         try:
-            m = DensityMeasure(expr, float(measure_raw["eps"]), float(measure_raw["y_max"]))
+            m = DensityMeasure(expr, *bounds)
         except (ValueError, TypeError) as err:
             raise ModelConfigError("levy_measure", str(err)) from err
         return ConstantMeasureFamily(m)
@@ -331,7 +338,7 @@ def load_config(path) -> ModelConfig:
     try:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as err:
-        raise ModelConfigError("<file>", f"invalid JSON: {err}") from err
+        raise ModelConfigError(str(path), f"invalid JSON: {err}") from err
     return parse_config(raw, name=p.stem)
 
 

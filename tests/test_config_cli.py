@@ -225,7 +225,32 @@ def test_truncated_model_file(tmp_path, capsys):
     rc = main(["symbol", "--model", str(f), "--x", "0", "--xi", "1",
                "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "<file>: invalid JSON" in capsys.readouterr().err
+    assert f"{f}: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["eps", "y_max"])
+def test_density_bound_not_numeric(tmp_path, capsys, key):
+    measure = {"kind": "density", "density": "exp(-abs(x1))/abs(x1)",
+               "eps": 1e-3, "y_max": 20.0, key: "abc"}
+    f = _write(tmp_path, {**BASE, "covariance": [[0.0]], "levy_measure": measure})
+    rc = main(["symbol", "--model", str(f), "--x", "0", "--xi", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"levy_measure.{key}" in capsys.readouterr().err
+
+
+def test_density_indices_at_infinity(tmp_path):
+    # R down to 1e-4 asks for the exponent at frequencies up to 1.6e4
+    f = _write(tmp_path, {
+        **BASE,
+        "covariance": [[0.0]],
+        "levy_measure": {"kind": "density", "density": "exp(-abs(x1))/abs(x1)^1.5",
+                         "eps": 1e-3, "y_max": 20.0},
+        "domain_box": [[-10.0, 10.0]],
+    })
+    rc = main(["indices", "--model", str(f), "--direction", "infinity", "--x", "0",
+               "--rmin", "1e-4", "--rmax", "1e-1", "--out", str(tmp_path / "out")])
+    assert rc == 0
 
 
 def test_quadrature_error_exit_code(tmp_path, capsys, monkeypatch):

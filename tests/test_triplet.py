@@ -284,3 +284,117 @@ def test_quadrature_nonconvergence_is_diagnostic():
         with pytest.raises(QuadratureError) as err:
             eval_exponent(t, [3e7])  # hopelessly oscillatory at this frequency
     assert err.value.achieved > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# density measures against Gauss–Legendre references on log panels
+
+TEMPERED = "exp(-abs(x1))/abs(x1)^1.5"   # on 1e-3 <= |y| <= 20
+
+
+def _tempered(y):
+    return np.exp(-np.abs(y)) / np.abs(y) ** 1.5
+
+
+def _log_leggauss(f, lo, hi, n_panels, order=20):
+    """Integral of f over [lo, hi]: order-point Gauss–Legendre on n_panels
+    panels equally spaced in log y."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(math.log(lo), math.log(hi), n_panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    y = np.exp(0.5 * (edges[1:] + edges[:-1])[:, None] + half * x)
+    return float(np.sum(f(y) * half * w * y))
+
+
+def _tempered_triplet():
+    m = DensityMeasure(parse_expression(TEMPERED), 1e-3, 20.0)
+    return LevyTriplet(0.0, [0.0], [[0.0]], m, CutoffFunction(radius=1.0))
+
+
+def test_density_exponent_converges_at_high_frequency():
+    # xi = 1e3 puts about 3,000 oscillations on the support; 20,000 log
+    # panels give the reference at most 2 oscillations per panel
+    xi = 1e3
+    ref = _log_leggauss(lambda y: 4.0 * np.sin(0.5 * xi * y) ** 2 * _tempered(y),
+                        1e-3, 20.0, 20_000)
+    got = eval_exponent(_tempered_triplet(), [xi])
+    assert got.real == pytest.approx(ref, rel=1e-8)
+    assert got.imag == 0.0
+
+
+@pytest.mark.parametrize("xi", [1e-6, 1e-8])
+def test_density_exponent_small_frequency_moment_series(xi):
+    # p(xi) = m2 xi^2 / 2 - m4 xi^4 / 24 + O(xi^6); cos(y xi) - 1 would
+    # cancel catastrophically here
+    m2 = _log_leggauss(lambda y: 2.0 * y ** 2 * _tempered(y), 1e-3, 20.0, 2_000)
+    m4 = _log_leggauss(lambda y: 2.0 * y ** 4 * _tempered(y), 1e-3, 20.0, 2_000)
+    got = eval_exponent(_tempered_triplet(), [xi])
+    assert got.real == pytest.approx(m2 * xi ** 2 / 2 - m4 * xi ** 4 / 24, rel=1e-12, abs=0.0)
+    assert got.imag == 0.0
+
+
+def test_density_sector_constant_exactly_zero():
+    t = _tempered_triplet()
+    grid = np.linspace(-10.0, 10.0, 41).reshape(-1, 1)
+    est = check_sector(StateModel.from_triplet(t), np.zeros((1, 1)), grid)
+    assert est.satisfied
+    assert est.constant == 0.0
+    assert all(eval_exponent(t, [xi]).imag == 0.0 for xi in (0.3, 2.0, 50.0))
+
+
+def test_asymmetric_density_exponent():
+    # level 1.5 lambda(y) for y > 0 and 0.5 lambda(y) for y < 0: the odd
+    # part enters the imaginary part, compensated below the cut-off radius
+    m = DensityMeasure(lambda y: (1.5 if y > 0 else 0.5) * _tempered(y), 1e-3, 20.0)
+    t = LevyTriplet(0.0, [0.0], [[0.0]], m, CutoffFunction(radius=1.0))
+    xi = 2.0
+    re = _log_leggauss(lambda y: 4.0 * np.sin(0.5 * xi * y) ** 2 * _tempered(y),
+                       1e-3, 20.0, 2_000)
+    im = (_log_leggauss(lambda y: (np.sin(xi * y) - xi * y) * _tempered(y), 1e-3, 1.0, 2_000)
+          + _log_leggauss(lambda y: np.sin(xi * y) * _tempered(y), 1.0, 20.0, 2_000))
+    got = eval_exponent(t, [xi])
+    assert got == pytest.approx(re - 1j * im, rel=1e-9)
+    assert eval_exponent(t, [-xi]) == got.conjugate()
+
+
+class _FixedDraws:
+    """Generator stand-in whose random(n) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+_DENSITIES = {
+    "symmetric": parse_expression(TEMPERED),
+    "asymmetric": lambda y: (1.5 if y > 0 else 0.5) * math.exp(-abs(y)) / abs(y) ** 2.2,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DENSITIES))
+def test_sample_sizes_skip_the_gap(kind):
+    m = DensityMeasure(_DENSITIES[kind], 1e-3, 20.0)
+    assert np.all(np.diff(m._cdf) >= 0.0)
+    plateau = m._cdf[len(m._grid)]
+    u = np.concatenate([[plateau, np.nextafter(plateau, 0.0), np.nextafter(plateau, 1.0), 0.0],
+                        np.linspace(0.0, 1.0, 2001)[:-1]])
+    y = m.sample_sizes(u.size, _FixedDraws(u))
+    assert not np.any(np.isnan(y))
+    assert np.all(np.abs(y) >= m.eps)
+    assert np.all(np.abs(y) <= m.y_max)
+
+
+@pytest.mark.parametrize("kind", sorted(_DENSITIES))
+@pytest.mark.parametrize("cut", [0.01, 0.1, 0.5])
+def test_sample_sizes_respect_the_cut(kind, cut):
+    m = DensityMeasure(_DENSITIES[kind], 1e-3, 20.0)
+    lo_mass = np.interp(-cut, m._cdf_ys, m._cdf)
+    split = lo_mass / (lo_mass + 1.0 - np.interp(cut, m._cdf_ys, m._cdf))
+    u = np.concatenate([[split, np.nextafter(split, 0.0), np.nextafter(split, 1.0),
+                         0.0, np.nextafter(1.0, 0.0)], np.linspace(0.0, 1.0, 10_001)[:-1]])
+    y = m.sample_sizes(u.size, _FixedDraws(u), cut=cut)
+    assert not np.any(np.isnan(y))
+    assert np.all(np.abs(y) >= cut)
