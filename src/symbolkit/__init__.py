@@ -43,6 +43,7 @@ from .symbol import (
     ProbeSettings,
     SymbolReport,
     estimate_symbol,
+    estimate_symbol_grid,
     symbol_independence_check,
 )
 from .indices import (

@@ -30,7 +30,7 @@ from .martingale import (
 )
 from .serialize import dump_json
 from .simulate import PathSampler, SimSpec, sample_autonomous, sample_levy, sample_sde
-from .symbol import ProbeSettings, estimate_symbol, symbol_independence_check, write_grid_csv
+from .symbol import IndependenceReport, ProbeSettings, estimate_symbol_grid, write_grid_csv
 from .triplet import QuadratureError, check_growth, check_sector, eval_symbol
 
 __all__ = ["main"]
@@ -111,24 +111,32 @@ def _cmd_symbol(args) -> int:
     )
     sampler = PathSampler(model=model, dt=settings.step, seed=seed,
                           explosion_threshold=expl, small_jump_cut=cut)
+    base = settings.k_radius
     out = _outdir(args)
     failed = False
     if args.xi_grid:
         grid = _linspace_spec(args.xi_grid)
-        reports = [estimate_symbol(sampler, x, np.atleast_1d(xi), settings) for xi in grid]
+        if grid.size == 0:
+            raise ValueError(f"--xi-grid {args.xi_grid}: no frequency")
+        reports = estimate_symbol_grid(sampler, x, grid, [base], settings)[base]
         write_grid_csv(out / "symbol_grid.csv", reports)
         for rep in reports:
             failed |= _symbol_failed(rep)
         print(f"wrote {len(reports)} probes to {out / 'symbol_grid.csv'}")
     else:
-        xi = np.asarray(_floats(args.xi), dtype=float)
-        rep = estimate_symbol(sampler, x, xi, settings)
+        if args.xi is None:
+            raise ValueError("symbol needs --xi or --xi-grid")
+        radii = tuple(_floats(args.radii)) if args.radii else ()
+        # the base radius is simulated with the --radii, once
+        probes = estimate_symbol_grid(sampler, x, [_floats(args.xi)],
+                                      radii if base in radii else (base, *radii), settings)
+        rep = probes[base][0]
         rep.write_json(out / "symbol_report.json")
         print(f"analytic {rep.analytic:.6g}  estimate {rep.extrapolated:.6g} "
               f"(stderr {rep.extrapolated_stderr:.3g})")
         failed |= _symbol_failed(rep)
-        if args.radii:
-            indep = symbol_independence_check(sampler, x, xi, _floats(args.radii), settings)
+        if radii:
+            indep = IndependenceReport.from_reports([probes[r][0] for r in radii])
             with open(out / "independence.json", "w") as fh:
                 fh.write(dump_json(indep.to_json()))
             print(f"independence over radii {args.radii}: "

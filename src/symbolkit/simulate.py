@@ -4,11 +4,22 @@ One vectorised stepping kernel (``_run_chunk``, driven chunk by chunk
 by ``_run_ensemble``) serves every output.  After the start and after
 each step it calls ``recorder.record(j, x, status)`` with the grid
 index, the (n, d) states and the (n,) status codes; rows whose status
-is not finite still hold the last finite state.  Every run also counts
-``first_step_frozen``, the paths that left the optional stopping ball in
-the first step.  The recorders are the full trajectory (``Ensemble``),
-snapshots at chosen times (``snapshot_run``) and the running maximum
+is not finite still hold the last finite state.  The kernel can freeze
+each path at its first grid exit from a ball around the start point.
+The recorders are the full trajectory (``Ensemble``), stopped snapshots
+at chosen times (``snapshot_run``) and the running maximum
 (``PathSampler.running_max``).
+
+One snapshot run serves every stopping radius of a probe.  The kernel
+freezes paths at the largest radius; the snapshot recorder holds each
+path at its first exit from every smaller ball.  This is bit-identical
+to one run per radius because the kernel draws every stream for every
+path at every step, frozen or not; it tests for an exit only on paths
+that moved; and a frozen path is never killed, exploded or flagged
+invalid afterwards, so a path held at its exit is finite there, as in
+the run stopped at that radius.  The exception is a state-dependent
+atom family: its Poisson counts are drawn at the paths' current rates,
+so the smaller radii get other draws of the same law.
 
 The dynamics are chosen by the entry point:
 
@@ -421,18 +432,45 @@ class _FullRecorder:
 
 
 class _SnapshotRecorder:
-    def __init__(self, n, snap_idx, dim):
+    """State and status at the snapshot indices, one slot per stopping
+    radius, plus each radius's count of paths that left its ball in the
+    first step.  The kernel freezes paths at the largest radius itself;
+    a smaller radius is watched here: a path is held, finite, at its
+    first grid exit from that ball."""
+
+    def __init__(self, n, snap_idx, dim, center, radii):
         self.snap_idx = {int(i): k for k, i in enumerate(snap_idx)}
-        self.values = np.full((len(snap_idx), n, dim), np.nan)
-        self.status = np.zeros((len(snap_idx), n), dtype=np.int8)
+        self.values = np.full((len(snap_idx), n, len(radii), dim), np.nan)
+        self.status = np.zeros((len(snap_idx), n, len(radii)), dtype=np.int8)
+        self.center = center
+        self.radii = radii
+        self.first_step_frozen = np.zeros(len(radii), dtype=np.int64)
+        # slot: (held mask, held states) of each radius below the largest
+        self.watched = {r: (np.zeros(n, dtype=bool), np.empty((n, dim)))
+                        for r, k in enumerate(radii) if k < max(radii)}
 
     def record(self, j, x, status):
+        if j == 1 or (j > 1 and self.watched):
+            # the kernel's exit test: only moved paths can be outside a
+            # ball they have not left, and moved paths are finite
+            dist = np.linalg.norm(x - self.center, axis=1)
+            if j == 1:
+                self.first_step_frozen += [int((dist > k).sum()) for k in self.radii]
+            for r, (held, held_x) in self.watched.items():
+                new = (dist > self.radii[r]) & ~held
+                np.copyto(held_x, x, where=new[:, None])
+                held |= new
         k = self.snap_idx.get(j)
         if k is None:
             return
-        finite = status == STATUS_FINITE
-        self.values[k, finite, :] = x[finite]
-        self.status[k] = status
+        finite = (status == STATUS_FINITE)[:, None]
+        for r in range(len(self.radii)):
+            np.copyto(self.values[k, :, r], x, where=finite)
+            self.status[k, :, r] = status
+            if r in self.watched:
+                held, held_x = self.watched[r]
+                np.copyto(self.values[k, :, r], held_x, where=held[:, None])
+                np.copyto(self.status[k, :, r], STATUS_FINITE, where=held)
 
 
 class _MaxRecorder:
@@ -463,9 +501,8 @@ def _chunk_streams(seed: int, chunk_id: int) -> dict:
 
 def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
                seed: int, chunk_id: int, expl: float, recorder,
-               stop_center=None, stop_radius=None):
+               stop_radius: float = math.inf):
     rngs = _chunk_streams(seed, chunk_id)
-    dim = dyn.dim
     x = np.tile(x0, (n, 1))
     status = np.zeros(n, dtype=np.int8)
     frozen = np.zeros(n, dtype=bool)
@@ -473,13 +510,9 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
     use_clock = dyn.killing_mode == "clock"
     t_kill = dyn.clock_times(n, rngs["clock"]) if use_clock else None
 
-    recorder.record(0, x, status)
-    if stop_radius is not None and math.isfinite(stop_radius):
-        outside0 = np.linalg.norm(x - stop_center, axis=1) > stop_radius
-        if np.any(outside0):
-            raise ValueError("start point must be interior to the stopping ball")
+    stopping = math.isfinite(stop_radius)
 
-    first_step_frozen = 0
+    recorder.record(0, x, status)
     for i in range(n_steps):
         t_next = (i + 1) * dt
         alive = (status == STATUS_FINITE) & ~frozen & ~invalid
@@ -504,18 +537,15 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
         x[ok] = prop[ok]
         status[explode] = STATUS_INFINITY
         status[ring] = STATUS_DELTA
-        if stop_radius is not None and math.isfinite(stop_radius):
-            just_out = ok & (np.linalg.norm(x - stop_center, axis=1) > stop_radius)
-            frozen |= just_out
-            if i == 0:
-                first_step_frozen = int(just_out.sum())
+        if stopping:
+            frozen |= ok & (np.linalg.norm(x - x0, axis=1) > stop_radius)
         recorder.record(i + 1, x, status)
-    return recorder, invalid, first_step_frozen
+    return recorder, invalid
 
 
 def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
                   dt: float, seed: int, expl: float, killing_mode: str,
-                  small_jump_cut, recorder_factory, stop=None):
+                  small_jump_cut, recorder_factory, stop_radius: float = math.inf):
     dyn = _Dynamics(model, dt, small_jump_cut, killing_mode)
     chunks = []
     start = 0
@@ -526,13 +556,10 @@ def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
         start += size
         cid += 1
 
-    stop_center = stop[0] if stop else None
-    stop_radius = stop[1] if stop else None
-
     def work(args):
         cid, start, size = args
         return _run_chunk(dyn, x0, size, n_steps, dt, seed, cid, expl,
-                          recorder_factory(size), stop_center, stop_radius)
+                          recorder_factory(size), stop_radius)
 
     workers = _worker_count()
     if workers > 1 and len(chunks) > 1:
@@ -604,9 +631,9 @@ def _sample(model: StateModel, spec: SimSpec, killing_mode: str, name: str) -> E
         spec.explosion_threshold, killing_mode, spec.small_jump_cut,
         lambda size: _FullRecorder(size, n_steps, model.dim),
     )
-    values = np.concatenate([r.values for r, _, _ in results], axis=0)
-    status = np.concatenate([r.status for r, _, _ in results], axis=0)
-    invalid = np.concatenate([inv for _, inv, _ in results], axis=0)
+    values = np.concatenate([r.values for r, _ in results], axis=0)
+    status = np.concatenate([r.status for r, _ in results], axis=0)
+    invalid = np.concatenate([inv for _, inv in results], axis=0)
     times = np.arange(n_steps + 1) * spec.dt
     return Ensemble(times, values, status, spec, ledger, invalid,
                     model_name=name, bias_notes=dyn.bias_notes)
@@ -615,6 +642,8 @@ def _sample(model: StateModel, spec: SimSpec, killing_mode: str, name: str) -> E
 def snap_times(times, dt: float) -> tuple[list[int], np.ndarray]:
     """Round times to grid indices (at least one step, strictly
     increasing required after rounding); returns (indices, actual)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     idx = [max(1, int(round(t / dt))) for t in times]
     if len(set(idx)) != len(idx):
         raise ValueError("snapshot times collapse on the dt grid; reduce dt")
@@ -622,28 +651,31 @@ def snap_times(times, dt: float) -> tuple[list[int], np.ndarray]:
 
 
 def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed: int,
-                 killing_mode: str = "auto", stop_center=None, stop_radius=None,
+                 killing_mode: str = "auto", radii=(math.inf,),
                  explosion_threshold: float = 1e9, small_jump_cut=None):
     """Evolve ``n`` paths and capture state and status at the requested
-    times only (optionally freezing paths at the first grid exit from a
-    closed ball).  Times snap to the dt grid.  Returns
-    (actual_times, values (T, n, d), status (T, n), first_step_frozen)."""
+    times only, once per stopping radius: slot r holds each path at
+    min(t, its first grid exit from the closed ball of radius radii[r]
+    around x0); ``math.inf`` never stops.  Times snap to the dt grid.
+    Returns (actual_times, values (T, n, R, d), status (T, n, R),
+    first_step_frozen (R,)), the last counting the paths that left each
+    ball in the first step.  One run serves every radius (see the module
+    docstring)."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    radii = tuple(float(r) for r in radii)
+    if not radii or not all(r > 0 for r in radii):
+        raise ValueError(f"stopping radii must be positive, got {list(radii)}")
     if killing_mode == "auto":
         killing_mode = _killing_mode(model)
     snap_idx, actual = snap_times(snap_times_req, dt)
-    n_steps = max(snap_idx)
-    stop = None
-    if stop_radius is not None:
-        stop = (np.atleast_1d(np.asarray(stop_center, dtype=float)), float(stop_radius))
     results, _, _ = _run_ensemble(
-        model, x0, n, n_steps, dt, seed, explosion_threshold, killing_mode,
-        small_jump_cut, lambda size: _SnapshotRecorder(size, snap_idx, model.dim),
-        stop=stop,
+        model, x0, n, max(snap_idx), dt, seed, explosion_threshold, killing_mode,
+        small_jump_cut, lambda size: _SnapshotRecorder(size, snap_idx, model.dim, x0, radii),
+        stop_radius=max(radii),
     )
-    values = np.concatenate([r.values for r, _, _ in results], axis=1)
-    status = np.concatenate([r.status for r, _, _ in results], axis=1)
-    frozen_first = sum(frozen for _, _, frozen in results)
+    values = np.concatenate([r.values for r, _ in results], axis=1)
+    status = np.concatenate([r.status for r, _ in results], axis=1)
+    frozen_first = sum(r.first_step_frozen for r, _ in results)
     return actual, values, status, frozen_first
 
 
@@ -658,9 +690,9 @@ class PathSampler:
     explosion_threshold: float = 1e9
     small_jump_cut: float | None = None
 
-    def snapshots(self, x0, times, n, dt=None, stop_center=None, stop_radius=None):
-        return snapshot_run(self.model, x0, times, n, dt or self.dt, self.seed,
-                            stop_center=stop_center, stop_radius=stop_radius,
+    def snapshots(self, x0, times, n, dt=None, radii=(math.inf,)):
+        return snapshot_run(self.model, x0, times, n, self.dt if dt is None else dt,
+                            self.seed, radii=radii,
                             explosion_threshold=self.explosion_threshold,
                             small_jump_cut=self.small_jump_cut)
 
@@ -669,11 +701,11 @@ class PathSampler:
         (snapped to the dt grid); returns (actual_times, (n, T) array).
         Cemetery states count as +inf."""
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        dt = dt or self.dt
+        dt = self.dt if dt is None else dt
         snap_idx, actual = snap_times(times, dt)
         results, _, _ = _run_ensemble(
             self.model, x0, n, max(snap_idx), dt, self.seed, self.explosion_threshold,
             _killing_mode(self.model), self.small_jump_cut,
             lambda size: _MaxRecorder(size, snap_idx, self.model.dim, x0),
         )
-        return actual, np.concatenate([r.out for r, _, _ in results], axis=1).T
+        return actual, np.concatenate([r.out for r, _ in results], axis=1).T

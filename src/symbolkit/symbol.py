@@ -1,8 +1,8 @@
 """Monte-Carlo estimation of the probabilistic symbol.
 
 The estimator freezes each path at its first grid exit from the closed
-ball of radius ``k_radius`` around the start point, evaluates
-e_xi(X_t - x) with cemetery states contributing zero, and forms
+ball of radius K around the start point x, evaluates e_xi(X_t - x) with
+cemetery states contributing zero, and forms
 
     p_hat(t) = -(mean - 1) / t
 
@@ -11,6 +11,18 @@ least-squares line through the ladder is extrapolated to t = 0.  All
 rungs reuse the same trajectories (nested prefixes), and the intercept
 standard error is computed from per-path linear-combination values so
 the rung correlation is accounted for exactly.
+
+One ensemble serves every frequency and every radius of a command.  xi
+enters only after the stopped snapshots are taken, and the limit does
+not depend on K, so ``estimate_symbol_grid`` makes one ``snapshot_run``
+that records each path at min(t, its exit from each ball) and builds
+every (xi, K) report from it, one frequency at a time.  The reports are
+bit-identical to one simulation per (xi, K) with the same seed: the
+paths are the same ones, each radius sees exactly the snapshots a run
+stopped at that radius would take (see the ``simulate`` docstring for
+the one model class where the smaller radii change bits), and each
+report repeats the arithmetic of a lone probe.  ``estimate_symbol`` and
+``symbol_independence_check`` are its one-frequency cases.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .serialize import dump_json, write_csv
+from .extended import STATUS_FINITE
 from .simulate import PathSampler
 from .triplet import eval_symbol
 
@@ -30,6 +43,7 @@ __all__ = [
     "IndependenceReport",
     "ProbeImmediateExitError",
     "estimate_symbol",
+    "estimate_symbol_grid",
     "symbol_independence_check",
 ]
 
@@ -55,6 +69,10 @@ class ProbeSettings:
             raise ValueError("t_ladder must be strictly decreasing and positive")
         if not self.k_radius > 0:
             raise ValueError("k_radius must be positive")
+        if not self.n_samples >= 2:
+            raise ValueError(f"n_samples must be at least 2, got {self.n_samples}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "t_ladder", tl)
 
     @property
@@ -110,31 +128,58 @@ def _complex_stderr(samples: np.ndarray) -> float:
     return math.sqrt((samples.real.var(ddof=1) + samples.imag.var(ddof=1)) / n)
 
 
-def estimate_symbol(sampler: PathSampler, x, xi, settings: ProbeSettings) -> SymbolReport:
-    """Estimate p(x, xi) from stopped small-time increments.
+def _point(name: str, value, dim: int) -> np.ndarray:
+    v = np.atleast_1d(np.asarray(value, dtype=float))
+    if v.ndim != 1 or v.size != dim:
+        raise ValueError(f"{name} = {v.tolist()} has {v.size} components; "
+                         f"the model is {dim}-dimensional")
+    return v
 
-    Raises ProbeImmediateExitError when the exit ball loses essentially
-    all paths within the first step.  A report whose combined stderr
-    exceeds the estimate magnitude is flagged low-confidence.
+
+def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
+                         settings: ProbeSettings) -> dict[float, list[SymbolReport]]:
+    """Estimate p(x, xi) for every frequency in ``xis`` and every
+    exit-ball radius in ``radii`` (distinct; ``math.inf`` never stops)
+    from one simulation.  Returns {radius: [report per frequency]} in the
+    given orders; each report carries ``settings`` with its own radius.
+
+    Raises ProbeImmediateExitError when the exit ball of some radius
+    loses essentially all paths within the first step.  A report whose
+    combined stderr exceeds the estimate magnitude is flagged
+    low-confidence.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    dt = settings.step
-    stop_radius = settings.k_radius if math.isfinite(settings.k_radius) else None
+    radii = tuple(radii)
+    if len(set(radii)) != len(radii):
+        raise ValueError("radii must be distinct")
+    per_radius = [replace(settings, k_radius=r) for r in radii]
+    model = sampler.model
+    x = _point("x", x, model.dim)
+    xis = [_point("xi", xi, model.dim) for xi in xis]
+    if not xis:
+        raise ValueError("xis holds no frequency")
+    n = settings.n_samples
     actual, values, status, frozen_first = sampler.snapshots(
-        x, sorted(settings.t_ladder), settings.n_samples, dt=dt,
-        stop_center=x if stop_radius is not None else None,
-        stop_radius=stop_radius,
-    )
-    if frozen_first >= EXIT_FRACTION_LIMIT * settings.n_samples:
-        raise ProbeImmediateExitError(
-            f"{frozen_first} of {settings.n_samples} paths left the radius-"
-            f"{settings.k_radius} ball in the first step; increase k_radius or shrink dt")
+        x, sorted(settings.t_ladder), n, dt=settings.step, radii=radii)
+    for s, frozen in zip(per_radius, frozen_first):
+        if frozen >= EXIT_FRACTION_LIMIT * n:
+            raise ProbeImmediateExitError(
+                f"{frozen} of {n} paths left the radius-{s.k_radius} ball in the "
+                "first step; increase k_radius or shrink dt")
 
+    analytic = [complex(eval_symbol(model, x, xi)) for xi in xis]
+    return {s.k_radius: [_report(x, xi, a, actual, values[:, :, r], status[:, :, r], s)
+                         for xi, a in zip(xis, analytic)]
+            for r, s in enumerate(per_radius)}
+
+
+def _report(x, xi, analytic: complex, times, values, status,
+            settings: ProbeSettings) -> SymbolReport:
+    """One (xi, K) report from the stopped snapshots ``values`` (T, n, d)
+    and ``status`` (T, n) at the ascending ``times``."""
     e_by_time = {}
-    for k, t in enumerate(actual):
+    for k, t in enumerate(times):
         phase = np.exp(1j * ((values[k] - x) @ xi))
-        phase[status[k] != 0] = 0.0
+        phase[status[k] != STATUS_FINITE] = 0.0
         e_by_time[float(t)] = phase
     ladder = sorted(e_by_time, reverse=True)
 
@@ -158,7 +203,6 @@ def estimate_symbol(sampler: PathSampler, x, xi, settings: ProbeSettings) -> Sym
         extrapolated = estimates[-1]
         ex_stderr = stderrs[-1]
 
-    analytic = complex(eval_symbol(sampler.model, x, xi))
     abs_err = abs(extrapolated - analytic)
     rel_err = abs_err / abs(analytic) if abs(analytic) > 1e-8 else None
     return SymbolReport(
@@ -171,12 +215,36 @@ def estimate_symbol(sampler: PathSampler, x, xi, settings: ProbeSettings) -> Sym
     )
 
 
+def estimate_symbol(sampler: PathSampler, x, xi, settings: ProbeSettings) -> SymbolReport:
+    """Estimate p(x, xi) from stopped small-time increments, with the
+    exit radius ``settings.k_radius``; see ``estimate_symbol_grid``."""
+    radius = settings.k_radius
+    return estimate_symbol_grid(sampler, x, [xi], [radius], settings)[radius][0]
+
+
 @dataclass
 class IndependenceReport:
     radii: tuple[float, ...]
     reports: list[SymbolReport]
     max_pair_z: float
     consistent: bool
+
+    @classmethod
+    def from_reports(cls, reports: list[SymbolReport]) -> "IndependenceReport":
+        """Estimates of one (x, xi) at several radii must agree pairwise
+        within 3 combined standard errors."""
+        max_z = 0.0
+        for i in range(len(reports)):
+            for j in range(i + 1, len(reports)):
+                se = math.hypot(reports[i].extrapolated_stderr,
+                                reports[j].extrapolated_stderr)
+                diff = abs(reports[i].extrapolated - reports[j].extrapolated)
+                if se > 0:
+                    max_z = max(max_z, diff / se)
+                elif diff > 0:
+                    max_z = math.inf
+        return cls(radii=tuple(r.settings.k_radius for r in reports), reports=reports,
+                   max_pair_z=max_z, consistent=max_z <= 3.0)
 
     def to_json(self) -> dict:
         return {
@@ -189,25 +257,13 @@ class IndependenceReport:
 
 def symbol_independence_check(sampler: PathSampler, x, xi, radii,
                               settings: ProbeSettings | None = None) -> IndependenceReport:
-    """Probe the same (x, xi) with several exit-ball radii; estimates
-    must agree pairwise within 3 combined standard errors."""
+    """Probe the same (x, xi) with several exit-ball radii from one
+    simulation; estimates must agree pairwise within 3 combined
+    standard errors."""
     radii = tuple(float(r) for r in radii)
-    if len(set(radii)) != len(radii):
-        raise ValueError("radii must be distinct")
     base = settings if settings is not None else ProbeSettings()
-    reports = [estimate_symbol(sampler, x, xi, replace(base, k_radius=r))
-               for r in radii]
-    max_z = 0.0
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            se = math.hypot(reports[i].extrapolated_stderr, reports[j].extrapolated_stderr)
-            diff = abs(reports[i].extrapolated - reports[j].extrapolated)
-            if se > 0:
-                max_z = max(max_z, diff / se)
-            elif diff > 0:
-                max_z = math.inf
-    return IndependenceReport(radii=radii, reports=reports,
-                              max_pair_z=max_z, consistent=max_z <= 3.0)
+    grid = estimate_symbol_grid(sampler, x, [xi], radii, base)
+    return IndependenceReport.from_reports([grid[r][0] for r in radii])
 
 
 def write_grid_csv(path, reports: list[SymbolReport]) -> None:

@@ -30,7 +30,7 @@ from symbolkit.simulate import (
     sample_autonomous,
     sample_levy,
 )
-from symbolkit.symbol import ProbeSettings, estimate_symbol, symbol_independence_check
+from symbolkit.symbol import ProbeSettings, estimate_symbol_grid, symbol_independence_check
 from symbolkit.triplet import (
     Coefficient,
     ConstantMeasureFamily,
@@ -151,8 +151,10 @@ def test_criterion_03_symbol_probe_vs_analytic():
             settings = ProbeSettings(k_radius=1.0, n_samples=N_BIG)
             sampler = PathSampler(model=model, dt=settings.step,
                                   seed=1000 + 31 * m_i + x_i)
-            for xi in xi_grid:
-                rep = estimate_symbol(sampler, [x], [xi], settings)
+            # one simulation serves every frequency of the sampler
+            grid = estimate_symbol_grid(sampler, [x], [[xi] for xi in xi_grid],
+                                        [settings.k_radius], settings)
+            for rep in grid[settings.k_radius]:
                 tol = max(0.10 * abs(rep.analytic), 3.0 * rep.extrapolated_stderr)
                 err = abs(rep.extrapolated - rep.analytic)
                 ok &= err <= tol
@@ -178,8 +180,10 @@ def test_criterion_04_sde_symbol_identity():
         settings = ProbeSettings(k_radius=x / 2.0, n_samples=200_000,
                                  t_ladder=(0.08, 0.04, 0.02, 0.01))
         sampler = PathSampler(model=model, dt=settings.step, seed=3000 + i)
-        for xi in (0.5, 1.0, 2.0):
-            rep = estimate_symbol(sampler, [x], [xi], settings)
+        grid = estimate_symbol_grid(sampler, [x], [[0.5], [1.0], [2.0]],
+                                    [settings.k_radius], settings)
+        for rep in grid[settings.k_radius]:
+            xi = rep.xi[0]
             target = abs(x * xi)
             rel = abs(rep.extrapolated - target) / target
             worst = max(worst, rel)

@@ -178,6 +178,20 @@ def test_symbol_xi_grid_csv(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--xi", "1", "--dt", "0"], "dt must be finite and positive, got 0.0"),
+    (["--xi", "1", "--dt", "-0.01"], "dt must be finite and positive, got -0.01"),
+    (["--xi", "1", "--samples", "1"], "n_samples must be at least 2, got 1"),
+    (["--xi-grid", "1:2:0"], "--xi-grid 1:2:0: no frequency"),
+    (["--xi", "1,2"], "xi = [1.0, 2.0] has 2 components; the model is 1-dimensional"),
+    ([], "symbol needs --xi or --xi-grid"),
+])
+def test_symbol_invalid_input_exit_code(tmp_path, capsys, args, message):
+    rc = main(["symbol", "--model", "bm", "--x", "0", "--out", str(tmp_path), *args])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_maximal_command(tmp_path):
     rc = main(["maximal", "--model", "bm", "--t-grid", "0.5,1.0",
                "--r-grid", "1,3", "--paths", "4000", "--dt", "0.002",

@@ -205,10 +205,16 @@ class TestEnsembleExport:
         times, vals, status, _ = sampler.snapshots([0.0], [0.5, 1.0], 1000)
         assert np.allclose(times, [0.5, 1.0])
         j = full.time_index(0.5)
-        assert np.allclose(vals[0, :, 0], full.values[:, j, 0])
+        assert np.allclose(vals[0, :, 0, 0], full.values[:, j, 0])
         times2, maxima = sampler.running_max([0.0], [1.0], 1000)
         running = np.abs(full.values[:, :, 0]).max(axis=1)
         assert np.allclose(maxima[:, 0], running)
+
+    def test_zero_dt_is_not_replaced(self, bm_model):
+        sampler = PathSampler(model=bm_model, dt=0.05, seed=51)
+        for run in (sampler.snapshots, sampler.running_max):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                run([0.0], [0.5], 10, dt=0.0)
 
 
 class TestMultiDimensional:

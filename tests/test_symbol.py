@@ -1,22 +1,48 @@
+import importlib.util
+import json
 import math
+from dataclasses import replace
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
 
+from symbolkit.config import bundled_model_path, load_model
+from symbolkit.expr import parse_expression
 from symbolkit.simulate import PathSampler, make_sde_model
 from symbolkit.symbol import (
     ProbeImmediateExitError,
     ProbeSettings,
     estimate_symbol,
+    estimate_symbol_grid,
     symbol_independence_check,
 )
 from symbolkit.triplet import (
+    Coefficient,
+    ConstantMeasureFamily,
+    CutoffFunction,
+    DiscreteMeasureFamily,
     LevyTriplet,
+    MatrixCoefficient,
     StableMeasure,
     StateModel,
+    VectorCoefficient,
     ZeroMeasure,
     eval_exponent,
 )
+
+DATA = FsPath(__file__).parent / "data"
+
+
+def _load_capture():
+    spec = importlib.util.spec_from_file_location(
+        "capture_symbol_reports", DATA / "capture_symbol_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CAPTURE = _load_capture()
 
 N_PROBE = 30_000
 
@@ -130,6 +156,11 @@ def test_settings_validation():
         ProbeSettings(t_ladder=(0.01, 0.02))
     with pytest.raises(ValueError):
         ProbeSettings(k_radius=0.0)
+    for dt in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            ProbeSettings(dt=dt)
+    with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        ProbeSettings(n_samples=1)
     with pytest.raises(ValueError):
         symbol_independence_check(None, [0.0], [1.0], radii=(1.0, 1.0))
 
@@ -159,3 +190,76 @@ def test_low_confidence_flag_on_tiny_signal():
                           ProbeSettings(k_radius=2.0, n_samples=200))
     # analytic 0.00125 is far below the noise floor at n=200
     assert rep.low_confidence
+
+
+@pytest.mark.parametrize("case", sorted(CAPTURE.CASES) + sorted(CAPTURE.CLI_CASES))
+def test_reports_bit_identical(case, tmp_path):
+    # reports captured with one simulation per (xi, K), before one
+    # simulation served every frequency and radius of a call
+    if case in CAPTURE.CLI_CASES:
+        got = CAPTURE.cli_outputs(*CAPTURE.CLI_CASES[case], tmp_path)
+    else:
+        spec = CAPTURE.CASES[case]
+        sampler, settings = CAPTURE.setup(spec)
+        grid = estimate_symbol_grid(sampler, spec["x"], spec["xis"], spec["radii"], settings)
+        got = [[CAPTURE.hexed(rep.to_json()) for rep in grid[r]] for r in spec["radii"]]
+    ref = json.loads((DATA / "symbol_reports.json").read_text())
+    assert got == ref[case]
+
+
+def _atoms_model():
+    return StateModel(
+        dim=1, kill=Coefficient(0.0, 1), drift=VectorCoefficient([0.0], 1),
+        covariance=MatrixCoefficient([[0.5]], 1),
+        measures=DiscreteMeasureFamily([[0.3], [-0.3]],
+                                       [parse_expression("1 + x1^2"), 2.0], 1),
+        cutoff=CutoffFunction(), domain_box=[[-10.0, 10.0]])
+
+
+def _exploding_model():
+    # dx = x^3 dt + noise from x = 4 reaches |x| = 10 near t = 0.026
+    return StateModel(
+        dim=1, kill=Coefficient(1.0, 1),
+        drift=VectorCoefficient([parse_expression("x1^3")], 1),
+        covariance=MatrixCoefficient([[0.1]], 1),
+        measures=ConstantMeasureFamily(ZeroMeasure()),
+        cutoff=CutoffFunction(), domain_box=[[-20.0, 20.0]])
+
+
+# name: (model, start point, explosion threshold, whether every radius
+# keeps the bits of a run stopped at that radius alone)
+GRID_MODELS = {
+    "stable_like": (lambda: load_model(bundled_model_path("stable_like")), 0.5, 1e9, True),
+    "killed_autonomous": (lambda: load_model(bundled_model_path("killed_autonomous")),
+                          0.5, 1e9, True),
+    "sde_cauchy": (lambda: load_model(bundled_model_path("sde_cauchy")), 0.5, 1e9, True),
+    "exploding": (_exploding_model, 4.0, 10.0, True),
+    # Poisson counts drawn at state-dependent rates follow the state, so
+    # only the radius the kernel stops at keeps its bits
+    "state_dependent_atoms": (_atoms_model, 0.5, 1e9, False),
+}
+
+
+@pytest.mark.parametrize("radii", [(0.2, 0.5), (0.5, math.inf, 0.2)])
+@pytest.mark.parametrize("name", sorted(GRID_MODELS))
+def test_grid_matches_one_run_per_radius(name, radii):
+    build, x, expl, every_radius = GRID_MODELS[name]
+    sampler = PathSampler(model=build(), dt=0.002, seed=41, explosion_threshold=expl)
+    settings = ProbeSettings(t_ladder=(0.04, 0.02, 0.01), n_samples=3000)
+    xis = [[1.0], [2.0]]
+    grid = estimate_symbol_grid(sampler, [x], xis, radii, settings)
+    for r in radii if every_radius else [max(radii)]:
+        for xi, rep in zip(xis, grid[r]):
+            alone = estimate_symbol(sampler, [x], xi, replace(settings, k_radius=r))
+            assert CAPTURE.hexed(rep.to_json()) == CAPTURE.hexed(alone.to_json()), (r, xi)
+
+
+def test_grid_validates_start_point_and_frequencies():
+    model = StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[1.0]], ZeroMeasure()))
+    s = _sampler(model)
+    settings = ProbeSettings(n_samples=100)
+    with pytest.raises(ValueError, match=r"x = \[0.0, 0.0\] has 2 components; "
+                                         "the model is 1-dimensional"):
+        estimate_symbol_grid(s, [0.0, 0.0], [[1.0]], [1.0], settings)
+    with pytest.raises(ValueError, match="no frequency"):
+        estimate_symbol_grid(s, [0.0], [], [1.0], settings)
