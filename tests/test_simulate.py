@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from symbolkit.triplet import (
 
 from conftest import complex_se
 
+DATA = FsPath(__file__).parent / "data"
 N_UNIT = 20_000
 
 
@@ -246,3 +249,24 @@ def test_worker_count_does_not_change_results(monkeypatch, bm_triplet):
     threaded = sample_levy(bm_triplet, spec)
     assert np.array_equal(base.values, threaded.values, equal_nan=True)
     assert np.array_equal(base.status, threaded.status)
+
+
+def _load_digests():
+    spec = importlib.util.spec_from_file_location(
+        "capture_ensemble_digests", DATA / "capture_ensemble_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DIGESTS = _load_digests()
+
+
+@pytest.mark.parametrize("threads", DIGESTS.THREADS)
+@pytest.mark.parametrize("name", sorted(DIGESTS.FIXTURES))
+def test_ensembles_bit_identical(monkeypatch, name, threads):
+    # digests of every measure kind's ensembles, snapshots and running
+    # maxima, captured before the measures owned their sampling
+    monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+    ref = json.loads((DATA / "ensemble_digests.json").read_text())
+    assert DIGESTS.digest(name) == ref[name][threads]
