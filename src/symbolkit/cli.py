@@ -99,6 +99,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
+    if args.xi_grid and args.radii:
+        raise ValueError("--radii runs the exit-ball check for one --xi, not for --xi-grid")
     cfg, model = _load(args.model)
     x0, dt, seed, n_paths, _, expl, cut = _sim_args(cfg, args)
     x = np.asarray(_floats(args.x), dtype=float)

@@ -9,14 +9,13 @@ with silently ignored settings.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path as FsPath
 
 import numpy as np
 
-from .expr import Expression, ExpressionDomainError, ExpressionSyntaxError, parse_expression
+from .expr import ExpressionDomainError, ExpressionSyntaxError, parse_expression
 from .triplet import (
     Coefficient,
     ConstantMeasureFamily,
@@ -24,8 +23,8 @@ from .triplet import (
     DensityMeasure,
     DiscreteMeasure,
     DiscreteMeasureFamily,
-    LevyTriplet,
     MatrixCoefficient,
+    SdeBlock,
     StableMeasure,
     StableMeasureFamily,
     StateModel,
@@ -253,7 +252,6 @@ def compile_model(cfg: ModelConfig) -> StateModel:
             driver = compile_model(driver_cfg).constant_triplet()
         except ValueError as err:
             raise ModelConfigError("sde.driver", f"driver must be constant: {err}") from err
-        from .triplet import SdeBlock
         f_spec = _coeff_spec(cfg.sde["coefficient"], 1, "sde.coefficient")
         sde_block = SdeBlock(Coefficient(f_spec, 1), driver)
 
@@ -302,21 +300,9 @@ def _validate_on_box(model: StateModel) -> None:
         raise ModelInvariantError(
             f"covariance not positive semidefinite at x={pts[k].tolist()}")
 
-    fam = model.measures
-    if isinstance(fam, StableMeasureFamily):
-        alpha = fam.alpha_coeff(pts)
-        if np.any((alpha <= 0) | (alpha > 2)):
-            k = int(np.argmax((alpha <= 0) | (alpha > 2)))
-            raise ModelInvariantError(f"stable order outside (0,2] at x={pts[k].tolist()}")
-        scale = fam.scale_coeff(pts)
-        if np.any(scale < 0):
-            k = int(np.argmax(scale < 0))
-            raise ModelInvariantError(f"stable scale negative at x={pts[k].tolist()}")
-    elif isinstance(fam, DiscreteMeasureFamily):
-        rates = fam.rates_many(pts)
-        if np.any(rates < 0):
-            k = int(np.argmax(np.any(rates < 0, axis=1)))
-            raise ModelInvariantError(f"atom rate negative at x={pts[k].tolist()}")
+    message = model.measures.box_violation(pts)
+    if message is not None:
+        raise ModelInvariantError(message)
 
 
 def _finite_and_tame(values: np.ndarray, pts: np.ndarray, what: str) -> None:

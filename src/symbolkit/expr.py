@@ -74,11 +74,6 @@ class Expression:
         x = np.asarray(x, dtype=float)
         return _eval_np(self, x, strict=False)
 
-    def evaluate_reference(self, x) -> float:
-        """Independent scalar tree-walking evaluator built on the math
-        module; used as an oracle against `evaluate`."""
-        return _eval_ref(self, [float(v) for v in np.atleast_1d(x)])
-
     def max_var(self) -> int:
         return _max_var(self)
 
@@ -217,64 +212,6 @@ def _eval_np(e: Expression, x: np.ndarray, strict: bool):
         return np.minimum(a, b)
     if e.op == "max":
         return np.maximum(a, b)
-    raise AssertionError(e.op)
-
-
-def _eval_ref(e: Expression, xs: list[float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > len(xs):
-            raise ExpressionDomainError(f"x{e.index} undefined for dim {len(xs)}")
-        return xs[e.index - 1]
-    if isinstance(e, Unary):
-        a = _eval_ref(e.arg, xs)
-        if e.op == "neg":
-            return -a
-        if e.op == "exp":
-            try:
-                return math.exp(a)
-            except OverflowError:
-                return math.inf
-        if e.op == "log":
-            if a <= 0.0:
-                raise ExpressionDomainError("log of non-positive value")
-            return math.log(a)
-        if e.op == "sin":
-            return math.sin(a)
-        if e.op == "cos":
-            return math.cos(a)
-        if e.op == "abs":
-            return abs(a)
-        if e.op == "arctan":
-            return math.atan(a)
-        raise AssertionError(e.op)
-    assert isinstance(e, Binary)
-    a = _eval_ref(e.left, xs)
-    b = _eval_ref(e.right, xs)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    if e.op == "/":
-        if b == 0.0:
-            raise ExpressionDomainError("division by zero")
-        return a / b
-    if e.op == "^":
-        if a < 0 and b != math.floor(b):
-            raise ExpressionDomainError("fractional power of negative base")
-        if a == 0 and b < 0:
-            raise ExpressionDomainError("0^negative")
-        try:
-            return math.pow(a, b)
-        except OverflowError:
-            return math.inf
-    if e.op == "min":
-        return min(a, b)
-    if e.op == "max":
-        return max(a, b)
     raise AssertionError(e.op)
 
 

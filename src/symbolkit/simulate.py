@@ -35,6 +35,14 @@ The dynamics are chosen by the entry point:
 Snapshots and running maxima use the exact clock when the killing rate
 is constant (or sits on an SDE driver) and hazard killing otherwise.
 
+The kernel knows no measure kind.  Each step it puts the drift (with
+the constant part of the jump compensator) and the Gaussian part into
+the increment array, then asks the model's measure family for the
+jumps: ``measures.jump_sampler(...)`` is built once per run and its
+``add_increments`` adds them in place.  The measure owns its random
+streams (``jump``, ``stable``, ``small``); ``triplet.py`` records what
+each kind draws, in order and shape.
+
 Determinism contract: draws come from per-(seed, purpose, chunk)
 substreams with a fixed chunk size, so results are bit-identical for a
 given spec and seed regardless of worker count, and ensembles sharing a
@@ -44,11 +52,10 @@ SYMBOLKIT_THREADS caps the number of chunk workers.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -60,18 +67,7 @@ from .extended import (
     STATUS_INFINITY,
 )
 from .serialize import dump_json
-from .triplet import (
-    ConstantMeasureFamily,
-    Coefficient,
-    DensityMeasure,
-    DiscreteMeasure,
-    DiscreteMeasureFamily,
-    LevyTriplet,
-    StableMeasure,
-    StableMeasureFamily,
-    StateModel,
-    ZeroMeasure,
-)
+from .triplet import Coefficient, LevyTriplet, SdeBlock, StateModel
 from .expr import Expression
 
 __all__ = [
@@ -101,9 +97,12 @@ _PURPOSES = {
 def _worker_count() -> int:
     raw = os.environ.get("SYMBOLKIT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SYMBOLKIT_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -218,20 +217,9 @@ class Ensemble:
 # ---------------------------------------------------------------------------
 # dynamics compiled from a model
 
-def _stable_standard(alpha: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Symmetric stable variate with characteristic function
-    exp(-|xi|^alpha), by the polar (Chambers-Mallows-Stuck) method."""
-    alpha = np.asarray(alpha, dtype=float)
-    w = np.maximum(w, 1e-300)
-    tan_branch = np.tan(u)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-             * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
-    return np.where(np.abs(alpha - 1.0) < 1e-12, tan_branch, s)
-
-
 class _Dynamics:
-    """Precompiled per-step increment and killing machinery."""
+    """Precompiled per-step drift, Gaussian part and killing; the jumps
+    come from the measure family's JumpSampler."""
 
     def __init__(self, model: StateModel, dt: float, small_jump_cut: float | None,
                  killing_mode: str):
@@ -239,13 +227,11 @@ class _Dynamics:
         self.dt = dt
         self.dim = model.dim
         self.killing_mode = killing_mode
-        self.sde = model.sde
-        self.bias_notes: dict = {}
-        if self.sde is not None:
-            driver_model = StateModel.from_triplet(self.sde.driver)
+        if model.sde is not None:
+            driver_model = StateModel.from_triplet(model.sde.driver)
             self.driver = _Dynamics(driver_model, dt, small_jump_cut, "clock")
-            self.f_coeff = self.sde.coefficient
-            self.const_kill = self.sde.driver.killing_rate
+            self.f_coeff = model.sde.coefficient
+            self.kill_const = model.sde.driver.killing_rate
             self.bias_notes = self.driver.bias_notes
             return
         self.driver = None
@@ -258,65 +244,20 @@ class _Dynamics:
         self.ell_const = model.drift.constant_value() if model.drift.is_constant else None
         if model.covariance.is_constant:
             q = model.covariance.constant_value()
-            tri = LevyTriplet(0.0, np.zeros(self.dim), q, ZeroMeasure(), model.cutoff)
-            self.chol_const = tri.cholesky()
+            self.chol_const = LevyTriplet(0.0, np.zeros(self.dim), q).cholesky()
             self.has_gauss = bool(np.any(self.chol_const != 0.0))
         else:
+            q = np.eye(self.dim)
             self.chol_const = None
             self.has_gauss = True
-
-        # jump machinery
-        fam = model.measures
-        self.atoms = None
-        self.stable = None
-        self.density = None
-        self.comp_drift_const = np.zeros(self.dim)
-        if isinstance(fam, ConstantMeasureFamily):
-            m = fam.measure
-            if isinstance(m, DiscreteMeasure):
-                self.atoms = (m.jumps, m.rates, None)
-                chi = model.cutoff(m.jumps)
-                self.comp_drift_const = self.comp_drift_const - (m.rates * chi) @ m.jumps
-            elif isinstance(m, StableMeasure):
-                self.stable = (None, None, m.alpha, m.scale)
-            elif isinstance(m, DensityMeasure):
-                self._setup_density(m, small_jump_cut)
-        elif isinstance(fam, DiscreteMeasureFamily):
-            self.atoms = (fam.jumps, None, fam)
-        elif isinstance(fam, StableMeasureFamily):
-            self.stable = (fam.alpha_coeff, fam.scale_coeff, None, None)
-
-    def _setup_density(self, m: DensityMeasure, small_jump_cut: float | None):
-        r_chi = self.model.cutoff.support_radius
-        if small_jump_cut is None:
-            budget_ref = float(np.trace(
-                self.model.covariance.constant_value()
-                if self.model.covariance.is_constant else np.eye(self.dim)
-            )) + m.second_moment_band(0.0, 1.0)
-            budget = 1e-4 * budget_ref
-            cut = m.eps
-            for cand in np.geomspace(m.eps, max(r_chi, m.eps * 1.0001), 41):
-                if m.second_moment_band(m.eps, cand) <= budget:
-                    cut = float(cand)
-                else:
-                    break
-        else:
-            cut = float(small_jump_cut)
-        cut = min(max(cut, m.eps), r_chi)
-        sub_var = m.second_moment_band(m.eps, cut)
-        self.density = (m, cut, m.rate_above(cut), math.sqrt(max(sub_var, 0.0)))
-        self.comp_drift_const = self.comp_drift_const - np.array(
-            [m.mean_band(cut, r_chi)])
-        self.bias_notes = {
-            "small_jump_cut": cut,
-            "substituted_variance": sub_var,
-            "discarded_second_moment_bound": m.small_mass_second_moment,
-        }
+        self.jumps = model.measures.jump_sampler(model.cutoff, float(np.trace(q)),
+                                                 small_jump_cut)
+        self.bias_notes = self.jumps.bias_notes
 
     # -- per-step pieces ----------------------------------------------------
 
     def clock_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        a = self.const_kill if self.driver is not None else self.kill_const
+        a = self.kill_const
         u = rng.random(n)
         if a is None or a <= 0.0:
             return np.full(n, np.inf)
@@ -334,12 +275,12 @@ class _Dynamics:
             return f[:, None] * dz
 
         inc = np.zeros((n, self.dim))
-        # drift with jump compensation
+        # drift with the constant part of the jump compensator
         if self.ell_const is not None:
-            inc += (self.ell_const + self.comp_drift_const) * dt
+            inc += (self.ell_const + self.jumps.drift) * dt
         else:
             ell = self.model.drift.lenient(xs)
-            inc += (ell + self.comp_drift_const) * dt
+            inc += (ell + self.jumps.drift) * dt
         # Gaussian part
         if self.has_gauss:
             z = rngs["gauss"].standard_normal((n, self.dim))
@@ -354,44 +295,7 @@ class _Dynamics:
                 gauss = math.sqrt(dt) * np.einsum("nij,nj->ni", chol, z)
                 gauss[bad_q] = np.nan
                 inc += gauss
-        # discrete atoms
-        if self.atoms is not None:
-            jumps, rates, fam = self.atoms
-            if fam is None:
-                counts = rngs["jump"].poisson(rates * dt, size=(n, rates.shape[0]))
-                inc += counts @ jumps
-            else:
-                r = fam.rates_many_lenient(xs)
-                ok_r = np.isfinite(r) & (r >= 0)
-                r_safe = np.where(ok_r, r, 0.0)
-                counts = rngs["jump"].poisson(r_safe * dt)
-                chi = self.model.cutoff(jumps)
-                inc += counts @ jumps - ((r_safe * chi) @ jumps) * dt
-                inc[~np.all(ok_r, axis=1)] = np.nan
-        # stable component
-        if self.stable is not None:
-            alpha_c, scale_c, alpha0, scale0 = self.stable
-            u = (rngs["stable"].random(n) - 0.5) * math.pi
-            w = -np.log(np.maximum(rngs["stable"].random(n), 1e-300))
-            if alpha0 is not None:
-                amp = (scale0 * dt) ** (1.0 / alpha0)
-                inc[:, 0] += amp * _stable_standard(np.full(n, alpha0), u, w)
-            else:
-                alpha = np.clip(alpha_c.lenient(xs), 1e-6, 2.0)
-                scale = np.maximum(scale_c.lenient(xs), 0.0)
-                amp = (scale * dt) ** (1.0 / alpha)
-                inc[:, 0] += amp * _stable_standard(alpha, u, w)
-        # density measure: compound Poisson above the cut, Gaussian below
-        if self.density is not None:
-            m, cut, cp_rate, sub_std = self.density
-            counts = rngs["jump"].poisson(cp_rate * dt, size=n)
-            total = int(counts.sum())
-            if total:
-                sizes = m.sample_sizes(total, rngs["jump"], cut=cut)
-                idx = np.repeat(np.arange(n), counts)
-                np.add.at(inc[:, 0], idx, sizes)
-            if sub_std > 0.0:
-                inc[:, 0] += sub_std * math.sqrt(dt) * rngs["small"].standard_normal(n)
+        self.jumps.add_increments(inc, xs, dt, rngs)
         return inc
 
     def hazard_prob(self, xs: np.ndarray, prop: np.ndarray) -> np.ndarray:
@@ -576,11 +480,6 @@ def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
     return results, ledger, dyn
 
 
-def _validate_model_spec(model: StateModel, spec: SimSpec):
-    if spec.x0.shape[0] != model.dim:
-        raise ValueError("x0 dimension mismatch")
-
-
 def _killing_mode(model: StateModel) -> str:
     """Exact clock for a constant rate or an SDE driver, hazard otherwise."""
     return "clock" if (model.kill.is_constant or model.sde is not None) else "hazard"
@@ -606,7 +505,6 @@ def sample_sde(f, driver: LevyTriplet, spec: SimSpec) -> Ensemble:
 
 
 def make_sde_model(f, driver: LevyTriplet) -> StateModel:
-    from .triplet import SdeBlock
     if driver.dim != 1:
         raise ValueError("sde mode is one-dimensional")
     if isinstance(f, Coefficient):
@@ -624,7 +522,8 @@ def make_sde_model(f, driver: LevyTriplet) -> StateModel:
 
 
 def _sample(model: StateModel, spec: SimSpec, killing_mode: str, name: str) -> Ensemble:
-    _validate_model_spec(model, spec)
+    if spec.x0.shape[0] != model.dim:
+        raise ValueError("x0 dimension mismatch")
     n_steps = spec.n_steps
     results, ledger, dyn = _run_ensemble(
         model, spec.x0, spec.n_paths, n_steps, spec.dt, spec.rng_seed,

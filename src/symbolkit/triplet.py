@@ -15,6 +15,9 @@ panels, split at the cut-off radius (relative tolerance QUAD_REL_TOL;
 QuadratureError with the achieved error when the panel cap is reached).
 Their moments (jump rate, second moment, mean over a band) use the same
 rule.
+
+Every measure and measure family also owns its simulation draws
+(``jump_sampler``); each docstring records the streams drawn per step.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "DiscreteMeasure",
     "StableMeasure",
     "DensityMeasure",
+    "JumpSampler",
     "MeasureFamily",
     "ConstantMeasureFamily",
     "DiscreteMeasureFamily",
@@ -127,15 +131,37 @@ def _sin_minus_chi_theta(theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return np.where(chi & (np.abs(theta) < 0.5), series, np.sin(theta) - chi * theta)
 
 
+@dataclass(frozen=True)
+class JumpSampler:
+    """A measure's jumps as one simulation draws them.
+
+    ``add_increments(inc, xs, dt, rngs)`` adds one step's jumps at the
+    (n, d) states xs into the (n, d) array inc, in place, on top of the
+    drift and Gaussian part; it draws from the named streams in rngs and
+    writes NaN rows for paths whose coefficients fail.  ``drift`` is the
+    constant part of the compensator, summed with l before the product
+    with dt; ``bias_notes`` describe the approximations made."""
+
+    add_increments: Callable[[np.ndarray, np.ndarray, float, dict], None]
+    drift: float | np.ndarray = 0.0
+    bias_notes: dict = field(default_factory=dict)
+
+
 class LevyMeasure:
     """Base class; subclasses implement the exponent integral
 
     I(xi) = integral (e^{i<y,xi>} - 1 - i<y,xi> chi(y)) N(dy),
 
-    to be subtracted from the polynomial part of the exponent.
+    to be subtracted from the polynomial part of the exponent, and the
+    JumpSampler of a run with cut-off chi, Gaussian covariance trace
+    q_trace (d if state dependent) and an optional small-jump cut.
     """
 
     def exponent_term(self, xis: np.ndarray, cutoff: CutoffFunction) -> np.ndarray:
+        raise NotImplementedError
+
+    def jump_sampler(self, cutoff: CutoffFunction, q_trace: float,
+                     small_jump_cut: float | None) -> JumpSampler:
         raise NotImplementedError
 
     def is_symmetric(self) -> bool:
@@ -150,6 +176,10 @@ class ZeroMeasure(LevyMeasure):
     def exponent_term(self, xis, cutoff):
         xis = np.atleast_2d(xis)
         return np.zeros(xis.shape[0], dtype=complex)
+
+    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
+        """No jumps and no draws."""
+        return JumpSampler(lambda inc, xs, dt, rngs: None)
 
     def is_symmetric(self):
         return True
@@ -181,6 +211,17 @@ class DiscreteMeasure(LevyMeasure):
         chi = cutoff(self.jumps)                         # (K,)
         vals = np.exp(1j * theta) - 1.0 - 1j * theta * chi
         return vals @ self.rates.astype(complex)
+
+    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
+        """Per step, Poisson counts of shape (n, K), one column per atom,
+        from the ``jump`` stream.  The compensator -sum rate chi(y) y is
+        the constant drift."""
+
+        def add(inc, xs, dt, rngs):
+            counts = rngs["jump"].poisson(self.rates * dt, size=(xs.shape[0], len(self.rates)))
+            inc += counts @ self.jumps
+
+        return JumpSampler(add, -(self.rates * cutoff(self.jumps)) @ self.jumps)
 
     def is_symmetric(self):
         # symmetric iff atoms come in (+y, -y) pairs with equal rates
@@ -216,12 +257,39 @@ class StableMeasure(LevyMeasure):
             raise ValueError("stable measures are one-dimensional")
         return (-self.scale * np.abs(xis[:, 0]) ** self.alpha).astype(complex)
 
+    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
+        """Per step, (n,) uniforms u and then (n,) uniforms w from the
+        ``stable`` stream (``_stable_standard``), scaled by
+        (scale dt)^(1/alpha).  The symmetric measure has no compensator."""
+
+        def add(inc, xs, dt, rngs):
+            alpha = np.full(xs.shape[0], self.alpha)
+            inc[:, 0] += ((self.scale * dt) ** (1.0 / self.alpha)
+                          * _stable_standard(alpha, rngs["stable"]))
+
+        return JumpSampler(add)
+
     def is_symmetric(self):
         return True
 
     def validate(self, dim):
         if dim != 1:
             raise ValueError("stable measures are one-dimensional")
+
+
+def _stable_standard(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One symmetric stable variate with characteristic function
+    exp(-|xi|^alpha) per entry of alpha, by the polar
+    (Chambers-Mallows-Stuck) method: draws (n,) uniforms for the angle u,
+    then (n,) uniforms for the exponential w, from rng."""
+    n = alpha.shape[0]
+    u = (rng.random(n) - 0.5) * math.pi
+    w = np.maximum(-np.log(np.maximum(rng.random(n), 1e-300)), 1e-300)
+    tan_branch = np.tan(u)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+             * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+    return np.where(np.abs(alpha - 1.0) < 1e-12, tan_branch, s)
 
 
 def _vectorised(density) -> Callable[[np.ndarray], np.ndarray]:
@@ -383,6 +451,51 @@ class DensityMeasure(LevyMeasure):
         out[~left] = np.maximum(
             np.interp(u[~left] - lo_mass + np.interp(cut, ys, self._cdf), self._cdf, ys), cut)
         return out
+
+    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
+        """Compound Poisson jumps above a cut and a Gaussian of the same
+        variance below it.  The cut is small_jump_cut if given, else the
+        largest of 41 log-spaced candidates from eps whose band second
+        moment stays within 1e-4 (q_trace + second moment below 1); it is
+        kept inside [eps, r], r the cut-off's support radius.
+
+        Per step, from the ``jump`` stream: (n,) Poisson counts, then
+        (total,) uniforms for the sizes (``sample_sizes``), total the sum
+        of the counts, assigned to the paths in path order; then, if the
+        substituted variance is positive, (n,) normals from ``small``.
+        The compensator of the jumps between the cut and r is the
+        constant drift."""
+        r_chi = cutoff.support_radius
+        if small_jump_cut is None:
+            budget = 1e-4 * (q_trace + self.second_moment_band(0.0, 1.0))
+            cut = self.eps
+            for cand in np.geomspace(self.eps, max(r_chi, self.eps * 1.0001), 41):
+                if self.second_moment_band(self.eps, cand) <= budget:
+                    cut = float(cand)
+                else:
+                    break
+        else:
+            cut = float(small_jump_cut)
+        cut = min(max(cut, self.eps), r_chi)
+        sub_var = self.second_moment_band(self.eps, cut)
+        rate = self.rate_above(cut)
+        sub_std = math.sqrt(max(sub_var, 0.0))
+
+        def add(inc, xs, dt, rngs):
+            n = xs.shape[0]
+            counts = rngs["jump"].poisson(rate * dt, size=n)
+            total = int(counts.sum())
+            if total:
+                sizes = self.sample_sizes(total, rngs["jump"], cut=cut)
+                np.add.at(inc[:, 0], np.repeat(np.arange(n), counts), sizes)
+            if sub_std > 0.0:
+                inc[:, 0] += sub_std * math.sqrt(dt) * rngs["small"].standard_normal(n)
+
+        return JumpSampler(add, np.array([-self.mean_band(cut, r_chi)]), {
+            "small_jump_cut": cut,
+            "substituted_variance": sub_var,
+            "discarded_second_moment_bound": self.small_mass_second_moment,
+        })
 
     def exponent_term(self, xis, cutoff):
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -596,12 +709,24 @@ class MatrixCoefficient:
 # measure families (possibly state dependent)
 
 class MeasureFamily:
+    """Jump measures N(x, dy) indexed by the state, with the same
+    jump sampler protocol as LevyMeasure."""
+
     def at(self, x: np.ndarray) -> LevyMeasure:
         raise NotImplementedError
 
     def exponent_term_many(self, xs: np.ndarray, xis: np.ndarray,
                            cutoff: CutoffFunction) -> np.ndarray:
         raise NotImplementedError
+
+    def jump_sampler(self, cutoff: CutoffFunction, q_trace: float,
+                     small_jump_cut: float | None) -> JumpSampler:
+        raise NotImplementedError
+
+    def box_violation(self, pts: np.ndarray) -> str | None:
+        """The first invariant the family breaks at the (m, d) probe
+        points, as a message, or None."""
+        return None
 
     @property
     def is_constant(self) -> bool:
@@ -617,6 +742,9 @@ class ConstantMeasureFamily(MeasureFamily):
 
     def exponent_term_many(self, xs, xis, cutoff):
         return self.measure.exponent_term(xis, cutoff)
+
+    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
+        return self.measure.jump_sampler(cutoff, q_trace, small_jump_cut)
 
     @property
     def is_constant(self):
@@ -651,6 +779,28 @@ class DiscreteMeasureFamily(MeasureFamily):
         rates = self.rates_many(np.atleast_2d(xs))           # (N, K)
         return np.sum(vals * rates, axis=1)
 
+    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
+        """Per step, Poisson counts of shape (n, K) from the ``jump``
+        stream at the paths' current rates (0 where a rate is not finite
+        and non-negative; such a path's row becomes NaN), compensated
+        within the step."""
+        chi = cutoff(self.jumps)
+
+        def add(inc, xs, dt, rngs):
+            r = self.rates_many_lenient(xs)
+            ok = np.isfinite(r) & (r >= 0)
+            r = np.where(ok, r, 0.0)
+            inc += rngs["jump"].poisson(r * dt) @ self.jumps - ((r * chi) @ self.jumps) * dt
+            inc[~np.all(ok, axis=1)] = np.nan
+
+        return JumpSampler(add)
+
+    def box_violation(self, pts):
+        bad = np.any(self.rates_many(pts) < 0, axis=1)
+        if np.any(bad):
+            return f"atom rate negative at x={pts[int(np.argmax(bad))].tolist()}"
+        return None
+
     @property
     def is_constant(self):
         return all(c.is_constant for c in self.rate_coeffs)
@@ -679,6 +829,27 @@ class StableMeasureFamily(MeasureFamily):
             out = np.where(absxi > 0, scale * absxi ** alpha, 0.0)
         return (-out).astype(complex)
 
+    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
+        """As StableMeasure's, at each path's order (clipped to
+        [1e-6, 2]) and scale (floored at 0)."""
+
+        def add(inc, xs, dt, rngs):
+            alpha = np.clip(self.alpha_coeff.lenient(xs), 1e-6, 2.0)
+            scale = np.maximum(self.scale_coeff.lenient(xs), 0.0)
+            inc[:, 0] += (scale * dt) ** (1.0 / alpha) * _stable_standard(alpha, rngs["stable"])
+
+        return JumpSampler(add)
+
+    def box_violation(self, pts):
+        alpha = self.alpha_coeff(pts)
+        bad = (alpha <= 0) | (alpha > 2)
+        if np.any(bad):
+            return f"stable order outside (0,2] at x={pts[int(np.argmax(bad))].tolist()}"
+        bad = self.scale_coeff(pts) < 0
+        if np.any(bad):
+            return f"stable scale negative at x={pts[int(np.argmax(bad))].tolist()}"
+        return None
+
     @property
     def is_constant(self):
         return self.alpha_coeff.is_constant and self.scale_coeff.is_constant
@@ -694,7 +865,7 @@ class LevyTriplet:
     killing_rate: float
     drift: np.ndarray
     covariance: np.ndarray
-    measure: LevyMeasure
+    measure: LevyMeasure = field(default_factory=ZeroMeasure)
     cutoff: CutoffFunction = field(default_factory=CutoffFunction)
 
     def __post_init__(self):

@@ -10,6 +10,8 @@ import math
 import numpy as np
 from scipy.stats import norm
 
+from symbolkit.expr import Binary, Const, ExpressionDomainError, Unary, Var
+
 
 def bm_max_abs_cdf(r: float, t: float, terms: int = 30) -> float:
     """P(sup_{s<=t} |W_s| <= r) for standard one-dimensional Brownian
@@ -63,3 +65,68 @@ def brute_quantity_H(symbol_fn, R: float, ys, n_dirs: int = 2, n_radii: int = 8)
         for e in eps:
             best = max(best, abs(symbol_fn(y, e / R)))
     return best
+
+
+def expr_reference(e, x) -> float:
+    """Value of the expression e at the point x by a scalar tree walk on
+    the math module, independent of ``Expression.evaluate``; raises
+    ExpressionDomainError where the expression is undefined."""
+    return _walk(e, [float(v) for v in np.atleast_1d(x)])
+
+
+def _walk(e, xs: list[float]) -> float:
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        if e.index > len(xs):
+            raise ExpressionDomainError(f"x{e.index} undefined for dim {len(xs)}")
+        return xs[e.index - 1]
+    if isinstance(e, Unary):
+        a = _walk(e.arg, xs)
+        if e.op == "neg":
+            return -a
+        if e.op == "exp":
+            try:
+                return math.exp(a)
+            except OverflowError:
+                return math.inf
+        if e.op == "log":
+            if a <= 0.0:
+                raise ExpressionDomainError("log of non-positive value")
+            return math.log(a)
+        if e.op == "sin":
+            return math.sin(a)
+        if e.op == "cos":
+            return math.cos(a)
+        if e.op == "abs":
+            return abs(a)
+        if e.op == "arctan":
+            return math.atan(a)
+        raise AssertionError(e.op)
+    assert isinstance(e, Binary)
+    a = _walk(e.left, xs)
+    b = _walk(e.right, xs)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    if e.op == "/":
+        if b == 0.0:
+            raise ExpressionDomainError("division by zero")
+        return a / b
+    if e.op == "^":
+        if a < 0 and b != math.floor(b):
+            raise ExpressionDomainError("fractional power of negative base")
+        if a == 0 and b < 0:
+            raise ExpressionDomainError("0^negative")
+        try:
+            return math.pow(a, b)
+        except OverflowError:
+            return math.inf
+    if e.op == "min":
+        return min(a, b)
+    if e.op == "max":
+        return max(a, b)
+    raise AssertionError(e.op)

@@ -47,7 +47,7 @@ from symbolkit.triplet import (
 )
 
 from conftest import complex_se
-from oracles import bm_max_abs_exceed
+from oracles import bm_max_abs_exceed, expr_reference
 
 N_BIG = 100_000
 
@@ -354,7 +354,7 @@ def test_criterion_11_expression_parser():
         back = parse_expression(e.to_text())
         ok &= back == e
         for p in probes:
-            ref = e.evaluate_reference(p)
+            ref = expr_reference(e, p)
             got = float(e.evaluate(p))
             denom = max(1.0, abs(ref))
             ok &= abs(got - ref) / denom <= REF_TOLERANCE

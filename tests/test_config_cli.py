@@ -185,6 +185,7 @@ def test_symbol_xi_grid_csv(tmp_path):
     (["--xi-grid", "1:2:0"], "--xi-grid 1:2:0: no frequency"),
     (["--xi", "1,2"], "xi = [1.0, 2.0] has 2 components; the model is 1-dimensional"),
     ([], "symbol needs --xi or --xi-grid"),
+    (["--xi-grid", "1:2:2", "--radii", "1,2"], "--radii runs the exit-ball check for one --xi"),
 ])
 def test_symbol_invalid_input_exit_code(tmp_path, capsys, args, message):
     rc = main(["symbol", "--model", "bm", "--x", "0", "--out", str(tmp_path), *args])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from symbolkit.cli import main
 from symbolkit.expr import parse_expression
 from symbolkit.extended import STATUS_DELTA, STATUS_FINITE, STATUS_INFINITY
 from symbolkit.simulate import (
@@ -249,6 +250,17 @@ def test_worker_count_does_not_change_results(monkeypatch, bm_triplet):
     threaded = sample_levy(bm_triplet, spec)
     assert np.array_equal(base.values, threaded.values, equal_nan=True)
     assert np.array_equal(base.status, threaded.status)
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
+def test_bad_worker_count_is_an_error(monkeypatch, capsys, tmp_path, bm_triplet, raw):
+    monkeypatch.setenv("SYMBOLKIT_THREADS", raw)
+    message = f"SYMBOLKIT_THREADS must be a positive integer, got {raw!r}"
+    spec = SimSpec(x0=[0.0], horizon=0.1, dt=0.01, n_paths=10, rng_seed=94)
+    with pytest.raises(ValueError, match=message):
+        sample_levy(bm_triplet, spec)
+    assert main(["simulate", "--model", "bm", "--paths", "10", "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def _load_digests():
