@@ -781,9 +781,9 @@ class DiscreteMeasureFamily(MeasureFamily):
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """Per step, Poisson counts of shape (n, K) from the ``jump``
-        stream at the paths' current rates (0 where a rate is not finite
-        and non-negative; such a path's row becomes NaN), compensated
-        within the step."""
+        stream at the paths' current rates, compensated within the step.
+        A rate that is NaN, infinite or negative draws at rate 0 and
+        makes its path's row NaN."""
         chi = cutoff(self.jumps)
 
         def add(inc, xs, dt, rngs):
