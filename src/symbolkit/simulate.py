@@ -41,7 +41,10 @@ the increment array, then asks the model's measure family for the
 jumps: ``measures.jump_sampler(...)`` is built once per run and its
 ``add_increments`` adds them in place.  The measure owns its random
 streams (``jump``, ``stable``, ``small``); ``triplet.py`` records what
-each kind draws, in order and shape.
+each kind draws, in order and shape.  The stable sampler draws both of
+its uniforms every step but evaluates only the branch it returns:
+tan(u) where the order is 1, the Chambers-Mallows-Stuck formula
+elsewhere, both only when a step mixes the two.
 
 Determinism contract: draws come from per-(seed, purpose, chunk)
 substreams with a fixed chunk size, so results are bit-identical for a
@@ -121,6 +124,8 @@ class SimSpec:
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least one step")
         if self.n_paths < 1:
@@ -357,7 +362,7 @@ class _SnapshotRecorder:
         if j == 1 or (j > 1 and self.watched):
             # the kernel's exit test: only moved paths can be outside a
             # ball they have not left, and moved paths are finite
-            dist = np.linalg.norm(x - self.center, axis=1)
+            dist = _norm(x - self.center)
             if j == 1:
                 self.first_step_frozen += [int((dist > k).sum()) for k in self.radii]
             for r, (held, held_x) in self.watched.items():
@@ -385,7 +390,7 @@ class _MaxRecorder:
         self.out = np.zeros((len(snap_idx), n))
 
     def record(self, j, x, status):
-        norm = np.linalg.norm(x - self.x_ref, axis=1)
+        norm = _norm(x - self.x_ref)
         norm[status != STATUS_FINITE] = np.inf
         np.maximum(self.running, norm, out=self.running)
         k = self.snap_idx.get(j)
@@ -403,13 +408,20 @@ def _chunk_streams(seed: int, chunk_id: int) -> dict:
     }
 
 
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Row norms of a real (n, d) array: np.linalg.norm(a, axis=1)'s
+    arithmetic without its dispatch."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
                seed: int, chunk_id: int, expl: float, recorder,
                stop_radius: float = math.inf):
     rngs = _chunk_streams(seed, chunk_id)
     x = np.tile(x0, (n, 1))
     status = np.zeros(n, dtype=np.int8)
-    frozen = np.zeros(n, dtype=bool)
+    # finite, not frozen at the stopping radius, not invalid
+    active = np.ones(n, dtype=bool)
     invalid = np.zeros(n, dtype=bool)
     use_clock = dyn.killing_mode == "clock"
     t_kill = dyn.clock_times(n, rngs["clock"]) if use_clock else None
@@ -419,30 +431,30 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
     recorder.record(0, x, status)
     for i in range(n_steps):
         t_next = (i + 1) * dt
-        alive = (status == STATUS_FINITE) & ~frozen & ~invalid
         inc = dyn.increments(x, rngs)
-        prop_all = x + inc
+        prop = x + inc
         if not use_clock:
-            q = dyn.hazard_prob(x, prop_all)
+            q = dyn.hazard_prob(x, prop)
             u_haz = rngs["hazard"].random(n)
         # paths whose coefficients failed to evaluate freeze in place
-        bad = alive & ~np.all(np.isfinite(inc), axis=1)
+        bad = active & ~np.all(np.isfinite(inc), axis=1)
         if not use_clock:
-            bad |= alive & ~np.isfinite(q)
+            bad |= active & ~np.isfinite(q)
         invalid |= bad
-        move = alive & ~bad
-        prop = np.where(move[:, None], prop_all, x)
-        explode = move & (np.linalg.norm(prop, axis=1) >= expl)
-        if use_clock:
-            ring = move & ~explode & (t_kill <= t_next + 1e-15)
-        else:
-            ring = move & ~explode & (u_haz < q)
-        ok = move & ~explode & ~ring
-        x[ok] = prop[ok]
+        move = active & ~bad
+        # the norms also see rows that do not move, whose proposals may
+        # overflow; the masks drop those rows
+        with np.errstate(over="ignore"):
+            explode = move & (_norm(prop) >= expl)
+            if use_clock:
+                ring = move & ~explode & (t_kill <= t_next + 1e-15)
+            else:
+                ring = move & ~explode & (u_haz < q)
+            ok = move & ~explode & ~ring
+            active = ok & ~(_norm(prop - x0) > stop_radius) if stopping else ok
+        np.copyto(x, prop, where=ok[:, None])
         status[explode] = STATUS_INFINITY
         status[ring] = STATUS_DELTA
-        if stopping:
-            frozen |= ok & (np.linalg.norm(x - x0, axis=1) > stop_radius)
         recorder.record(i + 1, x, status)
     return recorder, invalid
 
@@ -539,10 +551,13 @@ def _sample(model: StateModel, spec: SimSpec, killing_mode: str, name: str) -> E
 
 
 def snap_times(times, dt: float) -> tuple[list[int], np.ndarray]:
-    """Round times to grid indices (at least one step, strictly
-    increasing required after rounding); returns (indices, actual)."""
+    """Round finite positive times to grid indices (at least one step,
+    distinct required after rounding); returns (indices, actual)."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    for t in times:
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"snapshot time must be finite and positive, got {t}")
     idx = [max(1, int(round(t / dt))) for t in times]
     if len(set(idx)) != len(idx):
         raise ValueError("snapshot times collapse on the dt grid; reduce dt")

@@ -281,15 +281,20 @@ def _stable_standard(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One symmetric stable variate with characteristic function
     exp(-|xi|^alpha) per entry of alpha, by the polar
     (Chambers-Mallows-Stuck) method: draws (n,) uniforms for the angle u,
-    then (n,) uniforms for the exponential w, from rng."""
+    then (n,) uniforms for the exponential w, from rng.  Only the branch
+    that is returned is evaluated: tan(u) where alpha is 1, the general
+    formula elsewhere; a mixed alpha evaluates both."""
     n = alpha.shape[0]
     u = (rng.random(n) - 0.5) * math.pi
-    w = np.maximum(-np.log(np.maximum(rng.random(n), 1e-300)), 1e-300)
-    tan_branch = np.tan(u)
+    v = rng.random(n)
+    cauchy = np.abs(alpha - 1.0) < 1e-12
+    if cauchy.all():
+        return np.tan(u)
+    w = np.maximum(-np.log(np.maximum(v, 1e-300)), 1e-300)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
              * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
-    return np.where(np.abs(alpha - 1.0) < 1e-12, tan_branch, s)
+    return np.where(cauchy, np.tan(u), s) if cauchy.any() else s
 
 
 def _vectorised(density) -> Callable[[np.ndarray], np.ndarray]:

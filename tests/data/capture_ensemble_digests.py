@@ -111,6 +111,12 @@ ENSEMBLES = {
         _model(0.0, [_expr("-x1")], [[0.0]],
                StableMeasureFamily(_expr("0.8 + 0.7/(1+x1^2)"), _expr("1 + 0.2*x1^2"), 1)),
         _spec(3000, 18)),
+    # order min(1, 0.5 + x1^2): the first step draws at orders below 1
+    # only, later steps at both 1 exactly and below 1
+    "stable_family_mixed_order": lambda: sample_autonomous(
+        _model(0.0, [0.0], [[0.5]],
+               StableMeasureFamily(_expr("min(1, 0.5 + x1^2)"), 1.0, 1)),
+        _spec(3000, 27, x0=(0.5,))),
     "sde_killed_cauchy_driver": lambda: sample_sde(
         _expr("x1"), LevyTriplet(0.3, [0.0], [[0.0]], StableMeasure(1.0, 1.0)),
         _spec(3000, 19, x0=(1.0,))),

@@ -67,6 +67,22 @@ def brute_quantity_H(symbol_fn, R: float, ys, n_dirs: int = 2, n_radii: int = 8)
     return best
 
 
+def stable_standard_reference(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One symmetric stable variate with characteristic function
+    exp(-|xi|^alpha) per entry of alpha, by the polar
+    (Chambers-Mallows-Stuck) method: draws (n,) uniforms for the angle u,
+    then (n,) uniforms for the exponential w, from rng.  Evaluates both
+    branches for every entry and picks one with np.where."""
+    n = alpha.shape[0]
+    u = (rng.random(n) - 0.5) * math.pi
+    w = np.maximum(-np.log(np.maximum(rng.random(n), 1e-300)), 1e-300)
+    tan_branch = np.tan(u)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+             * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+    return np.where(np.abs(alpha - 1.0) < 1e-12, tan_branch, s)
+
+
 def expr_reference(e, x) -> float:
     """Value of the expression e at the point x by a scalar tree walk on
     the math module, independent of ``Expression.evaluate``; raises

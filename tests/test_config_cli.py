@@ -193,6 +193,26 @@ def test_symbol_invalid_input_exit_code(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_simulate_non_finite_horizon_exit_code(tmp_path, capsys, horizon):
+    rc = main(["simulate", "--model", "bm", "--horizon", horizon, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"horizon must be finite, got {horizon}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_grid, bad", [
+    ("-0.1,0.2", "-0.1"), ("0,0.2", "0.0"), ("0.1,nan", "nan"), ("0.1,inf", "inf"),
+])
+def test_maximal_non_positive_time_exit_code(tmp_path, capsys, t_grid, bad):
+    # a time at or below zero used to snap silently to one step
+    rc = main(["maximal", "--model", "bm", f"--t-grid={t_grid}", "--r-grid", "1",
+               "--paths", "100", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"snapshot time must be finite and positive, got {bad}" in err
+    assert not (tmp_path / "maximal_inequality.json").exists()
+
+
 def test_maximal_command(tmp_path):
     rc = main(["maximal", "--model", "bm", "--t-grid", "0.5,1.0",
                "--r-grid", "1,3", "--paths", "4000", "--dt", "0.002",

@@ -13,6 +13,7 @@ from symbolkit.extended import STATUS_DELTA, STATUS_FINITE, STATUS_INFINITY
 from symbolkit.simulate import (
     PathSampler,
     SimSpec,
+    _norm,
     sample_autonomous,
     sample_levy,
     sample_sde,
@@ -282,3 +283,18 @@ def test_ensembles_bit_identical(monkeypatch, name, threads):
     monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
     ref = json.loads((DATA / "ensemble_digests.json").read_text())
     assert DIGESTS.digest(name) == ref[name][threads]
+
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1.0, -3.5, 1e200, -1e200,
+                     1.7e154, math.inf, -math.inf, math.nan])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_norm_matches_linalg_norm(d):
+    # every ordered d-tuple of special values, plus random rows
+    grid = np.stack(np.meshgrid(*[_SPECIAL] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    rows = np.concatenate([grid, np.random.default_rng(d).standard_normal((500, d)) * 1e3])
+    with np.errstate(over="ignore"):
+        got, want = _norm(rows), np.linalg.norm(rows, axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape == (rows.shape[0],)
+    assert got.tobytes() == want.tobytes()

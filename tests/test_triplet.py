@@ -19,13 +19,14 @@ from symbolkit.triplet import (
     StateModel,
     VectorCoefficient,
     ZeroMeasure,
+    _stable_standard,
     check_growth,
     check_sector,
     eval_exponent,
     eval_symbol,
 )
 
-from oracles import grid_max_ratio
+from oracles import grid_max_ratio, stable_standard_reference
 
 
 def test_gaussian_exponent():
@@ -398,3 +399,29 @@ def test_sample_sizes_respect_the_cut(kind, cut):
     y = m.sample_sizes(u.size, _FixedDraws(u), cut=cut)
     assert not np.any(np.isnan(y))
     assert np.all(np.abs(y) >= cut)
+
+
+_N_STABLE = 4000
+_STABLE_ORDERS = {
+    # within the sampler's 1e-12 tolerance of 1 counts as 1
+    "all_one": np.where(np.arange(_N_STABLE) % 3 == 0, 1.0 + 5e-13, 1.0),
+    "none_one_0.3": np.full(_N_STABLE, 0.3),
+    "none_one_1.5": np.full(_N_STABLE, 1.5),
+    "none_one_2.0": np.full(_N_STABLE, 2.0),
+    "none_one_spread": np.linspace(1e-6, 0.999, _N_STABLE),
+    "mixed": np.array([0.3, 1.0, 1.5, 2.0, 1.0 - 5e-13, 0.999])[np.arange(_N_STABLE) % 6],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STABLE_ORDERS))
+def test_stable_standard_matches_both_branch_reference(case):
+    # the sampler evaluates only the branch it returns when every order
+    # is 1 or none is; its values and its use of the stream stay those
+    # of the formula that evaluates both and picks with np.where
+    alpha = _STABLE_ORDERS[case]
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    got = _stable_standard(alpha, rng)
+    want = stable_standard_reference(alpha, ref_rng)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == ref_rng.random()
