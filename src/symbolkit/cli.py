@@ -24,9 +24,10 @@ from .config import (
 )
 from .indices import estimate_indices, scaling_diagnostic, verify_maximal_inequality
 from .martingale import (
-    canonical_representation_residual,
-    exponential_martingale_check,
-    killing_compensator_check,
+    canonical_representation,
+    exponential_martingale,
+    killing_compensator,
+    run_checks,
 )
 from .serialize import dump_json
 from .simulate import PathSampler, SimSpec, sample_autonomous, sample_levy, sample_sde
@@ -55,9 +56,18 @@ def _load(spec: str):
     return cfg, model
 
 
+def _vector(text: str, dim: int, flag: str) -> np.ndarray:
+    """A comma list of ``dim`` finite numbers."""
+    v = np.asarray(_floats(text), dtype=float)
+    if v.shape != (dim,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{flag} {text!r}: need {dim} finite number(s) for a "
+                         f"{dim}-dimensional model")
+    return v
+
+
 def _sim_args(cfg, args):
     sim = dict(cfg.simulation)
-    x0 = np.asarray(_floats(args.x0), dtype=float) if args.x0 else \
+    x0 = _vector(args.x0, cfg.dim, "--x0") if args.x0 else \
         np.asarray(sim.get("x0", [0.0] * cfg.dim), dtype=float)
     dt = args.dt if args.dt is not None else float(sim.get("dt", 0.01))
     seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
@@ -75,9 +85,13 @@ def _outdir(args) -> FsPath:
     return out
 
 
-def _make_ensemble(cfg, model, x0, dt, seed, n_paths, horizon, expl, cut):
-    spec = SimSpec(x0=x0, horizon=horizon, dt=dt, n_paths=n_paths, rng_seed=seed,
+def _make_spec(x0, dt, seed, n_paths, horizon, expl, cut) -> SimSpec:
+    return SimSpec(x0=x0, horizon=horizon, dt=dt, n_paths=n_paths, rng_seed=seed,
                    explosion_threshold=expl, small_jump_cut=cut)
+
+
+def _make_ensemble(cfg, model, x0, dt, seed, n_paths, horizon, expl, cut):
+    spec = _make_spec(x0, dt, seed, n_paths, horizon, expl, cut)
     if cfg.mode == "levy":
         return sample_levy(model.constant_triplet(), spec)
     if cfg.mode == "sde":
@@ -198,25 +212,30 @@ def _cmd_conditions(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg, model = _load(args.model)
-    x0, dt, seed, n_paths, horizon, expl, cut = _sim_args(cfg, args)
-    ens = _make_ensemble(cfg, model, x0, dt, seed, n_paths, horizon, expl, cut)
+    spec = _make_spec(*_sim_args(cfg, args))
     t_grid = _floats(args.t_grid)
-    out = _outdir(args)
     suites = ("killing", "exponential", "canonical") if args.suite == "all" else (args.suite,)
-    all_passed = True
+    # every check is set up, and its input checked, before any path is simulated
+    checks = {}
     for suite in suites:
         if suite == "killing":
-            rep = killing_compensator_check(ens, model, t_grid)
+            checks[suite] = killing_compensator(model, spec, t_grid)
         elif suite == "exponential":
-            rep = exponential_martingale_check(ens, model, _floats(args.u), t_grid)
-        elif suite == "canonical":
-            if cfg.mode == "sde":
-                print("canonical: skipped (not defined for sde-mode models)")
-                continue
-            rep = canonical_representation_residual(ens, model)
-        else:
-            print(f"unknown suite {suite!r}", file=sys.stderr)
-            return 2
+            checks[suite] = exponential_martingale(model, spec,
+                                                   _vector(args.u, cfg.dim, "--u"), t_grid)
+        elif cfg.mode != "sde":
+            checks[suite] = canonical_representation(model, spec)
+    # the killing mode of _make_ensemble: the exact clock for levy and sde
+    # models, hazard killing for autonomous ones even at a constant rate
+    killing_mode = "hazard" if cfg.mode == "autonomous" else "clock"
+    reports = run_checks(checks, model, spec, killing_mode) if checks else {}
+    out = _outdir(args)
+    all_passed = True
+    for suite in suites:
+        rep = reports.get(suite)
+        if rep is None:
+            print("canonical: skipped (not defined for sde-mode models)")
+            continue
         rep.write_json(out / f"verify_{suite}.json")
         print(f"{rep.name}: {'pass' if rep.passed else 'FAIL'} "
               f"(excluded {rep.excluded_paths})")

@@ -1,15 +1,25 @@
 """Constant-expectation checks for the compensator structure of
-simulated ensembles.
+simulated paths.
 
 Local-martingale claims are tested as constant-expectation claims at
-fixed grid times on bounded fixtures.  Each check is a per-path
-accumulator: an observer with the simulator's recorder protocol
-``record(j, x, status)``, fed the ensemble's grid columns one at a time.
-It keeps running trapezoid sums, the last finite state, the kill flag
-and its values at the T requested grid times, so a check needs
-O(n * (d + T)) memory beyond the ensemble, never a (paths x steps)
-copy.  Observers read ``x`` only where ``status`` is finite: the kernel
-holds the last finite state there, stored ensemble columns hold NaN.
+fixed grid times on bounded fixtures.  Each check (a ``Check``) is a
+per-path accumulator, an observer with the simulator's recorder
+protocol ``record(j, x, status)``, plus the report built from it.
+``run_checks`` streams: the observers of several checks run inside one
+simulation (``simulate.simulate``), so no (paths x steps) array is ever
+formed.  The functions that take an ``Ensemble`` replay its stored grid
+columns through the same observers.  An observer keeps running
+trapezoid sums and its values at the T requested grid times, with the
+states they were taken at: O(n * (d + T)) memory.
+
+``x`` holds every path's last finite state, as the kernel holds it; a
+replay rebuilds that from the stored columns, which hold NaN on
+cemetery states.  Observers see every path, including one that the
+kernel flags invalid only after the observer has seen the state where
+its coefficients fail, so they evaluate coefficients leniently (NaN,
+not an error).  The valid-path mask (not exploded, not invalid) is
+applied when the report is built; a value that is not finite on a valid
+path fails the check closed, naming the grid time and the state.
 Conventions shared by the checks:
 
 * time integrals are trapezoidal along each path, summed step by step;
@@ -27,18 +37,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .extended import Path, STATUS_DELTA, STATUS_FINITE, STATUS_INFINITY
+from .extended import Path, STATUS_DELTA, STATUS_FINITE
 from .serialize import dump_json
-from .simulate import Ensemble
+from .simulate import Ensemble, SimSpec, _norm, simulate
 from .triplet import LevyTriplet, StateModel, eval_exponent
 
 __all__ = [
     "TruncationDecomposition",
     "CheckReport",
+    "Check",
     "truncate_jumps",
+    "killing_compensator",
+    "exponential_martingale",
+    "canonical_representation",
+    "run_checks",
     "killing_compensator_check",
     "exponential_martingale_check",
     "canonical_representation_residual",
@@ -102,12 +118,6 @@ class CheckReport:
             fh.write(dump_json(self.to_json()))
 
 
-def _valid_mask(ens: Ensemble) -> np.ndarray:
-    """Paths neither exploded (explosion is absorbing, so the last
-    status tells) nor invalid."""
-    return (ens.status[:, -1] != STATUS_INFINITY) & ~ens.invalid
-
-
 def _kill_rate_fn(model: StateModel):
     """Killing rate as a function of the state; for coefficient-driven
     equations the rate sits on the driver."""
@@ -138,10 +148,12 @@ class _RunningTrapezoid:
         self.value = self.prev = self.prev_finite = None
 
     def record(self, j, x, status):
+        # every row of x holds a finite state, so the field is evaluated
+        # on all of them and then zeroed on the cemetery rows
         finite = status == STATUS_FINITE
-        g = np.zeros(finite.shape + self.tail, dtype=self.dtype)
-        if finite.any():
-            g[finite] = self.field(x[finite])
+        g = np.asarray(self.field(x), dtype=self.dtype)
+        if not finite.all():
+            g[~finite] = 0.0
         if j == 0:
             self.value = np.zeros_like(g)
         else:
@@ -152,27 +164,53 @@ class _RunningTrapezoid:
         self.prev, self.prev_finite = g, finite
 
 
-class _KillingObserver:
+class _Columns:
+    """Per-path values kept at chosen grid columns, each stored as
+    ``(states, *values)``."""
+
+    def __init__(self, columns):
+        self.columns = set(columns)
+        self.kept = {}
+
+    def per_path(self) -> dict:
+        return self.kept
+
+
+class _KillingObserver(_Columns):
     """Kill indicator and accumulated hazard integral(a(X_s) ds)."""
 
     def __init__(self, model: StateModel, dt: float, columns):
+        super().__init__(columns)
         self.hazard = _RunningTrapezoid(_kill_rate_fn(model), dt)
-        self.columns = set(columns)
-        self.kept = {}
 
     def record(self, j, x, status):
         self.hazard.record(j, x, status)
         if j in self.columns:
-            self.kept[j] = ((status == STATUS_DELTA).astype(float),
+            self.kept[j] = (x.copy(), (status == STATUS_DELTA).astype(float),
                             self.hazard.value.copy())
 
 
-class _ExponentialObserver:
+class _PhaseObserver(_Columns):
+    """e^{i<u, X_t - x0>} on finite states, 0 on cemetery states."""
+
+    def __init__(self, x0: np.ndarray, u: np.ndarray, columns):
+        super().__init__(columns)
+        self.x0, self.u = x0, u
+
+    def record(self, j, x, status):
+        if j in self.columns:
+            phase = np.exp(1j * ((x - self.x0) @ self.u))
+            phase[status != STATUS_FINITE] = 0.0
+            self.kept[j] = (x.copy(), phase)
+
+
+class _ExponentialObserver(_Columns):
     """Compensated exponential V_t = e^{i<u, H_t>} - integral of
     e^{i<u, X_s>} (e^{i<u, 1>} a(X_s) - p(X_s, u)) ds, with
     H_t = X_t^{stopped} + 1 * [t >= kill time]."""
 
     def __init__(self, model: StateModel, u: np.ndarray, dt: float, columns):
+        super().__init__(columns)
         self.u = u
         self.phase_one = np.exp(1j * float(u.sum()))
         kill_rate = _kill_rate_fn(model)
@@ -180,95 +218,147 @@ class _ExponentialObserver:
         # complex products are not bitwise commutative: the operand
         # order below is the one the reported numbers were fixed with
         def integrand(xs):
-            p = model.symbol_many(xs, np.tile(u, (xs.shape[0], 1)))
+            p = model.symbol_many(xs, np.tile(u, (xs.shape[0], 1)), lenient=True)
             return (self.phase_one * kill_rate(xs) - p) * np.exp(1j * (xs @ u))
 
         self.compensator = _RunningTrapezoid(integrand, dt, dtype=complex)
-        self.columns = set(columns)
-        self.kept = {}
-        self.stopped = None
 
     def record(self, j, x, status):
         self.compensator.record(j, x, status)
-        finite = status == STATUS_FINITE
-        self.stopped = x.copy() if j == 0 else np.where(finite[:, None], x, self.stopped)
         if j in self.columns:
             h = (np.where(status == STATUS_DELTA, self.phase_one, 1.0)
-                 * np.exp(1j * (self.stopped @ self.u)))
-            self.kept[j] = h - self.compensator.value
+                 * np.exp(1j * (x @ self.u)))
+            self.kept[j] = (x.copy(), h - self.compensator.value)
 
 
-class _CanonicalObserver:
+class _CanonicalObserver(_Columns):
     """Residual X_t^{stopped} - x0 - B_t - (sum of increments above
     h_radius), B the drift integral over finite steps."""
 
     def __init__(self, model: StateModel, x0: np.ndarray, h_radius: float,
                  dt: float, columns):
-        self.drift = _RunningTrapezoid(model.drift, dt, vec_dim=model.dim, pairwise=True)
+        super().__init__(columns)
+        self.drift = _RunningTrapezoid(model.drift.lenient, dt, vec_dim=model.dim,
+                                       pairwise=True)
         self.x0, self.h_radius = x0, h_radius
-        self.columns = set(columns)
-        self.kept = {}
-        self.stopped = self.big_sum = None
+        self.prev = self.big_sum = None
 
     def record(self, j, x, status):
         self.drift.record(j, x, status)
         if j == 0:
-            self.stopped = x.copy()
-            self.big_sum = np.zeros_like(self.stopped)
+            self.big_sum = np.zeros_like(x)
         else:
-            stopped = np.where((status == STATUS_FINITE)[:, None], x, self.stopped)
-            inc = stopped - self.stopped
-            big = inc * (np.linalg.norm(inc, axis=1) > self.h_radius)[:, None]
+            inc = x - self.prev
+            big = inc * (_norm(inc) > self.h_radius)[:, None]
             self.big_sum = _add_step(self.big_sum, big, j)
-            self.stopped = stopped
+        self.prev = x.copy()
         if j in self.columns:
-            self.kept[j] = self.stopped - self.x0[None, :] - self.drift.value - self.big_sum
+            self.kept[j] = (self.prev, x - self.x0[None, :] - self.drift.value - self.big_sum)
 
 
-def _feed(ens: Ensemble, valid: np.ndarray, observer):
-    """Pass the valid paths of an ensemble through an observer, one grid
-    column at a time."""
-    rows = np.flatnonzero(valid)
+def _feed(ens: Ensemble, observer) -> dict:
+    """Replay an ensemble's grid columns through an observer, each path
+    held at its last finite state as the kernel holds it."""
+    x = ens.values[:, 0]
     for j in range(len(ens.times)):
-        observer.record(j, ens.values[rows, j], ens.status[rows, j])
-    return observer.kept
+        status = ens.status[:, j]
+        x = np.where((status == STATUS_FINITE)[:, None], ens.values[:, j], x)
+        observer.record(j, x, status)
+    return observer.per_path()
 
 
-def killing_compensator_check(ens: Ensemble, model: StateModel, t_grid) -> CheckReport:
+# ---------------------------------------------------------------------------
+# checks: an observer factory and a report builder
+
+@dataclass(frozen=True)
+class Check:
+    """One check, set up before any path is simulated: ``observer(n)``
+    builds the accumulator for a chunk of n paths, and ``report(kept,
+    valid)`` builds the report from the accumulators' joined state and
+    the valid-path mask."""
+
+    observer: Callable[[int], object]
+    report: Callable[[dict, np.ndarray], CheckReport]
+
+    def replay(self, ens: Ensemble) -> CheckReport:
+        """The report on a stored ensemble."""
+        return self.report(_feed(ens, self.observer(ens.n_paths)), ens.valid)
+
+
+def run_checks(checks: dict, model: StateModel, spec: SimSpec,
+               killing_mode: str) -> dict:
+    """Run every check inside one simulation of ``model`` under ``spec``
+    and ``killing_mode`` (see ``simulate.simulate``); returns the reports
+    by the checks' keys."""
+    sim = simulate(model, spec, {name: c.observer for name, c in checks.items()},
+                   killing_mode)
+    valid = sim.valid
+    return {name: c.report(sim.observed[name], valid) for name, c in checks.items()}
+
+
+def _grid(name: str, spec: SimSpec, t_grid) -> tuple[tuple[float, ...], list[int]]:
+    t_grid = tuple(float(t) for t in t_grid)
+    if not t_grid:
+        raise ValueError(f"{name}: the time grid is empty")
+    # at t = 0 every path sits at x0: a row there has stderr 0 and checks nothing
+    if not all(t > 0 for t in t_grid):
+        raise ValueError(f"{name}: grid times must be positive, got {list(t_grid)}")
+    return t_grid, [spec.time_index(t) for t in t_grid]
+
+
+def _check(name: str, t_grid, columns, observer, row, notes=()) -> Check:
+    """A check whose report has one row per grid time, ``row(t, n,
+    *values)`` of the values kept there on the n valid paths.  Fewer
+    than 2 valid paths, or a value that is not finite on one, fails
+    closed."""
+
+    def report(kept, valid):
+        n = int(valid.sum())
+        if n < 2:
+            raise ValueError(f"{name}: {n} valid paths of {valid.size}; "
+                             "a standard error needs at least 2")
+        rows = []
+        for t, j in zip(t_grid, columns):
+            states, *values = (a[valid] for a in kept[j])
+            for v in values:
+                bad = ~np.isfinite(v).reshape(n, -1).all(axis=1)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise ValueError(f"{name}: value not finite at t = {t:g} on a valid "
+                                     f"path, at state x = {states[i].tolist()}")
+            rows.append(row(t, n, *values))
+        return CheckReport(name=name, t_grid=t_grid, rows=rows,
+                           passed=all(r["pass"] for r in rows),
+                           excluded_paths=int((~valid).sum()), notes=list(notes))
+
+    return Check(observer, report)
+
+
+def killing_compensator(model: StateModel, spec: SimSpec, t_grid) -> Check:
     """Compare the empirical kill frequency P(zeta <= t) with the mean
     of the accumulated hazard integral(a(X_s) ds, s <= t and pre-kill);
     their difference is a mean-zero martingale evaluation."""
-    t_grid = tuple(float(t) for t in t_grid)
-    valid = _valid_mask(ens)
-    n = int(valid.sum())
-    if n == 0:
-        raise ValueError("no valid paths")
-    columns = [ens.time_index(t) for t in t_grid]
-    kept = _feed(ens, valid, _KillingObserver(model, ens.spec.dt, columns))
-    rows = []
-    passed = True
-    for t, j in zip(t_grid, columns):
-        indicator, compensator = kept[j]
+    name = "killing_compensator"
+    t_grid, columns = _grid(name, spec, t_grid)
+
+    def row(t, n, indicator, compensator):
         diff = indicator - compensator
         mean = float(diff.mean())
-        se = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        ok = abs(mean) <= 3.0 * se + 1e-12
-        passed &= ok
-        rows.append({
+        se = float(diff.std(ddof=1) / math.sqrt(n))
+        return {
             "t": t,
             "kill_prob": float(indicator.mean()),
             "mean_compensator": float(compensator.mean()),
             "difference": mean,
             "stderr": se,
-            "pass": ok,
-        })
-    return CheckReport(
-        name="killing_compensator", t_grid=t_grid, rows=rows, passed=passed,
-        excluded_paths=int((~valid).sum()),
-    )
+            "pass": abs(mean) <= 3.0 * se + 1e-12,
+        }
+
+    return _check(name, t_grid, columns,
+                  lambda n: _KillingObserver(model, spec.dt, columns), row)
 
 
-def exponential_martingale_check(ens: Ensemble, model, u, t_grid) -> CheckReport:
+def exponential_martingale(model, spec: SimSpec, u, t_grid) -> Check:
     """Constant-expectation test of the exponential compensation
     identity.
 
@@ -284,72 +374,83 @@ def exponential_martingale_check(ens: Ensemble, model, u, t_grid) -> CheckReport
     if isinstance(model, LevyTriplet):
         model = StateModel.from_triplet(model)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    t_grid = tuple(float(t) for t in t_grid)
-    valid = _valid_mask(ens)
-    n = int(valid.sum())
-    rows = []
-    passed = True
+    if u.shape != (model.dim,) or not np.all(np.isfinite(u)):
+        raise ValueError(f"frequency u must be {model.dim} finite number(s), "
+                         f"got {u.tolist()}")
 
     if model.is_constant:
-        triplet = model.constant_triplet()
-        phi = eval_exponent(triplet, u)
-        for t in t_grid:
-            e_vals = ens.e_xi_at(t, u)[valid]
+        name = "exponential_martingale_constant"
+        phi = eval_exponent(model.constant_triplet(), u)
+
+        def observer(n):
+            return _PhaseObserver(spec.x0, u, columns)
+
+        def row(t, n, e_vals):
             amp = np.exp(t * phi)
             stat = e_vals.mean() * amp
             se = math.sqrt((e_vals.real.var(ddof=1) + e_vals.imag.var(ddof=1)) / n) * abs(amp)
             ok = abs(stat - 1.0) <= 3.0 * se + 1e-12
-            passed &= ok
-            rows.append({"t": t, "statistic": complex(stat), "stderr": se, "pass": ok})
-        name = "exponential_martingale_constant"
+            return {"t": t, "statistic": complex(stat), "stderr": se, "pass": ok}
     else:
-        columns = [ens.time_index(t) for t in t_grid]
-        kept = _feed(ens, valid, _ExponentialObserver(model, u, ens.spec.dt, columns))
-        v0 = complex(np.exp(1j * float(ens.spec.x0 @ u)))
-        for t, j in zip(t_grid, columns):
-            col = kept[j]
+        name = "exponential_martingale_autonomous"
+        v0 = complex(np.exp(1j * float(spec.x0 @ u)))
+
+        def observer(n):
+            return _ExponentialObserver(model, u, spec.dt, columns)
+
+        def row(t, n, col):
             mean = complex(col.mean())
             se = math.sqrt((col.real.var(ddof=1) + col.imag.var(ddof=1)) / n)
             ok = abs(mean - v0) <= 3.0 * se + 1e-12
-            passed &= ok
-            rows.append({"t": t, "statistic": mean, "reference": v0,
-                         "stderr": se, "pass": ok})
-        name = "exponential_martingale_autonomous"
+            return {"t": t, "statistic": mean, "reference": v0, "stderr": se, "pass": ok}
 
-    return CheckReport(name=name, t_grid=t_grid, rows=rows, passed=passed,
-                       excluded_paths=int((~valid).sum()))
+    t_grid, columns = _grid(name, spec, t_grid)
+    return _check(name, t_grid, columns, observer, row)
 
 
-def canonical_representation_residual(ens: Ensemble, model: StateModel,
-                                      h_radius: float | None = None) -> CheckReport:
-    """Reconstruct the drift integral and the big-jump sum from the
-    sampled paths and verify that the leftover (the martingale part of
-    the representation) has mean zero at each grid time."""
+def canonical_representation(model: StateModel, spec: SimSpec,
+                             h_radius: float | None = None) -> Check:
+    """Reconstruct the drift integral and the big-jump sum along each
+    path and verify that the leftover (the martingale part of the
+    representation) has mean zero at (up to 9) grid times."""
     if model.sde is not None:
         raise ValueError("canonical representation check expects an autonomous "
                          "or constant-coefficient model")
     if h_radius is None:
         h_radius = model.cutoff.support_radius
-    valid = _valid_mask(ens)
-    n = int(valid.sum())
-    t_grid = tuple(float(t) for t in ens.times[1:][:: max(1, (len(ens.times) - 1) // 8)])
-    columns = [ens.time_index(t) for t in t_grid]
-    kept = _feed(ens, valid, _CanonicalObserver(model, ens.spec.x0, h_radius,
-                                                ens.spec.dt, columns))
-    rows = []
-    passed = True
-    for t, j in zip(t_grid, columns):
-        col = kept[j]
+    name = "canonical_representation_residual"
+    times = spec.times
+    t_grid, columns = _grid(name, spec, times[1:][:: max(1, (len(times) - 1) // 8)])
+
+    def row(t, n, col):
         mean = col.mean(axis=0)
         se = col.std(axis=0, ddof=1) / math.sqrt(n)
-        ok = bool(np.all(np.abs(mean) <= 3.0 * se + 1e-12))
-        passed &= ok
-        rows.append({
+        return {
             "t": t,
             "mean_residual": [float(v) for v in mean],
             "stderr": [float(v) for v in se],
-            "pass": ok,
-        })
-    return CheckReport(name="canonical_representation_residual", t_grid=t_grid,
-                       rows=rows, passed=passed, excluded_paths=int((~valid).sum()),
-                       notes=[f"h_radius={h_radius}"])
+            "pass": bool(np.all(np.abs(mean) <= 3.0 * se + 1e-12)),
+        }
+
+    return _check(name, t_grid, columns,
+                  lambda n: _CanonicalObserver(model, spec.x0, h_radius, spec.dt, columns),
+                  row, notes=[f"h_radius={h_radius}"])
+
+
+# ---------------------------------------------------------------------------
+# the checks on a stored ensemble
+
+def killing_compensator_check(ens: Ensemble, model: StateModel, t_grid) -> CheckReport:
+    """``killing_compensator`` on a stored ensemble."""
+    return killing_compensator(model, ens.spec, t_grid).replay(ens)
+
+
+def exponential_martingale_check(ens: Ensemble, model, u, t_grid) -> CheckReport:
+    """``exponential_martingale`` on a stored ensemble."""
+    return exponential_martingale(model, ens.spec, u, t_grid).replay(ens)
+
+
+def canonical_representation_residual(ens: Ensemble, model: StateModel,
+                                      h_radius: float | None = None) -> CheckReport:
+    """``canonical_representation`` on a stored ensemble."""
+    return canonical_representation(model, ens.spec, h_radius).replay(ens)

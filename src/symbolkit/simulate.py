@@ -6,8 +6,14 @@ each step it calls ``recorder.record(j, x, status)`` with the grid
 index, the (n, d) states and the (n,) status codes; rows whose status
 is not finite still hold the last finite state.  The kernel can freeze
 each path at its first grid exit from a ball around the start point.
-The recorders are the full trajectory (``Ensemble``), stopped snapshots
-at chosen times (``snapshot_run``) and the running maximum
+``simulate`` is the streaming entry point: it feeds each chunk a fresh
+set of named observers and joins their per-path state in chunk order.
+Its observers are the full trajectory (``_FullRecorder``, behind
+``sample_levy``, ``sample_autonomous`` and ``sample_sde``, which return
+an ``Ensemble``) and the martingale checks' accumulators
+(``martingale.run_checks``), which keep no (paths x steps) array.  The
+other recorders are stopped snapshots at chosen times
+(``snapshot_run``) and the running maximum
 (``PathSampler.running_max``).
 
 One snapshot run serves every stopping radius of a probe.  The kernel
@@ -80,6 +86,8 @@ __all__ = [
     "sample_levy",
     "sample_autonomous",
     "sample_sde",
+    "simulate",
+    "Simulation",
     "snapshot_run",
 ]
 
@@ -140,6 +148,19 @@ class SimSpec:
             raise ValueError("horizon must be an integer multiple of dt")
         return int(steps)
 
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_steps + 1) * self.dt
+
+    def time_index(self, t: float) -> int:
+        """Grid index of the time ``t``, which must lie on the grid."""
+        i = int(round(t / self.dt))
+        if not math.isclose(i * self.dt, t, rel_tol=0, abs_tol=1e-9):
+            raise ValueError(f"time {t} is not on the grid")
+        if not 0 <= i <= self.n_steps:
+            raise ValueError(f"time {t} outside the horizon")
+        return i
+
     def to_json(self) -> dict:
         return {
             "x0": [float(v) for v in self.x0],
@@ -182,13 +203,14 @@ class Ensemble:
         return Path(self.times, self.values[i], self.status[i],
                     dt=self.spec.dt, validate=False)
 
+    @property
+    def valid(self) -> np.ndarray:
+        """Paths neither exploded (explosion is absorbing, so the last
+        status tells) nor invalid."""
+        return (self.status[:, -1] != STATUS_INFINITY) & ~self.invalid
+
     def time_index(self, t: float) -> int:
-        i = int(round(t / self.spec.dt))
-        if not math.isclose(i * self.spec.dt, t, rel_tol=0, abs_tol=1e-9):
-            raise ValueError(f"time {t} is not on the grid")
-        if not 0 <= i < len(self.times):
-            raise ValueError(f"time {t} outside the horizon")
-        return i
+        return self.spec.time_index(t)
 
     def e_xi_at(self, t: float, xi) -> np.ndarray:
         """Per-path e_xi(X_t - x0): complex phase on finite states, zero
@@ -339,6 +361,23 @@ class _FullRecorder:
         self.values[finite, j, :] = x[finite]
         self.status[:, j] = status
 
+    def per_path(self):
+        return self.values, self.status
+
+
+class _Tee:
+    """One chunk's named observers, fed in turn."""
+
+    def __init__(self, observers: dict):
+        self.observers = observers
+
+    def record(self, j, x, status):
+        for obs in self.observers.values():
+            obs.record(j, x, status)
+
+    def per_path(self) -> dict:
+        return {name: obs.per_path() for name, obs in self.observers.items()}
+
 
 class _SnapshotRecorder:
     """State and status at the snapshot indices, one slot per stopping
@@ -456,7 +495,7 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
         status[explode] = STATUS_INFINITY
         status[ring] = STATUS_DELTA
         recorder.record(i + 1, x, status)
-    return recorder, invalid
+    return recorder, invalid, status
 
 
 def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
@@ -497,6 +536,57 @@ def _killing_mode(model: StateModel) -> str:
     return "clock" if (model.kill.is_constant or model.sde is not None) else "hazard"
 
 
+def _join(parts):
+    """Concatenate per-chunk observer states in chunk order: arrays with
+    the paths on the first axis, possibly in dicts and tuples."""
+    first = parts[0]
+    if isinstance(first, dict):
+        return {k: _join([p[k] for p in parts]) for k in first}
+    if isinstance(first, tuple):
+        return tuple(_join(list(col)) for col in zip(*parts))
+    return first if len(parts) == 1 else np.concatenate(parts, axis=0)
+
+
+@dataclass
+class Simulation:
+    """One streamed run: each observer's per-path state joined in chunk
+    order, and every path's status at the horizon and invalid flag."""
+
+    observed: dict
+    status: np.ndarray
+    invalid: np.ndarray
+    ledger: list
+    bias_notes: dict
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Paths neither exploded nor invalid."""
+        return (self.status != STATUS_INFINITY) & ~self.invalid
+
+
+def simulate(model: StateModel, spec: SimSpec, observers: dict,
+             killing_mode: str) -> Simulation:
+    """Run the kernel once over the paths of ``spec``.  ``observers``
+    maps a name to a factory ``n -> observer``; every chunk of n paths
+    gets a fresh set, fed ``record(j, x, status)`` after the start and
+    after each step, and each observer's ``per_path()`` state is joined
+    in chunk order.  ``killing_mode`` is "clock" (exact exponential
+    clock, constant rate) or "hazard"."""
+    if spec.x0.shape[0] != model.dim:
+        raise ValueError("x0 dimension mismatch")
+    results, ledger, dyn = _run_ensemble(
+        model, spec.x0, spec.n_paths, spec.n_steps, spec.dt, spec.rng_seed,
+        spec.explosion_threshold, killing_mode, spec.small_jump_cut,
+        lambda size: _Tee({name: make(size) for name, make in observers.items()}),
+    )
+    return Simulation(
+        observed=_join([tee.per_path() for tee, _, _ in results]),
+        status=np.concatenate([status for _, _, status in results]),
+        invalid=np.concatenate([invalid for _, invalid, _ in results]),
+        ledger=ledger, bias_notes=dyn.bias_notes,
+    )
+
+
 def sample_levy(triplet: LevyTriplet, spec: SimSpec) -> Ensemble:
     """Simulate a constant-triplet ensemble with an exact exponential
     killing clock when the killing rate is positive."""
@@ -534,20 +624,12 @@ def make_sde_model(f, driver: LevyTriplet) -> StateModel:
 
 
 def _sample(model: StateModel, spec: SimSpec, killing_mode: str, name: str) -> Ensemble:
-    if spec.x0.shape[0] != model.dim:
-        raise ValueError("x0 dimension mismatch")
     n_steps = spec.n_steps
-    results, ledger, dyn = _run_ensemble(
-        model, spec.x0, spec.n_paths, n_steps, spec.dt, spec.rng_seed,
-        spec.explosion_threshold, killing_mode, spec.small_jump_cut,
-        lambda size: _FullRecorder(size, n_steps, model.dim),
-    )
-    values = np.concatenate([r.values for r, _ in results], axis=0)
-    status = np.concatenate([r.status for r, _ in results], axis=0)
-    invalid = np.concatenate([inv for _, inv in results], axis=0)
-    times = np.arange(n_steps + 1) * spec.dt
-    return Ensemble(times, values, status, spec, ledger, invalid,
-                    model_name=name, bias_notes=dyn.bias_notes)
+    sim = simulate(model, spec, {"full": lambda n: _FullRecorder(n, n_steps, model.dim)},
+                   killing_mode)
+    values, status = sim.observed["full"]
+    return Ensemble(spec.times, values, status, spec, sim.ledger, sim.invalid,
+                    model_name=name, bias_notes=sim.bias_notes)
 
 
 def snap_times(times, dt: float) -> tuple[list[int], np.ndarray]:
@@ -587,9 +669,9 @@ def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed:
         small_jump_cut, lambda size: _SnapshotRecorder(size, snap_idx, model.dim, x0, radii),
         stop_radius=max(radii),
     )
-    values = np.concatenate([r.values for r, _ in results], axis=1)
-    status = np.concatenate([r.status for r, _ in results], axis=1)
-    frozen_first = sum(r.first_step_frozen for r, _ in results)
+    values = np.concatenate([r.values for r, _, _ in results], axis=1)
+    status = np.concatenate([r.status for r, _, _ in results], axis=1)
+    frozen_first = sum(r.first_step_frozen for r, _, _ in results)
     return actual, values, status, frozen_first
 
 
@@ -622,4 +704,4 @@ class PathSampler:
             _killing_mode(self.model), self.small_jump_cut,
             lambda size: _MaxRecorder(size, snap_idx, self.model.dim, x0),
         )
-        return actual, np.concatenate([r.out for r, _ in results], axis=1).T
+        return actual, np.concatenate([r.out for r, _, _ in results], axis=1).T

@@ -721,7 +721,9 @@ class MeasureFamily:
         raise NotImplementedError
 
     def exponent_term_many(self, xs: np.ndarray, xis: np.ndarray,
-                           cutoff: CutoffFunction) -> np.ndarray:
+                           cutoff: CutoffFunction, lenient: bool = False) -> np.ndarray:
+        """Jump part of the symbol at (N, d) states and frequencies; with
+        ``lenient`` a state where the family is undefined gives NaN."""
         raise NotImplementedError
 
     def jump_sampler(self, cutoff: CutoffFunction, q_trace: float,
@@ -745,7 +747,7 @@ class ConstantMeasureFamily(MeasureFamily):
     def at(self, x):
         return self.measure
 
-    def exponent_term_many(self, xs, xis, cutoff):
+    def exponent_term_many(self, xs, xis, cutoff, lenient=False):
         return self.measure.exponent_term(xis, cutoff)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
@@ -776,12 +778,13 @@ class DiscreteMeasureFamily(MeasureFamily):
     def rates_many_lenient(self, xs: np.ndarray) -> np.ndarray:
         return np.stack([c.lenient(xs) for c in self.rate_coeffs], axis=-1)
 
-    def exponent_term_many(self, xs, xis, cutoff):
+    def exponent_term_many(self, xs, xis, cutoff, lenient=False):
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
         theta = xis @ self.jumps.T
         chi = cutoff(self.jumps)
         vals = np.exp(1j * theta) - 1.0 - 1j * theta * chi   # (N, K)
-        rates = self.rates_many(np.atleast_2d(xs))           # (N, K)
+        xs = np.atleast_2d(xs)
+        rates = self.rates_many_lenient(xs) if lenient else self.rates_many(xs)  # (N, K)
         return np.sum(vals * rates, axis=1)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
@@ -822,11 +825,16 @@ class StableMeasureFamily(MeasureFamily):
         x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
         return StableMeasure(float(self.alpha_coeff(x)[0]), float(self.scale_coeff(x)[0]))
 
-    def exponent_term_many(self, xs, xis, cutoff):
+    def exponent_term_many(self, xs, xis, cutoff, lenient=False):
         xs = np.atleast_2d(xs)
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        alpha = self.alpha_coeff(xs)
-        scale = self.scale_coeff(xs)
+        if lenient:
+            alpha = self.alpha_coeff.lenient(xs)
+            scale = self.scale_coeff.lenient(xs)
+            alpha = np.where((alpha > 0) & (alpha <= 2), alpha, np.nan)
+        else:
+            alpha = self.alpha_coeff(xs)
+            scale = self.scale_coeff(xs)
         if np.any(alpha <= 0) or np.any(alpha > 2):
             raise ValueError("stable order must stay in (0, 2] on the evaluation set")
         absxi = np.abs(xis[:, 0])
@@ -982,22 +990,34 @@ class StateModel:
             raise ValueError("model is state dependent")
         return self.triplet_at(np.zeros(self.dim))
 
-    def symbol_many(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    def symbol_many(self, xs: np.ndarray, xis: np.ndarray,
+                    lenient: bool = False) -> np.ndarray:
         """Frozen-coefficient symbol p(x, xi) over batched inputs
-        (both (N, d)); includes the killing rate."""
+        (both (N, d)); includes the killing rate.  With ``lenient`` a
+        coefficient that cannot be evaluated gives NaN in its row
+        instead of raising; the other rows keep their bits."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
+
+        def ev(coeff):
+            return coeff.lenient(xs) if lenient else coeff(xs)
+
         if self.sde is not None:
-            f = self.sde.coefficient(xs)                      # (N,)
+            f = ev(self.sde.coefficient)                      # (N,)
             eff = f[:, None] * xis
-            return self.sde.driver.exponent_many(eff)
-        a = self.kill(xs)
-        ell = self.drift(xs)
-        q = self.covariance(xs)
+            ok = np.isfinite(f)
+            if ok.all():
+                return self.sde.driver.exponent_many(eff)
+            out = np.full(xs.shape[0], np.nan, dtype=complex)
+            out[ok] = self.sde.driver.exponent_many(eff[ok])
+            return out
+        a = ev(self.kill)
+        ell = ev(self.drift)
+        q = ev(self.covariance)
         poly = (a
                 - 1j * np.einsum("nd,nd->n", ell, xis)
                 + 0.5 * np.einsum("ni,nij,nj->n", xis, q, xis))
-        return poly - self.measures.exponent_term_many(xs, xis, self.cutoff)
+        return poly - self.measures.exponent_term_many(xs, xis, self.cutoff, lenient)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,42 @@ def test_simulate_non_finite_horizon_exit_code(tmp_path, capsys, horizon):
     assert f"horizon must be finite, got {horizon}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--u", "1,2"], "--u '1,2': need 1 finite number(s)"),
+    (["--u", "nan"], "--u 'nan': need 1 finite number(s)"),
+    (["--t-grid="], "killing_compensator: the time grid is empty"),
+    (["--t-grid", "0,0.5"], "killing_compensator: grid times must be positive"),
+    (["--paths", "1"], "killing_compensator: 1 valid paths of 1"),
+    (["--x0", "1,2"], "--x0 '1,2': need 1 finite number(s)"),
+], ids=["u_dimension", "u_nan", "empty_t_grid", "zero_time", "one_path", "x0_dimension"])
+def test_verify_degenerate_input_exit_code(tmp_path, capsys, args, message):
+    # fails closed before any report is written; --u and --t-grid before
+    # any path is simulated
+    out = tmp_path / "out"
+    rc = main(["verify", "--model", "killed_autonomous", "--paths", "200", *args,
+               "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_non_finite_value_on_valid_path_exit_code(tmp_path, capsys):
+    # drift log(x1): 7 of the 35 valid paths step below 0 in the last
+    # step, where the exponential check's compensator is not defined
+    f = _write(tmp_path, {
+        **BASE, "mode": "autonomous", "drift": ["log(x1)"], "covariance": [[0.01]],
+        "domain_box": [[0.1, 3.0]],
+        "simulation": {"dt": 0.01, "horizon": 0.5, "n_paths": 500, "x0": [0.5], "seed": 22},
+    })
+    out = tmp_path / "out"
+    rc = main(["verify", "--model", str(f), "--t-grid", "0.25,0.5", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("exponential_martingale_autonomous: value not finite at t = 0.5 on a valid "
+            "path, at state x = [-") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t_grid, bad", [
     ("-0.1,0.2", "-0.1"), ("0,0.2", "0.0"), ("0.1,nan", "nan"), ("0.1,inf", "inf"),
 ])

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path as FsPath
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -9,17 +10,28 @@ import pytest
 from symbolkit.expr import parse_expression
 from symbolkit.extended import Path, STATUS_DELTA
 from symbolkit.martingale import (
+    canonical_representation,
     canonical_representation_residual,
+    exponential_martingale,
     exponential_martingale_check,
+    killing_compensator,
     killing_compensator_check,
+    run_checks,
     truncate_jumps,
 )
-from symbolkit.simulate import SimSpec, sample_autonomous, sample_levy
+from symbolkit.simulate import (
+    SimSpec,
+    make_sde_model,
+    sample_autonomous,
+    sample_levy,
+    sample_sde,
+)
 from symbolkit.triplet import (
     Coefficient,
     ConstantMeasureFamily,
     CutoffFunction,
     DiscreteMeasure,
+    DiscreteMeasureFamily,
     LevyTriplet,
     MatrixCoefficient,
     StableMeasure,
@@ -196,7 +208,6 @@ def test_stopped_data_never_breaks_checks():
 
 class TestSdeEnsembles:
     def test_killed_driver_compensator_and_exponential(self):
-        from symbolkit.simulate import make_sde_model, sample_sde
         driver = LevyTriplet(0.4, [0.0], [[1.0]], ZeroMeasure())
         model = make_sde_model(parse_expression("1 + 0.1*x1"), driver)
         ens = sample_sde(model.sde.coefficient, driver,
@@ -213,35 +224,44 @@ class TestSdeEnsembles:
 # reports pinned bit for bit: the ensembles of the tests above, plus the
 # two bundled verify models at 10^4 paths and seed 101
 
+class _Case(NamedTuple):
+    """A report case: the model the checks read, the simulation spec,
+    the killing mode of its sampler, and the sampler itself."""
+
+    model: object
+    spec: SimSpec
+    killing_mode: str
+    sample: Callable
+
+
 def _levy_case(tri, spec):
-    return sample_levy(tri, spec), tri
+    return _Case(tri, spec, "clock", lambda: sample_levy(tri, spec))
 
 
 def _autonomous_case(model, spec):
-    return sample_autonomous(model, spec), model
+    return _Case(model, spec, "hazard", lambda: sample_autonomous(model, spec))
 
 
 def _sde_case():
-    from symbolkit.simulate import make_sde_model, sample_sde
     driver = LevyTriplet(0.4, [0.0], [[1.0]], ZeroMeasure())
     model = make_sde_model(parse_expression("1 + 0.1*x1"), driver)
-    ens = sample_sde(model.sde.coefficient, driver,
-                     _spec(n=10_000, dt=0.005, seed=86, x0=(0.5,)))
-    return ens, model
+    spec = _spec(n=10_000, dt=0.005, seed=86, x0=(0.5,))
+    return _Case(model, spec, "clock",
+                 lambda: sample_sde(model.sde.coefficient, driver, spec))
 
 
 def _bundled_case(name, dt):
     from symbolkit.config import bundled_model_path, load_model
     model = load_model(bundled_model_path(name))
     spec = SimSpec(x0=[0.0], horizon=1.0, dt=dt, n_paths=10_000, rng_seed=101)
-    return sample_autonomous(model, spec), model
+    return _autonomous_case(model, spec)
 
 
 _BM = LevyTriplet(0.0, [0.0], [[1.0]], ZeroMeasure())
 _T3 = (0.25, 0.5, 1.0)
 _EXPLODING = dict(x0=[1.0], horizon=1.0, dt=1e-3, explosion_threshold=1e5)
 
-# name -> (ensemble builder, u, t_grid)
+# name -> (case builder, u, t_grid)
 REPORT_CASES = {
     **{f"constant_rate_{a}": (
         lambda a=a: _autonomous_case(_model(a, [0.0], [[0.0]]),
@@ -320,11 +340,15 @@ def _hex(value):
     return value
 
 
+def _state_model(model) -> StateModel:
+    return StateModel.from_triplet(model) if isinstance(model, LevyTriplet) else model
+
+
 def _reports(case: str) -> dict:
     build, u, t_grid = REPORT_CASES[case]
-    ens, model = build()
-    state_model = (StateModel.from_triplet(model) if isinstance(model, LevyTriplet)
-                   else model)
+    model, _, _, sample = build()
+    ens = sample()
+    state_model = _state_model(model)
     reports = {
         "killing": killing_compensator_check(ens, state_model, t_grid),
         "exponential": exponential_martingale_check(ens, model, u, t_grid),
@@ -334,12 +358,37 @@ def _reports(case: str) -> dict:
     return {k: _hex(rep.to_json()) for k, rep in reports.items()}
 
 
+def _streamed_reports(case: str) -> dict:
+    """The reports of ``_reports`` from one simulation with the checks'
+    observers inside the kernel."""
+    build, u, t_grid = REPORT_CASES[case]
+    model, spec, killing_mode, _ = build()
+    state_model = _state_model(model)
+    checks = {
+        "killing": killing_compensator(state_model, spec, t_grid),
+        "exponential": exponential_martingale(model, spec, u, t_grid),
+    }
+    if state_model.sde is None:
+        checks["canonical"] = canonical_representation(state_model, spec)
+    reports = run_checks(checks, state_model, spec, killing_mode)
+    return {k: _hex(rep.to_json()) for k, rep in reports.items()}
+
+
+def _pinned_reports() -> dict:
+    return json.loads((FsPath(__file__).parent / "data" / "martingale_reports.json")
+                      .read_text())
+
+
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
 def test_reports_bit_identical(case):
     # numbers captured before the checks became per-path accumulators
-    ref = json.loads((FsPath(__file__).parent / "data" / "martingale_reports.json")
-                     .read_text())
-    assert _reports(case) == ref[case]
+    assert _reports(case) == _pinned_reports()[case]
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_streamed_reports_bit_identical(case):
+    # the same numbers with no stored ensemble
+    assert _streamed_reports(case) == _pinned_reports()[case]
 
 
 def test_checks_keep_per_path_state_only():
@@ -362,3 +411,108 @@ def test_checks_keep_per_path_state_only():
         finally:
             tracemalloc.stop()
         assert peak < ens.values.nbytes / 4, (peak, ens.values.nbytes)
+
+
+def _checks(model, spec, t_grid, u=(1.0,)):
+    return {
+        "killing": killing_compensator(model, spec, t_grid),
+        "exponential": exponential_martingale(model, spec, u, t_grid),
+        "canonical": canonical_representation(model, spec),
+    }
+
+
+def _replayed(ens, model, t_grid, u=(1.0,)):
+    return {
+        "killing": killing_compensator_check(ens, model, t_grid),
+        "exponential": exponential_martingale_check(ens, model, u, t_grid),
+        "canonical": canonical_representation_residual(ens, model),
+    }
+
+
+def _hexed(reports):
+    return {k: _hex(rep.to_json()) for k, rep in reports.items()}
+
+
+def test_streamed_two_chunks_match_ensemble_checks(monkeypatch):
+    # 20,000 paths are two kernel chunks: the observers' per-path state is
+    # joined in chunk order, so the reports match at any worker count
+    model = _model(parse_expression("0.5 + 0.2*x1^2"), [parse_expression("-x1")],
+                   [[parse_expression("0.5 + 0.1*sin(x1)")]],
+                   DiscreteMeasureFamily([[0.3], [-0.3], [2.0]],
+                                         [parse_expression("1 + x1^2"), 2.0, 0.5], 1))
+    spec = _spec(n=20_000, dt=0.01, horizon=0.5, seed=88)
+    t_grid = (0.1, 0.25, 0.5)
+    monkeypatch.setenv("SYMBOLKIT_THREADS", "1")
+    expected = _hexed(_replayed(sample_autonomous(model, spec), model, t_grid))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+        got = _hexed(run_checks(_checks(model, spec, t_grid), model, spec, "hazard"))
+        assert got == expected, threads
+
+
+def _log_drift():
+    # drift log(x1): a path that steps below 0 turns invalid at its next
+    # step, after the observers have seen the state where the drift fails;
+    # a path that does so in the last step stays valid
+    model = _model(0.0, [parse_expression("log(x1)")], [[0.01]], box=((0.1, 3.0),))
+    return model, SimSpec(x0=[0.5], horizon=0.5, dt=0.01, n_paths=500, rng_seed=22)
+
+
+def test_invalid_paths_do_not_break_streamed_checks():
+    model, spec = _log_drift()
+    ens = sample_autonomous(model, spec)
+    assert ens.invalid_count > 0
+    streamed = run_checks(_checks(model, spec, (0.25,)), model, spec, "hazard")
+    assert _hexed(streamed) == _hexed(_replayed(ens, model, (0.25,)))
+    for rep in streamed.values():
+        assert rep.excluded_paths == int((~ens.valid).sum())
+
+
+def test_non_finite_value_on_valid_path_fails_closed():
+    model, spec = _log_drift()
+    with pytest.raises(ValueError, match=r"exponential_martingale_autonomous: value not "
+                                         r"finite at t = 0\.5 on a valid path, at state "
+                                         r"x = \[-"):
+        run_checks(_checks(model, spec, (0.25, 0.5)), model, spec, "hazard")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda spec: killing_compensator(_model(0.1, [0.0], [[1.0]]), spec, ()),
+     "time grid is empty"),
+    (lambda spec: exponential_martingale(_BM, spec, [1.0, 2.0], _T3), r"u must be 1 finite"),
+    (lambda spec: exponential_martingale(_BM, spec, [math.inf], _T3), r"got \[inf\]"),
+    (lambda spec: killing_compensator(_model(0.1, [0.0], [[1.0]]), spec, (0.123,)),
+     "not on the grid"),
+], ids=["empty_t_grid", "u_dimension", "u_not_finite", "t_off_grid"])
+def test_check_input_rejected_before_simulating(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(_spec(n=10, dt=0.01))
+
+
+def test_fewer_than_two_valid_paths_fails_closed():
+    model, spec = StateModel.from_triplet(_BM), _spec(n=1, dt=0.25)
+    with pytest.raises(ValueError, match="1 valid paths of 1"):
+        run_checks({"killing": killing_compensator(model, spec, _T3)}, model, spec, "clock")
+
+
+def test_cli_verify_keeps_no_paths_by_steps_array(tmp_path):
+    # the streamed verify command peaks far below one (paths x steps)
+    # float array of the run it checks
+    import contextlib
+    import io
+
+    from symbolkit.cli import main
+
+    n_paths, n_steps = 2000, 1000
+    argv = ["verify", "--model", "killed_autonomous", "--paths", str(n_paths),
+            "--dt", str(1.0 / n_steps), "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc in (0, 1)
+    one_array = n_paths * (n_steps + 1) * 8
+    assert peak < one_array / 4, (peak, one_array)
