@@ -10,7 +10,13 @@ simulation (``simulate.simulate``), so no (paths x steps) array is ever
 formed.  The functions that take an ``Ensemble`` replay its stored grid
 columns through the same observers.  An observer keeps running
 trapezoid sums and its values at the T requested grid times, with the
-states they were taken at: O(n * (d + T)) memory.
+states they were taken at: O(n * (d + T)) memory.  The sums accumulate
+in place, in buffers made at the first step.  The frequency u of the
+exponential check is fixed for the run, so its compensator evaluates
+``StateModel.symbol_at(u)``, whose state-free terms are formed once per
+batch size; each step evaluates only the terms that depend on the
+state.  No observer is part of a reference cycle, which would keep its
+chunk's buffers alive until the next full garbage collection.
 
 ``x`` holds every path's last finite state, as the kernel holds it; a
 replay rebuilds that from the stored columns, which hold NaN on
@@ -136,32 +142,52 @@ def _add_step(total, inc, j: int):
     return total
 
 
+def _into(f):
+    """A field that returns its values as one that writes them into out."""
+    return lambda x, out: np.copyto(out, f(x))
+
+
 class _RunningTrapezoid:
-    """Per-path running trapezoid sum of ``field(X_s) ds``.  The field
-    reads 0 on cemetery states, which gives the half step at a kill;
-    with ``pairwise`` only steps whose both endpoints are finite add."""
+    """Per-path running trapezoid sum of ``field(X_s) ds``;
+    ``field(x, out)`` writes the field at the states x into out.  The
+    field reads 0 on cemetery states, which gives the half step at a
+    kill; with ``pairwise`` only steps whose both endpoints are finite
+    add.  The sum is formed in place, in buffers made at the first step:
+    the field's values alternate between two of them, and the older one
+    takes the step's increment before the field overwrites it."""
 
     def __init__(self, field, dt: float, vec_dim: int = 0, dtype=float,
                  pairwise: bool = False):
         self.field, self.dt, self.dtype, self.pairwise = field, dt, dtype, pairwise
         self.tail = (vec_dim,) if vec_dim else ()
-        self.value = self.prev = self.prev_finite = None
+        self.value = self.g = self.prev = self.prev_finite = None
 
     def record(self, j, x, status):
         # every row of x holds a finite state, so the field is evaluated
         # on all of them and then zeroed on the cemetery rows
         finite = status == STATUS_FINITE
-        g = np.asarray(self.field(x), dtype=self.dtype)
+        if j == 0:
+            shape = (x.shape[0], *self.tail)
+            self.value = np.zeros(shape, dtype=self.dtype)
+            self.g, self.prev = (np.empty(shape, dtype=self.dtype) for _ in range(2))
+        g, inc = self.g, self.prev
+        self.field(x, g)
         if not finite.all():
             g[~finite] = 0.0
-        if j == 0:
-            self.value = np.zeros_like(g)
-        else:
-            inc = 0.5 * (g + self.prev) * self.dt
+        if j > 0:
+            # 0.5 * (g + prev) * dt, in place of prev, which the next
+            # step's field overwrites
+            np.add(g, inc, out=inc)
+            inc *= 0.5
+            inc *= self.dt
             if self.pairwise:
                 inc *= (finite & self.prev_finite)[:, None]
-            self.value = _add_step(self.value, inc, j)
-        self.prev, self.prev_finite = g, finite
+            # as _add_step, into the sum's own buffer
+            if j == 1:
+                np.copyto(self.value, inc)
+            else:
+                self.value += inc
+        self.g, self.prev, self.prev_finite = inc, g, finite
 
 
 class _Columns:
@@ -181,7 +207,7 @@ class _KillingObserver(_Columns):
 
     def __init__(self, model: StateModel, dt: float, columns):
         super().__init__(columns)
-        self.hazard = _RunningTrapezoid(_kill_rate_fn(model), dt)
+        self.hazard = _RunningTrapezoid(_into(_kill_rate_fn(model)), dt)
 
     def record(self, j, x, status):
         self.hazard.record(j, x, status)
@@ -212,14 +238,29 @@ class _ExponentialObserver(_Columns):
     def __init__(self, model: StateModel, u: np.ndarray, dt: float, columns):
         super().__init__(columns)
         self.u = u
-        self.phase_one = np.exp(1j * float(u.sum()))
+        # one per chunk: chunks may run on different threads
+        symbol = model.symbol_at(u, lenient=True)
+        phase_one = self.phase_one = np.exp(1j * float(u.sum()))
         kill_rate = _kill_rate_fn(model)
+        constant_kill = model.sde is not None or model.kill.is_constant
+        killing = None
 
         # complex products are not bitwise commutative: the operand
-        # order below is the one the reported numbers were fixed with
-        def integrand(xs):
-            p = model.symbol_many(xs, np.tile(u, (xs.shape[0], 1)), lenient=True)
-            return (self.phase_one * kill_rate(xs) - p) * np.exp(1j * (xs @ u))
+        # order below is the one the reported numbers were fixed with.
+        # The closure holds no reference to the observer: a cycle would
+        # keep the chunk's buffers until the next full collection
+        def integrand(xs, out):
+            nonlocal killing
+            if killing is None:
+                np.multiply(phase_one, kill_rate(xs), out=out)
+                if constant_kill:
+                    # e^{i<u, 1>} a is the same on every step
+                    killing = out.copy()
+            else:
+                np.copyto(out, killing)
+            out -= symbol(xs)
+            phase = np.multiply(1j, xs @ u)
+            out *= np.exp(phase, out=phase)
 
         self.compensator = _RunningTrapezoid(integrand, dt, dtype=complex)
 
@@ -238,7 +279,7 @@ class _CanonicalObserver(_Columns):
     def __init__(self, model: StateModel, x0: np.ndarray, h_radius: float,
                  dt: float, columns):
         super().__init__(columns)
-        self.drift = _RunningTrapezoid(model.drift.lenient, dt, vec_dim=model.dim,
+        self.drift = _RunningTrapezoid(_into(model.drift.lenient), dt, vec_dim=model.dim,
                                        pairwise=True)
         self.x0, self.h_radius = x0, h_radius
         self.prev = self.big_sum = None

@@ -154,6 +154,8 @@ class SimSpec:
 
     def time_index(self, t: float) -> int:
         """Grid index of the time ``t``, which must lie on the grid."""
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
         i = int(round(t / self.dt))
         if not math.isclose(i * self.dt, t, rel_tol=0, abs_tol=1e-9):
             raise ValueError(f"time {t} is not on the grid")
@@ -325,17 +327,30 @@ class _Dynamics:
         self.jumps.add_increments(inc, xs, dt, rngs)
         return inc
 
-    def hazard_prob(self, xs: np.ndarray, prop: np.ndarray) -> np.ndarray:
-        """Per-step killing probability 1 - exp(-abar dt), abar the
-        average of the rate at the step endpoints (exact for constant
-        rates, second order otherwise)."""
+    def kill_rates(self, xs: np.ndarray) -> np.ndarray | None:
+        """The state-dependent killing rate at the states, NaN where it
+        fails; None for a constant rate."""
+        return None if self.kill_const is not None else self.model.kill.lenient(xs)
+
+    def hazard_prob(self, a0: np.ndarray | None, a1: np.ndarray | None,
+                    n: int) -> np.ndarray:
+        """Per-step killing probability 1 - exp(-abar dt) of n paths,
+        abar the average of the rates a0 and a1 (``kill_rates``) at the
+        step endpoints (exact for constant rates, second order
+        otherwise)."""
         if self.kill_const is not None:
             a = self.kill_const
-            return np.full(xs.shape[0], -math.expm1(-a * self.dt))
-        a0 = self.model.kill.lenient(xs)
-        a1 = self.model.kill.lenient(prop)
-        abar = 0.5 * (a0 + np.where(np.isfinite(a1), a1, a0))
-        return -np.expm1(-np.maximum(abar, 0.0) * self.dt)
+            return np.full(n, -math.expm1(-a * self.dt))
+        # -expm1(-max(0.5 * (a0 + a1'), 0) * dt), a1' = a1 where finite
+        # else a0, formed in one array
+        q = np.where(np.isfinite(a1), a1, a0)
+        np.add(a0, q, out=q)
+        q *= 0.5
+        np.maximum(q, 0.0, out=q)
+        np.negative(q, out=q)
+        q *= self.dt
+        np.expm1(q, out=q)
+        return np.negative(q, out=q)
 
 
 def _batched_cholesky(q: np.ndarray) -> np.ndarray:
@@ -465,6 +480,9 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
     use_clock = dyn.killing_mode == "clock"
     t_kill = dyn.clock_times(n, rngs["clock"]) if use_clock else None
 
+    # the killing rate at x, carried from the step that set x
+    rate = None if use_clock else dyn.kill_rates(x)
+
     stopping = math.isfinite(stop_radius)
 
     recorder.record(0, x, status)
@@ -473,7 +491,8 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
         inc = dyn.increments(x, rngs)
         prop = x + inc
         if not use_clock:
-            q = dyn.hazard_prob(x, prop)
+            rate_prop = dyn.kill_rates(prop)
+            q = dyn.hazard_prob(rate, rate_prop, n)
             u_haz = rngs["hazard"].random(n)
         # paths whose coefficients failed to evaluate freeze in place
         bad = active & ~np.all(np.isfinite(inc), axis=1)
@@ -492,6 +511,8 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
             ok = move & ~explode & ~ring
             active = ok & ~(_norm(prop - x0) > stop_radius) if stopping else ok
         np.copyto(x, prop, where=ok[:, None])
+        if rate is not None:
+            np.copyto(rate, rate_prop, where=ok)
         status[explode] = STATUS_INFINITY
         status[ring] = STATUS_DELTA
         recorder.record(i + 1, x, status)

@@ -720,9 +720,11 @@ class MeasureFamily:
     def at(self, x: np.ndarray) -> LevyMeasure:
         raise NotImplementedError
 
-    def exponent_term_many(self, xs: np.ndarray, xis: np.ndarray,
-                           cutoff: CutoffFunction, lenient: bool = False) -> np.ndarray:
-        """Jump part of the symbol at (N, d) states and frequencies; with
+    def exponent_at(self, xis: np.ndarray, cutoff: CutoffFunction,
+                    lenient: bool = False):
+        """Jump part of the symbol at the (N, d) frequencies xis, with its
+        frequency-only part evaluated here, once: the (N,) values when the
+        family is constant, else a function of (N, d) states.  With
         ``lenient`` a state where the family is undefined gives NaN."""
         raise NotImplementedError
 
@@ -747,7 +749,7 @@ class ConstantMeasureFamily(MeasureFamily):
     def at(self, x):
         return self.measure
 
-    def exponent_term_many(self, xs, xis, cutoff, lenient=False):
+    def exponent_at(self, xis, cutoff, lenient=False):
         return self.measure.exponent_term(xis, cutoff)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
@@ -778,14 +780,12 @@ class DiscreteMeasureFamily(MeasureFamily):
     def rates_many_lenient(self, xs: np.ndarray) -> np.ndarray:
         return np.stack([c.lenient(xs) for c in self.rate_coeffs], axis=-1)
 
-    def exponent_term_many(self, xs, xis, cutoff, lenient=False):
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    def exponent_at(self, xis, cutoff, lenient=False):
         theta = xis @ self.jumps.T
         chi = cutoff(self.jumps)
         vals = np.exp(1j * theta) - 1.0 - 1j * theta * chi   # (N, K)
-        xs = np.atleast_2d(xs)
-        rates = self.rates_many_lenient(xs) if lenient else self.rates_many(xs)  # (N, K)
-        return np.sum(vals * rates, axis=1)
+        rates = self.rates_many_lenient if lenient else self.rates_many
+        return lambda xs: np.sum(vals * rates(xs), axis=1)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """Per step, Poisson counts of shape (n, K) from the ``jump``
@@ -825,22 +825,25 @@ class StableMeasureFamily(MeasureFamily):
         x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
         return StableMeasure(float(self.alpha_coeff(x)[0]), float(self.scale_coeff(x)[0]))
 
-    def exponent_term_many(self, xs, xis, cutoff, lenient=False):
-        xs = np.atleast_2d(xs)
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        if lenient:
-            alpha = self.alpha_coeff.lenient(xs)
-            scale = self.scale_coeff.lenient(xs)
-            alpha = np.where((alpha > 0) & (alpha <= 2), alpha, np.nan)
-        else:
-            alpha = self.alpha_coeff(xs)
-            scale = self.scale_coeff(xs)
-        if np.any(alpha <= 0) or np.any(alpha > 2):
-            raise ValueError("stable order must stay in (0, 2] on the evaluation set")
+    def exponent_at(self, xis, cutoff, lenient=False):
         absxi = np.abs(xis[:, 0])
-        with np.errstate(divide="ignore"):
-            out = np.where(absxi > 0, scale * absxi ** alpha, 0.0)
-        return (-out).astype(complex)
+        nonzero = absxi > 0
+
+        def term(xs):
+            if lenient:
+                alpha = self.alpha_coeff.lenient(xs)
+                scale = self.scale_coeff.lenient(xs)
+                alpha = np.where((alpha > 0) & (alpha <= 2), alpha, np.nan)
+            else:
+                alpha = self.alpha_coeff(xs)
+                scale = self.scale_coeff(xs)
+            if np.any(alpha <= 0) or np.any(alpha > 2):
+                raise ValueError("stable order must stay in (0, 2] on the evaluation set")
+            with np.errstate(divide="ignore"):
+                out = np.where(nonzero, scale * absxi ** alpha, 0.0)
+            return (-out).astype(complex)
+
+        return term
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """As StableMeasure's, at each path's order (clipped to
@@ -998,26 +1001,80 @@ class StateModel:
         instead of raising; the other rows keep their bits."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
+        return self._symbol_rows(xis, lenient)(xs)
 
-        def ev(coeff):
-            return coeff.lenient(xs) if lenient else coeff(xs)
+    def symbol_at(self, u, lenient: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+        """p(., u) at one fixed frequency u, as a function of (N, d)
+        states: ``symbol_at(u)(xs)`` equals ``symbol_many(xs, np.tile(u,
+        (N, 1)))`` bit for bit.  The terms that do not depend on the state
+        are evaluated once per batch size N, on the tiled frequency, by
+        the code ``symbol_many`` runs; BLAS products of one row and of N
+        copies of it need not agree in the last bit, so one row is not
+        enough."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        by_size = {}
 
+        def symbol(xs):
+            xs = np.atleast_2d(np.asarray(xs, dtype=float))
+            n = xs.shape[0]
+            rows = by_size.get(n)
+            if rows is None:
+                rows = by_size[n] = self._symbol_rows(np.tile(u, (n, 1)), lenient)
+            return rows(xs)
+
+        return symbol
+
+    def _symbol_rows(self, xis: np.ndarray, lenient: bool) -> Callable[[np.ndarray], np.ndarray]:
+        """p(., xi) at the (N, d) frequencies xis as a function of (N, d)
+        states,
+
+            ((a - i <l, xi>) + <xi, Q xi> / 2) - jump part,
+
+        summed in this order.  A term whose coefficient is constant is
+        evaluated here, once, as is the frequency-only part of the jump
+        term (``MeasureFamily.exponent_at``); a leading run of constant
+        terms is summed here too, all but the last sum, so that every
+        call returns a new array."""
         if self.sde is not None:
-            f = ev(self.sde.coefficient)                      # (N,)
-            eff = f[:, None] * xis
-            ok = np.isfinite(f)
-            if ok.all():
-                return self.sde.driver.exponent_many(eff)
-            out = np.full(xs.shape[0], np.nan, dtype=complex)
-            out[ok] = self.sde.driver.exponent_many(eff[ok])
+            return lambda xs: self._sde_symbol(xs, xis, lenient)
+
+        def term(coeff, value):
+            ev = coeff.lenient if lenient else coeff
+            if coeff.is_constant:
+                return value(ev(xis))
+            return lambda xs: value(ev(xs))
+
+        first = term(self.kill, lambda a: a)
+        rest = [
+            (np.subtract, term(self.drift, lambda ell: 1j * np.einsum("nd,nd->n", ell, xis))),
+            (np.add, term(self.covariance,
+                          lambda q: 0.5 * np.einsum("ni,nij,nj->n", xis, q, xis))),
+            (np.subtract, self.measures.exponent_at(xis, self.cutoff, lenient)),
+        ]
+        while len(rest) > 1 and not callable(first) and not callable(rest[0][1]):
+            op, value = rest.pop(0)
+            first = op(first, value)
+
+        def symbol(xs):
+            out = first(xs) if callable(first) else first
+            # the first sum makes a new array; the others add into it
+            (op, value), *more = rest
+            out = op(out, value(xs) if callable(value) else value)
+            for op, value in more:
+                op(out, value(xs) if callable(value) else value, out=out)
             return out
-        a = ev(self.kill)
-        ell = ev(self.drift)
-        q = ev(self.covariance)
-        poly = (a
-                - 1j * np.einsum("nd,nd->n", ell, xis)
-                + 0.5 * np.einsum("ni,nij,nj->n", xis, q, xis))
-        return poly - self.measures.exponent_term_many(xs, xis, self.cutoff, lenient)
+
+        return symbol
+
+    def _sde_symbol(self, xs, xis, lenient):
+        f = (self.sde.coefficient.lenient if lenient else self.sde.coefficient)(xs)  # (N,)
+        eff = f[:, None] * xis
+        ok = np.isfinite(f)
+        if ok.all():
+            return self.sde.driver.exponent_many(eff)
+        out = np.full(xs.shape[0], np.nan, dtype=complex)
+        out[ok] = self.sde.driver.exponent_many(eff[ok])
+        return out
 
 
 # ---------------------------------------------------------------------------

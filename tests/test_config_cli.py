@@ -207,7 +207,11 @@ def test_simulate_non_finite_horizon_exit_code(tmp_path, capsys, horizon):
     (["--t-grid", "0,0.5"], "killing_compensator: grid times must be positive"),
     (["--paths", "1"], "killing_compensator: 1 valid paths of 1"),
     (["--x0", "1,2"], "--x0 '1,2': need 1 finite number(s)"),
-], ids=["u_dimension", "u_nan", "empty_t_grid", "zero_time", "one_path", "x0_dimension"])
+    (["--t-grid=0.5,inf"], "time must be finite, got inf"),
+    (["--t-grid=1e400"], "time must be finite, got inf"),
+    (["--t-grid=nan"], "killing_compensator: grid times must be positive, got [nan]"),
+], ids=["u_dimension", "u_nan", "empty_t_grid", "zero_time", "one_path", "x0_dimension",
+        "inf_time", "overflowing_time", "nan_time"])
 def test_verify_degenerate_input_exit_code(tmp_path, capsys, args, message):
     # fails closed before any report is written; --u and --t-grid before
     # any path is simulated

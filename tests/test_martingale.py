@@ -2,13 +2,12 @@ import json
 import math
 import tracemalloc
 from pathlib import Path as FsPath
-from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from symbolkit.expr import parse_expression
-from symbolkit.extended import Path, STATUS_DELTA
+from symbolkit.extended import Path
 from symbolkit.martingale import (
     canonical_representation,
     canonical_representation_residual,
@@ -27,36 +26,22 @@ from symbolkit.simulate import (
     sample_sde,
 )
 from symbolkit.triplet import (
-    Coefficient,
-    ConstantMeasureFamily,
     CutoffFunction,
     DiscreteMeasure,
     DiscreteMeasureFamily,
     LevyTriplet,
-    MatrixCoefficient,
     StableMeasure,
     StateModel,
-    VectorCoefficient,
     ZeroMeasure,
 )
 
-N = 20_000
+from conftest import load_data_module
 
-
-def _spec(n=N, dt=0.005, horizon=1.0, seed=71, x0=(0.0,)):
-    return SimSpec(x0=list(x0), horizon=horizon, dt=dt, n_paths=n, rng_seed=seed)
-
-
-def _model(kill, drift, cov, measures=None, box=((-10.0, 10.0),)):
-    d = len(drift)
-    return StateModel(
-        dim=d, kill=Coefficient(kill, d),
-        drift=VectorCoefficient(drift, d),
-        covariance=MatrixCoefficient(cov, d),
-        measures=measures or ConstantMeasureFamily(ZeroMeasure()),
-        cutoff=CutoffFunction(),
-        domain_box=np.asarray(box),
-    )
+DATA = FsPath(__file__).parent / "data"
+CAPTURE = load_data_module("capture_martingale_reports")
+N = CAPTURE.N
+_spec = CAPTURE.spec
+_model = CAPTURE.model
 
 
 class TestTruncateJumps:
@@ -221,141 +206,15 @@ class TestSdeEnsembles:
 
 
 # ---------------------------------------------------------------------------
-# reports pinned bit for bit: the ensembles of the tests above, plus the
-# two bundled verify models at 10^4 paths and seed 101
+# reports pinned bit for bit: the ensembles of the tests above, the two
+# bundled verify models at 10^4 paths and seed 101, and one case per
+# model kind that the symbol at a fixed frequency evaluates term by term
+# (tests/data/capture_martingale_reports.py)
 
-class _Case(NamedTuple):
-    """A report case: the model the checks read, the simulation spec,
-    the killing mode of its sampler, and the sampler itself."""
-
-    model: object
-    spec: SimSpec
-    killing_mode: str
-    sample: Callable
-
-
-def _levy_case(tri, spec):
-    return _Case(tri, spec, "clock", lambda: sample_levy(tri, spec))
-
-
-def _autonomous_case(model, spec):
-    return _Case(model, spec, "hazard", lambda: sample_autonomous(model, spec))
-
-
-def _sde_case():
-    driver = LevyTriplet(0.4, [0.0], [[1.0]], ZeroMeasure())
-    model = make_sde_model(parse_expression("1 + 0.1*x1"), driver)
-    spec = _spec(n=10_000, dt=0.005, seed=86, x0=(0.5,))
-    return _Case(model, spec, "clock",
-                 lambda: sample_sde(model.sde.coefficient, driver, spec))
-
-
-def _bundled_case(name, dt):
-    from symbolkit.config import bundled_model_path, load_model
-    model = load_model(bundled_model_path(name))
-    spec = SimSpec(x0=[0.0], horizon=1.0, dt=dt, n_paths=10_000, rng_seed=101)
-    return _autonomous_case(model, spec)
-
-
-_BM = LevyTriplet(0.0, [0.0], [[1.0]], ZeroMeasure())
-_T3 = (0.25, 0.5, 1.0)
-_EXPLODING = dict(x0=[1.0], horizon=1.0, dt=1e-3, explosion_threshold=1e5)
-
-# name -> (case builder, u, t_grid)
-REPORT_CASES = {
-    **{f"constant_rate_{a}": (
-        lambda a=a: _autonomous_case(_model(a, [0.0], [[0.0]]),
-                                     _spec(n=10_000, dt=0.002, seed=73)),
-        [1.0], _T3) for a in (0.0, 0.1, 0.5, 2.0)},
-    "state_dependent_rate": (
-        lambda: _autonomous_case(
-            _model(parse_expression("x1^2"), [1.0], [[0.0]], box=((-3.0, 3.0),)),
-            _spec(dt=0.005, seed=74)),
-        [1.0], _T3),
-    "explosions": (
-        lambda: _autonomous_case(
-            _model(0.3, [parse_expression("x1^3")], [[0.0]], box=((-2.0, 2.0),)),
-            SimSpec(n_paths=200, rng_seed=75, **_EXPLODING)),
-        [1.0], (0.1,)),
-    "bm": (lambda: _levy_case(_BM, _spec(dt=0.01, seed=76)), [1.0], _T3),
-    "killed_levy": (
-        lambda: _levy_case(LevyTriplet(0.5, [0.0], [[0.0]], ZeroMeasure()),
-                           _spec(dt=0.01, seed=77)),
-        [1.7], _T3),
-    "autonomous_killing_diffusion": (
-        lambda: _autonomous_case(
-            _model(parse_expression("1 + sin(x1)^2"), [0.0], [[1.0]]),
-            _spec(dt=0.005, seed=78)),
-        [1.0], _T3),
-    "compound_poisson": (
-        lambda: _levy_case(
-            LevyTriplet(0.0, [0.0], [[0.0]], DiscreteMeasure([[2.0]], [1.0]),
-                        CutoffFunction(radius=1.0)),
-            _spec(n=10_000, dt=0.05, seed=79)),
-        [1.0], (0.5, 1.0)),
-    "bm_small": (lambda: _levy_case(_BM, _spec(n=50, dt=0.1, seed=80)),
-                 [1.0], (0.5, 1.0)),
-    "bm_drift": (
-        lambda: _levy_case(LevyTriplet(0.0, [2.0], [[1.0]], ZeroMeasure()),
-                           _spec(dt=0.01, seed=81)),
-        [1.0], _T3),
-    "all_jumps_big": (
-        lambda: _levy_case(
-            LevyTriplet(0.0, [0.0], [[0.0]], DiscreteMeasure([[3.0]], [1.0]),
-                        CutoffFunction(radius=1.0)),
-            _spec(n=4000, dt=0.01, seed=82)),
-        [1.0], _T3),
-    "alpha_stable": (
-        lambda: _levy_case(LevyTriplet(0.0, [0.0], [[0.0]], StableMeasure(1.5, 1.0)),
-                           _spec(n=N, dt=0.005, seed=83)),
-        [1.0], _T3),
-    "killed_drift_diffusion": (
-        lambda: _autonomous_case(_model(0.8, [1.0], [[1.0]]),
-                                 _spec(n=5000, dt=0.01, seed=84)),
-        [1.0], _T3),
-    "killing_and_explosion": (
-        lambda: _autonomous_case(
-            _model(parse_expression("0.5 + 0*x1"), [parse_expression("x1^3")],
-                   [[0.0]], box=((-2.0, 2.0),)),
-            SimSpec(n_paths=300, rng_seed=85, **_EXPLODING)),
-        [0.5], (0.1, 0.2)),
-    "sde_killed_driver": (_sde_case, [0.8], _T3),
-    "killed_autonomous": (lambda: _bundled_case("killed_autonomous", 0.01), [1.0], _T3),
-    "stable_like": (lambda: _bundled_case("stable_like", 0.005), [1.0], _T3),
-}
-
-
-def _hex(value):
-    """Report JSON with every float written exactly (float.hex)."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, complex):
-        return [value.real.hex(), value.imag.hex()]
-    if isinstance(value, (list, tuple)):
-        return [_hex(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _hex(v) for k, v in value.items()}
-    return value
-
-
-def _state_model(model) -> StateModel:
-    return StateModel.from_triplet(model) if isinstance(model, LevyTriplet) else model
-
-
-def _reports(case: str) -> dict:
-    build, u, t_grid = REPORT_CASES[case]
-    model, _, _, sample = build()
-    ens = sample()
-    state_model = _state_model(model)
-    reports = {
-        "killing": killing_compensator_check(ens, state_model, t_grid),
-        "exponential": exponential_martingale_check(ens, model, u, t_grid),
-    }
-    if state_model.sde is None:
-        reports["canonical"] = canonical_representation_residual(ens, state_model)
-    return {k: _hex(rep.to_json()) for k, rep in reports.items()}
+REPORT_CASES = CAPTURE.CASES
+_hex = CAPTURE.hexed
+_reports = CAPTURE.reports
+_BM, _T3 = CAPTURE.BM, CAPTURE.T3
 
 
 def _streamed_reports(case: str) -> dict:
@@ -363,7 +222,7 @@ def _streamed_reports(case: str) -> dict:
     observers inside the kernel."""
     build, u, t_grid = REPORT_CASES[case]
     model, spec, killing_mode, _ = build()
-    state_model = _state_model(model)
+    state_model = CAPTURE.state_model(model)
     checks = {
         "killing": killing_compensator(state_model, spec, t_grid),
         "exponential": exponential_martingale(model, spec, u, t_grid),
@@ -375,8 +234,7 @@ def _streamed_reports(case: str) -> dict:
 
 
 def _pinned_reports() -> dict:
-    return json.loads((FsPath(__file__).parent / "data" / "martingale_reports.json")
-                      .read_text())
+    return json.loads((DATA / "martingale_reports.json").read_text())
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
@@ -516,3 +374,28 @@ def test_cli_verify_keeps_no_paths_by_steps_array(tmp_path):
     assert rc in (0, 1)
     one_array = n_paths * (n_steps + 1) * 8
     assert peak < one_array / 4, (peak, one_array)
+
+
+def test_streamed_checks_leave_no_reference_cycles():
+    # an observer in a reference cycle keeps its chunk's buffers until
+    # the next full collection; across repeated verify runs that raised
+    # the peak RSS
+    import gc
+
+    model = _model(parse_expression("0.5 + 0.2*x1^2"), [parse_expression("-x1")],
+                   [[1.0]])
+    spec = _spec(n=500, dt=0.01, horizon=0.5, seed=89)
+    gc.collect()
+    gc.disable()
+    try:
+        run_checks(_checks(model, spec, (0.25, 0.5)), model, spec, "hazard")
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        ours = [repr(o)[:80] for o in gc.garbage
+                if (getattr(o, "__module__", None) or type(o).__module__ or "")
+                .startswith("symbolkit")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not ours

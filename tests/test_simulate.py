@@ -1,6 +1,6 @@
-import importlib.util
 import json
 import math
+import re
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -33,7 +33,7 @@ from symbolkit.triplet import (
     eval_exponent,
 )
 
-from conftest import complex_se
+from conftest import complex_se, load_data_module
 
 DATA = FsPath(__file__).parent / "data"
 N_UNIT = 20_000
@@ -264,15 +264,21 @@ def test_bad_worker_count_is_an_error(monkeypatch, capsys, tmp_path, bm_triplet,
     assert message in capsys.readouterr().err
 
 
-def _load_digests():
-    spec = importlib.util.spec_from_file_location(
-        "capture_ensemble_digests", DATA / "capture_ensemble_digests.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.mark.parametrize("t, message", [
+    (math.inf, "time must be finite, got inf"),
+    (-math.inf, "time must be finite, got -inf"),
+    (math.nan, "time must be finite, got nan"),
+    (0.123, "time 0.123 is not on the grid"),
+    (1.5, "time 1.5 outside the horizon"),
+])
+def test_time_index_rejects_times_off_the_grid(t, message):
+    spec = SimSpec(x0=[0.0], horizon=1.0, dt=0.25, n_paths=1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec.time_index(t)
+    assert [spec.time_index(t) for t in (0.0, 0.25, 1.0)] == [0, 1, 4]
 
 
-DIGESTS = _load_digests()
+DIGESTS = load_data_module("capture_ensemble_digests")
 
 
 @pytest.mark.parametrize("threads", DIGESTS.THREADS)

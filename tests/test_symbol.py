@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -31,18 +30,10 @@ from symbolkit.triplet import (
     eval_exponent,
 )
 
+from conftest import load_data_module
+
 DATA = FsPath(__file__).parent / "data"
-
-
-def _load_capture():
-    spec = importlib.util.spec_from_file_location(
-        "capture_symbol_reports", DATA / "capture_symbol_reports.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-CAPTURE = _load_capture()
+CAPTURE = load_data_module("capture_symbol_reports")
 
 N_PROBE = 30_000
 

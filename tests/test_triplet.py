@@ -1,17 +1,23 @@
 import math
+import re
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symbolkit
+from symbolkit.config import bundled_model_path, load_model
 from symbolkit.expr import parse_expression
+from symbolkit.simulate import make_sde_model
 from symbolkit.triplet import (
     Coefficient,
     ConstantMeasureFamily,
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
+    DiscreteMeasureFamily,
     LevyTriplet,
     MatrixCoefficient,
     StableMeasure,
@@ -26,6 +32,7 @@ from symbolkit.triplet import (
     eval_symbol,
 )
 
+from conftest import load_data_module
 from oracles import grid_max_ratio, stable_standard_reference
 
 
@@ -158,6 +165,90 @@ def test_sde_symbol():
     model = make_sde_model(parse_expression("x1"), driver)
     assert eval_symbol(model, [2.0], [1.0]) == pytest.approx(2.0 + 0j)
     assert eval_symbol(model, [-3.0], [2.0]) == pytest.approx(6.0 + 0j)
+
+
+# ---------------------------------------------------------------------------
+# the symbol at a fixed frequency
+
+PINNED = load_data_module("capture_martingale_reports")
+BUNDLED = sorted(p.stem for p in (FsPath(symbolkit.__file__).parent / "models").glob("*.model"))
+SYMBOL_AT_MODELS = [f"bundled_{name}" for name in BUNDLED] + [f"pinned_{name}"
+                                                              for name in PINNED.CASES]
+
+
+def _symbol_at_model(name):
+    kind, _, rest = name.partition("_")
+    if kind == "bundled":
+        return load_model(bundled_model_path(rest))
+    return PINNED.state_model(PINNED.CASES[rest][0]().model)
+
+
+def _frequencies(dim):
+    if dim == 1:
+        return [[0.0], [1.3], [-2.7], [1e-3]]
+    return [[0.0, 0.0], [1.0, -0.5], [0.0, 1.2], [-2.0, 0.7]]
+
+
+def _states(model, n, rng):
+    lo, hi = model.domain_box[:, 0], model.domain_box[:, 1]
+    # inside the box, where the model's coefficients are checked
+    return lo + (hi - lo) * (0.05 + 0.9 * rng.random((n, model.dim)))
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize("name", SYMBOL_AT_MODELS)
+def test_symbol_at_matches_symbol_many_bit_for_bit(name, lenient):
+    model = _symbol_at_model(name)
+    rng = np.random.default_rng(7)
+    for u in _frequencies(model.dim):
+        at = model.symbol_at(u, lenient=lenient)
+        # batch sizes that take different BLAS kernels, each twice so the
+        # second call reuses the terms the first one formed
+        for n in (1, 5, 300, 2000, 5, 2000):
+            xs = _states(model, n, rng)
+            _same_bits(at(xs), model.symbol_many(xs, np.tile(u, (n, 1)), lenient=lenient))
+
+
+def _failing(term):
+    """A 1-d model whose ``term`` is undefined at x1 < 0."""
+    bad = parse_expression("x1^0.5")
+    families = {
+        "atoms": DiscreteMeasureFamily([[0.3], [-1.5]], [bad, 2.0], 1),
+        "stable_order": StableMeasureFamily(parse_expression("1 + 0.5*x1^0.5"), 1.0, 1),
+        "stable_scale": StableMeasureFamily(1.5, bad, 1),
+    }
+    if term == "sde":
+        return make_sde_model(parse_expression("log(x1)"),
+                              LevyTriplet(0.2, [0.1], [[1.0]], DiscreteMeasure([[0.5]], [1.0])))
+    return PINNED.model(parse_expression("log(x1)") if term == "kill" else 0.5,
+                        [bad if term == "drift" else 0.3],
+                        [[bad if term == "covariance" else 0.4]],
+                        families.get(term))
+
+
+@pytest.mark.parametrize("term", ["kill", "drift", "covariance", "atoms", "stable_order",
+                                  "stable_scale", "sde"])
+def test_symbol_at_failing_rows(term):
+    model = _failing(term)
+    xs = np.array([[1.5], [-0.5], [0.25], [-2.0], [3.0], [-1e-3]])
+    bad = xs[:, 0] < 0
+    for u in ([1.3], [-0.7]):
+        tiled = np.tile(u, (len(xs), 1))
+        # lenient: NaN on the failing rows only, the others keep their bits
+        got = model.symbol_at(u, lenient=True)(xs)
+        _same_bits(got, model.symbol_many(xs, tiled, lenient=True))
+        assert np.array_equal(np.isnan(got), bad)
+        # strict: the same error as symbol_many's
+        with pytest.raises(ValueError) as want:
+            model.symbol_many(xs, tiled)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            model.symbol_at(u)(xs)
+        _same_bits(model.symbol_at(u)(xs[~bad]), model.symbol_many(xs[~bad], tiled[~bad]))
 
 
 # ---------------------------------------------------------------------------
