@@ -200,11 +200,13 @@ def _eval_np(e: Expression, x: np.ndarray, strict: bool):
             out = np.divide(a, b)
         return np.where(np.asarray(b) == 0.0, np.nan, out) if bad else out
     if e.op == "^":
-        a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        frac = b_arr != np.floor(b_arr)
-        bad = np.any((a_arr < 0) & frac) or np.any((a_arr == 0) & (b_arr < 0))
-        if bad and strict:
-            raise ExpressionDomainError("fractional power of negative base or 0^negative")
+        # np.power already gives NaN or inf where the power is undefined,
+        # so only strict evaluation looks for those points
+        if strict:
+            a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            frac = b_arr != np.floor(b_arr)
+            if np.any((a_arr < 0) & frac) or np.any((a_arr == 0) & (b_arr < 0)):
+                raise ExpressionDomainError("fractional power of negative base or 0^negative")
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             out = np.power(a, b)
         return out

@@ -86,10 +86,6 @@ class ExtPoint:
     def delta(dim: int = 1) -> "ExtPoint":
         return ExtPoint(PointKind.DELTA, None, dim)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind is PointKind.FINITE
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtPoint):
             return NotImplemented

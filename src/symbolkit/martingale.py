@@ -4,23 +4,27 @@ simulated paths.
 Local-martingale claims are tested as constant-expectation claims at
 fixed grid times on bounded fixtures.  Each check (a ``Check``) is a
 per-path accumulator, an observer with the simulator's recorder
-protocol ``record(j, x, status)``, plus the report built from it.
+protocol ``record(j, x, status, values)``, plus the report built from
+it.
 ``run_checks`` streams: the observers of several checks run inside one
 simulation (``simulate.simulate``), so no (paths x steps) array is ever
 formed.  The functions that take an ``Ensemble`` replay its stored grid
 columns through the same observers.  An observer keeps running
 trapezoid sums and its values at the T requested grid times, with the
-states they were taken at: O(n * (d + T)) memory.  The sums accumulate
-in place, in buffers made at the first step.  The frequency u of the
-exponential check is fixed for the run, so its compensator evaluates
-``StateModel.symbol_at(u)``, whose state-free terms are formed once per
-batch size; each step evaluates only the terms that depend on the
-state.  No observer is part of a reference cycle, which would keep its
+states they were taken at: O(n * (d + T)) memory.  Each step works in
+place, in buffers of the observer's own chunk: the sums, the increment
+and its norm, the symbol's state-dependent terms and the phase.  The
+frequency u of the exponential check is fixed for the run, so its
+compensator evaluates ``StateModel.symbol_at(u)``, whose state-free
+terms are formed once per batch size.  The coefficients are read from
+the kernel's ``values`` at x, never evaluated again; ``x``, ``status``
+and ``values`` are the kernel's buffers, so an observer copies what it
+keeps.  No observer is part of a reference cycle, which would keep its
 chunk's buffers alive until the next full garbage collection.
 
 ``x`` holds every path's last finite state, as the kernel holds it; a
 replay rebuilds that from the stored columns, which hold NaN on
-cemetery states.  Observers see every path, including one that the
+cemetery states, and evaluates the coefficients there.  Observers see every path, including one that the
 kernel flags invalid only after the observer has seen the state where
 its coefficients fail, so they evaluate coefficients leniently (NaN,
 not an error).  The valid-path mask (not exploded, not invalid) is
@@ -50,7 +54,7 @@ import numpy as np
 from .extended import Path, STATUS_DELTA, STATUS_FINITE
 from .serialize import dump_json
 from .simulate import Ensemble, SimSpec, _norm, simulate
-from .triplet import LevyTriplet, StateModel, eval_exponent
+from .triplet import CoefficientValues, LevyTriplet, StateModel, eval_exponent
 
 __all__ = [
     "TruncationDecomposition",
@@ -124,56 +128,38 @@ class CheckReport:
             fh.write(dump_json(self.to_json()))
 
 
-def _kill_rate_fn(model: StateModel):
-    """Killing rate as a function of the state; for coefficient-driven
-    equations the rate sits on the driver."""
-    if model.sde is not None:
-        a = model.sde.driver.killing_rate
-        return lambda xs: np.full(xs.shape[0], a)
-    return model.kill.lenient
-
-
-def _add_step(total, inc, j: int):
-    """Running sum over steps 1..j formed as ``np.cumsum`` forms it: the
-    first step is taken as is, not added to 0.0, keeping a zero's sign."""
-    if j == 1:
-        return inc
-    total += inc
-    return total
-
-
-def _into(f):
-    """A field that returns its values as one that writes them into out."""
-    return lambda x, out: np.copyto(out, f(x))
-
-
 class _RunningTrapezoid:
     """Per-path running trapezoid sum of ``field(X_s) ds``;
-    ``field(x, out)`` writes the field at the states x into out.  The
-    field reads 0 on cemetery states, which gives the half step at a
-    kill; with ``pairwise`` only steps whose both endpoints are finite
-    add.  The sum is formed in place, in buffers made at the first step:
-    the field's values alternate between two of them, and the older one
-    takes the step's increment before the field overwrites it."""
+    ``field(x, values, out)`` writes the field at the states x, whose
+    coefficient values are ``values``, into out.  The field reads 0 on
+    cemetery states, which gives the half step at a kill; with
+    ``pairwise`` only steps whose both endpoints are finite add.  The sum
+    is formed in place, in buffers made at the first step: the field's
+    values alternate between two of them, and the older one takes the
+    step's increment before the field overwrites it."""
 
     def __init__(self, field, dt: float, vec_dim: int = 0, dtype=float,
                  pairwise: bool = False):
         self.field, self.dt, self.dtype, self.pairwise = field, dt, dtype, pairwise
         self.tail = (vec_dim,) if vec_dim else ()
-        self.value = self.g = self.prev = self.prev_finite = None
+        self.value = self.g = self.prev = self.finite = self.prev_finite = None
 
-    def record(self, j, x, status):
+    def record(self, j, x, status, values):
         # every row of x holds a finite state, so the field is evaluated
         # on all of them and then zeroed on the cemetery rows
-        finite = status == STATUS_FINITE
         if j == 0:
-            shape = (x.shape[0], *self.tail)
+            n = x.shape[0]
+            shape = (n, *self.tail)
             self.value = np.zeros(shape, dtype=self.dtype)
             self.g, self.prev = (np.empty(shape, dtype=self.dtype) for _ in range(2))
-        g, inc = self.g, self.prev
-        self.field(x, g)
+            self.finite, self.prev_finite, self.dead = (np.empty(n, dtype=bool)
+                                                        for _ in range(3))
+        g, inc, finite = self.g, self.prev, self.finite
+        np.equal(status, STATUS_FINITE, out=finite)
+        self.field(x, values, g)
         if not finite.all():
-            g[~finite] = 0.0
+            dead = np.logical_not(finite, out=self.dead)
+            np.copyto(g, 0.0, where=dead[:, None] if self.tail else dead)
         if j > 0:
             # 0.5 * (g + prev) * dt, in place of prev, which the next
             # step's field overwrites
@@ -181,13 +167,15 @@ class _RunningTrapezoid:
             inc *= 0.5
             inc *= self.dt
             if self.pairwise:
-                inc *= (finite & self.prev_finite)[:, None]
-            # as _add_step, into the sum's own buffer
+                inc *= np.logical_and(finite, self.prev_finite, out=self.dead)[:, None]
+            # the first step is taken as is, not added to 0.0, keeping a
+            # zero's sign, as np.cumsum forms the sum
             if j == 1:
                 np.copyto(self.value, inc)
             else:
                 self.value += inc
-        self.g, self.prev, self.prev_finite = inc, g, finite
+        self.g, self.prev = inc, g
+        self.finite, self.prev_finite = self.prev_finite, finite
 
 
 class _Columns:
@@ -207,10 +195,12 @@ class _KillingObserver(_Columns):
 
     def __init__(self, model: StateModel, dt: float, columns):
         super().__init__(columns)
-        self.hazard = _RunningTrapezoid(_into(_kill_rate_fn(model)), dt)
+        killing = model.killing
+        self.hazard = _RunningTrapezoid(
+            lambda x, values, out: np.copyto(out, values[killing]), dt)
 
-    def record(self, j, x, status):
-        self.hazard.record(j, x, status)
+    def record(self, j, x, status, values):
+        self.hazard.record(j, x, status, values)
         if j in self.columns:
             self.kept[j] = (x.copy(), (status == STATUS_DELTA).astype(float),
                             self.hazard.value.copy())
@@ -223,7 +213,7 @@ class _PhaseObserver(_Columns):
         super().__init__(columns)
         self.x0, self.u = x0, u
 
-    def record(self, j, x, status):
+    def record(self, j, x, status, values):
         if j in self.columns:
             phase = np.exp(1j * ((x - self.x0) @ self.u))
             phase[status != STATUS_FINITE] = 0.0
@@ -235,37 +225,35 @@ class _ExponentialObserver(_Columns):
     e^{i<u, X_s>} (e^{i<u, 1>} a(X_s) - p(X_s, u)) ds, with
     H_t = X_t^{stopped} + 1 * [t >= kill time]."""
 
-    def __init__(self, model: StateModel, u: np.ndarray, dt: float, columns):
+    def __init__(self, model: StateModel, u: np.ndarray, dt: float, columns, n: int):
         super().__init__(columns)
         self.u = u
         # one per chunk: chunks may run on different threads
         symbol = model.symbol_at(u, lenient=True)
         phase_one = self.phase_one = np.exp(1j * float(u.sum()))
-        kill_rate = _kill_rate_fn(model)
-        constant_kill = model.sde is not None or model.kill.is_constant
-        killing = None
+        killing = model.killing
+        # e^{i<u, 1>} a, formed once when the rate is constant
+        constant_kill = (np.multiply(phase_one, np.full(n, killing.value))
+                         if killing.is_constant else None)
+        p, angle, phase = np.empty(n, dtype=complex), np.empty(n), np.empty(n, dtype=complex)
 
         # complex products are not bitwise commutative: the operand
         # order below is the one the reported numbers were fixed with.
         # The closure holds no reference to the observer: a cycle would
         # keep the chunk's buffers until the next full collection
-        def integrand(xs, out):
-            nonlocal killing
-            if killing is None:
-                np.multiply(phase_one, kill_rate(xs), out=out)
-                if constant_kill:
-                    # e^{i<u, 1>} a is the same on every step
-                    killing = out.copy()
+        def integrand(xs, values, out):
+            if constant_kill is None:
+                np.multiply(phase_one, values[killing], out=out)
+                out -= symbol(xs, values, p)
             else:
-                np.copyto(out, killing)
-            out -= symbol(xs)
-            phase = np.multiply(1j, xs @ u)
+                np.subtract(constant_kill, symbol(xs, values, p), out=out)
+            np.multiply(1j, np.matmul(xs, u, out=angle), out=phase)
             out *= np.exp(phase, out=phase)
 
         self.compensator = _RunningTrapezoid(integrand, dt, dtype=complex)
 
-    def record(self, j, x, status):
-        self.compensator.record(j, x, status)
+    def record(self, j, x, status, values):
+        self.compensator.record(j, x, status, values)
         if j in self.columns:
             h = (np.where(status == STATUS_DELTA, self.phase_one, 1.0)
                  * np.exp(1j * (x @ self.u)))
@@ -277,34 +265,44 @@ class _CanonicalObserver(_Columns):
     h_radius), B the drift integral over finite steps."""
 
     def __init__(self, model: StateModel, x0: np.ndarray, h_radius: float,
-                 dt: float, columns):
+                 dt: float, columns, n: int):
         super().__init__(columns)
-        self.drift = _RunningTrapezoid(_into(model.drift.lenient), dt, vec_dim=model.dim,
-                                       pairwise=True)
+        drift = model.drift
+        self.drift = _RunningTrapezoid(lambda x, values, out: np.copyto(out, values[drift]),
+                                       dt, vec_dim=model.dim, pairwise=True)
         self.x0, self.h_radius = x0, h_radius
-        self.prev = self.big_sum = None
+        self.prev, self.big_sum, self.inc, self.sq = (np.empty((n, model.dim))
+                                                      for _ in range(4))
+        self.norm, self.big = np.empty(n), np.empty(n, dtype=bool)
 
-    def record(self, j, x, status):
-        self.drift.record(j, x, status)
+    def record(self, j, x, status, values):
+        self.drift.record(j, x, status, values)
         if j == 0:
-            self.big_sum = np.zeros_like(x)
+            self.big_sum.fill(0.0)
         else:
-            inc = x - self.prev
-            big = inc * (_norm(inc) > self.h_radius)[:, None]
-            self.big_sum = _add_step(self.big_sum, big, j)
-        self.prev = x.copy()
+            # the increments above h_radius; the first is taken as is
+            inc = np.subtract(x, self.prev, out=self.inc)
+            big = np.greater(_norm(inc, out=self.norm, sq=self.sq), self.h_radius, out=self.big)
+            np.multiply(inc, big[:, None], out=inc)
+            if j == 1:
+                np.copyto(self.big_sum, inc)
+            else:
+                self.big_sum += inc
+        np.copyto(self.prev, x)
         if j in self.columns:
-            self.kept[j] = (self.prev, x - self.x0[None, :] - self.drift.value - self.big_sum)
+            self.kept[j] = (x.copy(), x - self.x0[None, :] - self.drift.value - self.big_sum)
 
 
-def _feed(ens: Ensemble, observer) -> dict:
+def _feed(ens: Ensemble, model: StateModel, observer) -> dict:
     """Replay an ensemble's grid columns through an observer, each path
-    held at its last finite state as the kernel holds it."""
+    held at its last finite state as the kernel holds it, with the
+    coefficient values there."""
+    values = CoefficientValues(model.coefficient_blocks(), ens.n_paths)
     x = ens.values[:, 0]
     for j in range(len(ens.times)):
         status = ens.status[:, j]
         x = np.where((status == STATUS_FINITE)[:, None], ens.values[:, j], x)
-        observer.record(j, x, status)
+        observer.record(j, x, status, values.evaluate(x))
     return observer.per_path()
 
 
@@ -313,17 +311,18 @@ def _feed(ens: Ensemble, observer) -> dict:
 
 @dataclass(frozen=True)
 class Check:
-    """One check, set up before any path is simulated: ``observer(n)``
-    builds the accumulator for a chunk of n paths, and ``report(kept,
-    valid)`` builds the report from the accumulators' joined state and
-    the valid-path mask."""
+    """One check of ``model``, set up before any path is simulated:
+    ``observer(n)`` builds the accumulator for a chunk of n paths, and
+    ``report(kept, valid)`` builds the report from the accumulators'
+    joined state and the valid-path mask."""
 
+    model: StateModel
     observer: Callable[[int], object]
     report: Callable[[dict, np.ndarray], CheckReport]
 
     def replay(self, ens: Ensemble) -> CheckReport:
         """The report on a stored ensemble."""
-        return self.report(_feed(ens, self.observer(ens.n_paths)), ens.valid)
+        return self.report(_feed(ens, self.model, self.observer(ens.n_paths)), ens.valid)
 
 
 def run_checks(checks: dict, model: StateModel, spec: SimSpec,
@@ -347,7 +346,8 @@ def _grid(name: str, spec: SimSpec, t_grid) -> tuple[tuple[float, ...], list[int
     return t_grid, [spec.time_index(t) for t in t_grid]
 
 
-def _check(name: str, t_grid, columns, observer, row, notes=()) -> Check:
+def _check(name: str, model: StateModel, t_grid, columns, observer, row,
+           notes=()) -> Check:
     """A check whose report has one row per grid time, ``row(t, n,
     *values)`` of the values kept there on the n valid paths.  Fewer
     than 2 valid paths, or a value that is not finite on one, fails
@@ -372,7 +372,7 @@ def _check(name: str, t_grid, columns, observer, row, notes=()) -> Check:
                            passed=all(r["pass"] for r in rows),
                            excluded_paths=int((~valid).sum()), notes=list(notes))
 
-    return Check(observer, report)
+    return Check(model, observer, report)
 
 
 def killing_compensator(model: StateModel, spec: SimSpec, t_grid) -> Check:
@@ -395,7 +395,7 @@ def killing_compensator(model: StateModel, spec: SimSpec, t_grid) -> Check:
             "pass": abs(mean) <= 3.0 * se + 1e-12,
         }
 
-    return _check(name, t_grid, columns,
+    return _check(name, model, t_grid, columns,
                   lambda n: _KillingObserver(model, spec.dt, columns), row)
 
 
@@ -437,7 +437,7 @@ def exponential_martingale(model, spec: SimSpec, u, t_grid) -> Check:
         v0 = complex(np.exp(1j * float(spec.x0 @ u)))
 
         def observer(n):
-            return _ExponentialObserver(model, u, spec.dt, columns)
+            return _ExponentialObserver(model, u, spec.dt, columns, n)
 
         def row(t, n, col):
             mean = complex(col.mean())
@@ -446,7 +446,7 @@ def exponential_martingale(model, spec: SimSpec, u, t_grid) -> Check:
             return {"t": t, "statistic": mean, "reference": v0, "stderr": se, "pass": ok}
 
     t_grid, columns = _grid(name, spec, t_grid)
-    return _check(name, t_grid, columns, observer, row)
+    return _check(name, model, t_grid, columns, observer, row)
 
 
 def canonical_representation(model: StateModel, spec: SimSpec,
@@ -473,8 +473,8 @@ def canonical_representation(model: StateModel, spec: SimSpec,
             "pass": bool(np.all(np.abs(mean) <= 3.0 * se + 1e-12)),
         }
 
-    return _check(name, t_grid, columns,
-                  lambda n: _CanonicalObserver(model, spec.x0, h_radius, spec.dt, columns),
+    return _check(name, model, t_grid, columns,
+                  lambda n: _CanonicalObserver(model, spec.x0, h_radius, spec.dt, columns, n),
                   row, notes=[f"h_radius={h_radius}"])
 
 

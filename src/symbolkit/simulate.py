@@ -2,10 +2,35 @@
 
 One vectorised stepping kernel (``_run_chunk``, driven chunk by chunk
 by ``_run_ensemble``) serves every output.  After the start and after
-each step it calls ``recorder.record(j, x, status)`` with the grid
-index, the (n, d) states and the (n,) status codes; rows whose status
-is not finite still hold the last finite state.  The kernel can freeze
-each path at its first grid exit from a ball around the start point.
+each step it calls ``recorder.record(j, x, status, values)`` with the
+grid index, the (n, d) states, the (n,) status codes and the
+coefficient values at the states (``triplet.CoefficientValues``); rows
+whose status is not finite still hold the last finite state.  The
+kernel can freeze each path at its first grid exit from a ball around
+the start point.
+
+Buffers.  Each chunk makes its step arrays once (the increment, the
+proposal, the norms, the masks, the hazard uniforms) and draws into
+them in place (``standard_normal(out=...)`` and ``random(out=...)``
+consume a stream exactly as the sized calls do).  Per step, only the
+expression evaluator's temporaries, Poisson counts (``poisson`` takes
+no ``out``) and the state-dependent covariance's factorisation are new
+arrays.  ``x``, ``status`` and ``values``
+handed to a recorder are these buffers: the next step overwrites them,
+so a recorder copies whatever it keeps and writes into none of them.
+The jump samplers (``JumpSampler.for_chunk``), the Gaussian part
+(``_Dynamics.scratch``) and the observers have scratch buffers of their
+own, which belong to one chunk: chunks run on worker threads, so
+nothing shared by the run (``_Dynamics``, the samplers' closures) holds
+a buffer.
+
+One evaluation per coefficient per step.  The kernel evaluates each
+state-dependent coefficient (killing rate, drift, covariance, atom
+rates, stable order and scale, the SDE coefficient f) once per step, at
+the proposal, and carries the values to the new x where the path moves;
+the jump samplers, the hazard and the observers read them.  The values
+are those an evaluation at x would give, because a coefficient is
+evaluated entry by entry.
 ``simulate`` is the streaming entry point: it feeds each chunk a fresh
 set of named observers and joins their per-path state in chunk order.
 Its observers are the full trajectory (``_FullRecorder``, behind
@@ -76,7 +101,7 @@ from .extended import (
     STATUS_INFINITY,
 )
 from .serialize import dump_json
-from .triplet import Coefficient, LevyTriplet, SdeBlock, StateModel
+from .triplet import Coefficient, CoefficientValues, LevyTriplet, SdeBlock, StateModel
 from .expr import Expression
 
 __all__ = [
@@ -247,8 +272,10 @@ class Ensemble:
 # dynamics compiled from a model
 
 class _Dynamics:
-    """Precompiled per-step drift, Gaussian part and killing; the jumps
-    come from the measure family's JumpSampler."""
+    """Precompiled per-step drift, Gaussian part and killing of one run,
+    shared by the chunk workers; the jumps come from the measure
+    family's JumpSampler.  Buffers live in each chunk's ``scratch(n)``,
+    never here."""
 
     def __init__(self, model: StateModel, dt: float, small_jump_cut: float | None,
                  killing_mode: str):
@@ -256,21 +283,21 @@ class _Dynamics:
         self.dt = dt
         self.dim = model.dim
         self.killing_mode = killing_mode
+        self.blocks = model.coefficient_blocks()
+        killing = model.killing
+        self.kill_const = killing.value if killing.is_constant else None
         if model.sde is not None:
             driver_model = StateModel.from_triplet(model.sde.driver)
             self.driver = _Dynamics(driver_model, dt, small_jump_cut, "clock")
             self.f_coeff = model.sde.coefficient
-            self.kill_const = model.sde.driver.killing_rate
             self.bias_notes = self.driver.bias_notes
             return
         self.driver = None
 
-        self.kill_const = model.kill.value if model.kill.is_constant else None
         if killing_mode == "clock" and self.kill_const is None:
             raise ValueError("exact killing clock requires a constant killing rate")
 
-        # drift and covariance
-        self.ell_const = model.drift.constant_value() if model.drift.is_constant else None
+        # covariance
         if model.covariance.is_constant:
             q = model.covariance.constant_value()
             self.chol_const = LevyTriplet(0.0, np.zeros(self.dim), q).cholesky()
@@ -282,6 +309,11 @@ class _Dynamics:
         self.jumps = model.measures.jump_sampler(model.cutoff, float(np.trace(q)),
                                                  small_jump_cut)
         self.bias_notes = self.jumps.bias_notes
+        # the drift with the constant part of the jump compensator, times
+        # dt, as np.zeros(...) + it would add it (the sign of a zero too)
+        self.drift_step = None
+        if model.drift.is_constant:
+            self.drift_step = (model.drift.constant_value() + self.jumps.drift) * dt + 0.0
 
     # -- per-step pieces ----------------------------------------------------
 
@@ -293,64 +325,69 @@ class _Dynamics:
         with np.errstate(divide="ignore"):
             return -np.log(u) / a
 
-    def increments(self, xs: np.ndarray, rngs: dict) -> np.ndarray:
-        """One-step increments for every path (dead paths included; the
-        caller masks).  Returns (n, d); NaN rows flag evaluation failure."""
-        n = xs.shape[0]
+    def scratch(self, n: int) -> dict:
+        """The buffers of one chunk of n paths that ``increments`` uses."""
+        if self.driver is not None:
+            return {"driver": self.driver.scratch(n)}
+        scratch = {"jumps": self.jumps.for_chunk(n)}
+        if self.has_gauss:
+            scratch["z"], scratch["gauss"] = np.empty((n, self.dim)), np.empty((n, self.dim))
+        return scratch
+
+    def increments(self, values: CoefficientValues, rngs: dict, out: np.ndarray,
+                   scratch: dict) -> None:
+        """One-step increments of every path (dead paths included; the
+        caller masks) at the states whose coefficient values are
+        ``values``, written into the (n, d) array out; NaN rows flag
+        evaluation failure."""
         dt = self.dt
         if self.driver is not None:
-            dz = self.driver.increments(np.zeros((n, 1)), rngs)
-            f = self.f_coeff.lenient(xs)
-            return f[:, None] * dz
+            # the driver is constant: it reads no coefficient values
+            self.driver.increments(values, rngs, out, scratch["driver"])
+            np.multiply(values[self.f_coeff][:, None], out, out=out)
+            return
 
-        inc = np.zeros((n, self.dim))
-        # drift with the constant part of the jump compensator
-        if self.ell_const is not None:
-            inc += (self.ell_const + self.jumps.drift) * dt
+        if self.drift_step is not None:
+            np.copyto(out, self.drift_step)
         else:
-            ell = self.model.drift.lenient(xs)
-            inc += (ell + self.jumps.drift) * dt
+            np.copyto(out, values[self.model.drift])
+            out += self.jumps.drift
+            out *= dt
+            out += 0.0
         # Gaussian part
         if self.has_gauss:
-            z = rngs["gauss"].standard_normal((n, self.dim))
+            z = rngs["gauss"].standard_normal(out=scratch["z"])
             if self.chol_const is not None:
-                inc += math.sqrt(dt) * z @ self.chol_const.T
+                np.multiply(math.sqrt(dt), z, out=z)
+                out += np.matmul(z, self.chol_const.T, out=scratch["gauss"])
             else:
-                q = np.nan_to_num(self.model.covariance.lenient(xs), nan=np.nan,
+                q = np.nan_to_num(values[self.model.covariance], nan=np.nan,
                                   posinf=np.nan, neginf=np.nan)
                 bad_q = ~np.all(np.isfinite(q), axis=(1, 2))
                 q[bad_q] = np.eye(self.dim)
                 chol = _batched_cholesky(q)
                 gauss = math.sqrt(dt) * np.einsum("nij,nj->ni", chol, z)
                 gauss[bad_q] = np.nan
-                inc += gauss
-        self.jumps.add_increments(inc, xs, dt, rngs)
-        return inc
+                out += gauss
+        scratch["jumps"](out, values, dt, rngs)
 
-    def kill_rates(self, xs: np.ndarray) -> np.ndarray | None:
-        """The state-dependent killing rate at the states, NaN where it
-        fails; None for a constant rate."""
-        return None if self.kill_const is not None else self.model.kill.lenient(xs)
-
-    def hazard_prob(self, a0: np.ndarray | None, a1: np.ndarray | None,
-                    n: int) -> np.ndarray:
+    def hazard_prob(self, a0: np.ndarray, a1: np.ndarray, out: np.ndarray,
+                    finite: np.ndarray) -> None:
         """Per-step killing probability 1 - exp(-abar dt) of n paths,
-        abar the average of the rates a0 and a1 (``kill_rates``) at the
-        step endpoints (exact for constant rates, second order
-        otherwise)."""
-        if self.kill_const is not None:
-            a = self.kill_const
-            return np.full(n, -math.expm1(-a * self.dt))
+        abar the average of the state-dependent killing rates a0 and a1
+        at the step endpoints (second order), written into out; finite
+        is an (n,) bool buffer."""
         # -expm1(-max(0.5 * (a0 + a1'), 0) * dt), a1' = a1 where finite
-        # else a0, formed in one array
-        q = np.where(np.isfinite(a1), a1, a0)
-        np.add(a0, q, out=q)
-        q *= 0.5
-        np.maximum(q, 0.0, out=q)
-        np.negative(q, out=q)
-        q *= self.dt
-        np.expm1(q, out=q)
-        return np.negative(q, out=q)
+        # else a0, formed in out
+        np.copyto(out, a0)
+        np.copyto(out, a1, where=np.isfinite(a1, out=finite))
+        np.add(a0, out, out=out)
+        out *= 0.5
+        np.maximum(out, 0.0, out=out)
+        np.negative(out, out=out)
+        out *= self.dt
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
 
 
 def _batched_cholesky(q: np.ndarray) -> np.ndarray:
@@ -371,9 +408,8 @@ class _FullRecorder:
         self.values = np.full((n, n_steps + 1, dim), np.nan)
         self.status = np.zeros((n, n_steps + 1), dtype=np.int8)
 
-    def record(self, j, x, status):
-        finite = status == STATUS_FINITE
-        self.values[finite, j, :] = x[finite]
+    def record(self, j, x, status, values):
+        np.copyto(self.values[:, j, :], x, where=(status == STATUS_FINITE)[:, None])
         self.status[:, j] = status
 
     def per_path(self):
@@ -386,9 +422,9 @@ class _Tee:
     def __init__(self, observers: dict):
         self.observers = observers
 
-    def record(self, j, x, status):
+    def record(self, j, x, status, values):
         for obs in self.observers.values():
-            obs.record(j, x, status)
+            obs.record(j, x, status, values)
 
     def per_path(self) -> dict:
         return {name: obs.per_path() for name, obs in self.observers.items()}
@@ -396,37 +432,43 @@ class _Tee:
 
 class _SnapshotRecorder:
     """State and status at the snapshot indices, one slot per stopping
-    radius, plus each radius's count of paths that left its ball in the
-    first step.  The kernel freezes paths at the largest radius itself;
-    a smaller radius is watched here: a path is held, finite, at its
-    first grid exit from that ball."""
+    radius, written into one chunk's slices ``values`` (T, n, R, d) and
+    ``status`` (T, n, R) of the run's output, plus each radius's count of
+    paths that left its ball in the first step.  The kernel freezes paths
+    at the largest radius itself; a smaller radius is watched here: a
+    path is held, finite, at its first grid exit from that ball."""
 
-    def __init__(self, n, snap_idx, dim, center, radii):
+    def __init__(self, values, status, snap_idx, center, radii):
+        n, dim = values.shape[1], values.shape[3]
         self.snap_idx = {int(i): k for k, i in enumerate(snap_idx)}
-        self.values = np.full((len(snap_idx), n, len(radii), dim), np.nan)
-        self.status = np.zeros((len(snap_idx), n, len(radii)), dtype=np.int8)
+        self.values, self.status = values, status
         self.center = center
         self.radii = radii
         self.first_step_frozen = np.zeros(len(radii), dtype=np.int64)
         # slot: (held mask, held states) of each radius below the largest
         self.watched = {r: (np.zeros(n, dtype=bool), np.empty((n, dim)))
                         for r, k in enumerate(radii) if k < max(radii)}
+        self.diff, self.dist = np.empty((n, dim)), np.empty(n)
+        self.new, self.fresh, self.finite = (np.empty(n, dtype=bool) for _ in range(3))
 
-    def record(self, j, x, status):
+    def record(self, j, x, status, values):
         if j == 1 or (j > 1 and self.watched):
             # the kernel's exit test: only moved paths can be outside a
             # ball they have not left, and moved paths are finite
-            dist = _norm(x - self.center)
+            dist = _norm(np.subtract(x, self.center, out=self.diff), out=self.dist,
+                         sq=self.diff)
             if j == 1:
                 self.first_step_frozen += [int((dist > k).sum()) for k in self.radii]
+            new = self.new
             for r, (held, held_x) in self.watched.items():
-                new = (dist > self.radii[r]) & ~held
+                np.greater(dist, self.radii[r], out=new)
+                new &= np.logical_not(held, out=self.fresh)
                 np.copyto(held_x, x, where=new[:, None])
                 held |= new
         k = self.snap_idx.get(j)
         if k is None:
             return
-        finite = (status == STATUS_FINITE)[:, None]
+        finite = np.equal(status, STATUS_FINITE, out=self.finite)[:, None]
         for r in range(len(self.radii)):
             np.copyto(self.values[k, :, r], x, where=finite)
             self.status[k, :, r] = status
@@ -437,15 +479,22 @@ class _SnapshotRecorder:
 
 
 class _MaxRecorder:
-    def __init__(self, n, snap_idx, dim, x_ref):
+    """Running maximum of |x - x_ref| (+inf on cemetery states), written
+    at the snapshot indices into one chunk's slice ``out`` (T, n) of the
+    run's output."""
+
+    def __init__(self, out, snap_idx, dim, x_ref):
+        n = out.shape[1]
         self.snap_idx = {int(i): k for k, i in enumerate(snap_idx)}
         self.x_ref = x_ref
+        self.out = out
         self.running = np.zeros(n)
-        self.out = np.zeros((len(snap_idx), n))
+        self.diff, self.norm = np.empty((n, dim)), np.empty(n)
+        self.dead = np.empty(n, dtype=bool)
 
-    def record(self, j, x, status):
-        norm = _norm(x - self.x_ref)
-        norm[status != STATUS_FINITE] = np.inf
+    def record(self, j, x, status, values):
+        norm = _norm(np.subtract(x, self.x_ref, out=self.diff), out=self.norm, sq=self.diff)
+        np.copyto(norm, np.inf, where=np.not_equal(status, STATUS_FINITE, out=self.dead))
         np.maximum(self.running, norm, out=self.running)
         k = self.snap_idx.get(j)
         if k is not None:
@@ -462,66 +511,100 @@ def _chunk_streams(seed: int, chunk_id: int) -> dict:
     }
 
 
-def _norm(a: np.ndarray) -> np.ndarray:
+def _norm(a: np.ndarray, out: np.ndarray | None = None,
+          sq: np.ndarray | None = None) -> np.ndarray:
     """Row norms of a real (n, d) array: np.linalg.norm(a, axis=1)'s
-    arithmetic without its dispatch."""
-    return np.sqrt(np.add.reduce(a * a, axis=1))
+    arithmetic without its dispatch.  ``out`` (n,) and ``sq`` (n, d),
+    which may be a itself, are buffers to write into."""
+    sq = np.multiply(a, a, out=sq)
+    return np.sqrt(np.add.reduce(sq, axis=1, out=out), out=out)
 
 
 def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
                seed: int, chunk_id: int, expl: float, recorder,
                stop_radius: float = math.inf):
+    """Run one chunk of n paths.  Every step array is made here, once;
+    the recorder is handed the state x, the status and the coefficient
+    values at x, which the next step overwrites."""
     rngs = _chunk_streams(seed, chunk_id)
+    scratch = dyn.scratch(n)
     x = np.tile(x0, (n, 1))
+    inc, prop, sq = (np.empty_like(x) for _ in range(3))
+    inc_finite = np.empty(x.shape, dtype=bool)
+    norm = np.empty(n)
     status = np.zeros(n, dtype=np.int8)
     # finite, not frozen at the stopping radius, not invalid
     active = np.ones(n, dtype=bool)
     invalid = np.zeros(n, dtype=bool)
+    move, explode, stay, ring, ok, flag = (np.empty(n, dtype=bool) for _ in range(6))
     use_clock = dyn.killing_mode == "clock"
     t_kill = dyn.clock_times(n, rngs["clock"]) if use_clock else None
 
-    # the killing rate at x, carried from the step that set x
-    rate = None if use_clock else dyn.kill_rates(x)
+    # the coefficient values at x, carried from the step that set x, and
+    # at the step's proposal
+    at_x, at_prop = (CoefficientValues(dyn.blocks, n) for _ in range(2))
+    at_x.evaluate(x)
+    killing = dyn.model.killing
+    if not use_clock:
+        u_haz = np.empty(n)
+        if dyn.kill_const is None:
+            q = np.empty(n)
+        else:
+            # exact for a constant rate
+            q = np.full(n, -math.expm1(-dyn.kill_const * dt))
 
     stopping = math.isfinite(stop_radius)
 
-    recorder.record(0, x, status)
+    recorder.record(0, x, status, at_x)
     for i in range(n_steps):
         t_next = (i + 1) * dt
-        inc = dyn.increments(x, rngs)
-        prop = x + inc
+        dyn.increments(at_x, rngs, inc, scratch)
+        np.add(x, inc, out=prop)
+        # proposals of rows that do not move may overflow; the masks drop them
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_prop.evaluate(prop)
+        # paths whose coefficients failed to evaluate freeze in place:
+        # move = active & the increment (and the hazard) finite
+        np.logical_and.reduce(np.isfinite(inc, out=inc_finite), axis=1, out=move)
         if not use_clock:
-            rate_prop = dyn.kill_rates(prop)
-            q = dyn.hazard_prob(rate, rate_prop, n)
-            u_haz = rngs["hazard"].random(n)
-        # paths whose coefficients failed to evaluate freeze in place
-        bad = active & ~np.all(np.isfinite(inc), axis=1)
-        if not use_clock:
-            bad |= active & ~np.isfinite(q)
-        invalid |= bad
-        move = active & ~bad
+            if dyn.kill_const is None:
+                dyn.hazard_prob(at_x[killing], at_prop[killing], q, flag)
+            rngs["hazard"].random(out=u_haz)
+            move &= np.isfinite(q, out=flag)
+        invalid |= np.logical_and(active, np.logical_not(move, out=flag), out=flag)
+        move &= active
         # the norms also see rows that do not move, whose proposals may
         # overflow; the masks drop those rows
         with np.errstate(over="ignore"):
-            explode = move & (_norm(prop) >= expl)
+            np.greater_equal(_norm(prop, out=norm, sq=sq), expl, out=explode)
+            explode &= move
+            np.logical_and(move, np.logical_not(explode, out=stay), out=stay)
             if use_clock:
-                ring = move & ~explode & (t_kill <= t_next + 1e-15)
+                np.less_equal(t_kill, t_next + 1e-15, out=ring)
             else:
-                ring = move & ~explode & (u_haz < q)
-            ok = move & ~explode & ~ring
-            active = ok & ~(_norm(prop - x0) > stop_radius) if stopping else ok
+                np.less(u_haz, q, out=ring)
+            ring &= stay
+            np.logical_and(stay, np.logical_not(ring, out=ok), out=ok)
+            if stopping:
+                _norm(np.subtract(prop, x0, out=sq), out=norm, sq=sq)
+                np.logical_not(np.greater(norm, stop_radius, out=active), out=active)
+                active &= ok
+            else:
+                np.copyto(active, ok)
         np.copyto(x, prop, where=ok[:, None])
-        if rate is not None:
-            np.copyto(rate, rate_prop, where=ok)
-        status[explode] = STATUS_INFINITY
-        status[ring] = STATUS_DELTA
-        recorder.record(i + 1, x, status)
+        at_x.carry(at_prop, ok)
+        np.copyto(status, STATUS_INFINITY, where=explode)
+        np.copyto(status, STATUS_DELTA, where=ring)
+        recorder.record(i + 1, x, status, at_x)
     return recorder, invalid, status
 
 
 def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
                   dt: float, seed: int, expl: float, killing_mode: str,
                   small_jump_cut, recorder_factory, stop_radius: float = math.inf):
+    """Run the kernel over n_paths in chunks of CHUNK_SIZE; each chunk's
+    recorder is ``recorder_factory(paths)``, paths the slice of the
+    chunk's path indices."""
     dyn = _Dynamics(model, dt, small_jump_cut, killing_mode)
     chunks = []
     start = 0
@@ -535,7 +618,7 @@ def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
     def work(args):
         cid, start, size = args
         return _run_chunk(dyn, x0, size, n_steps, dt, seed, cid, expl,
-                          recorder_factory(size), stop_radius)
+                          recorder_factory(slice(start, start + size)), stop_radius)
 
     workers = _worker_count()
     if workers > 1 and len(chunks) > 1:
@@ -553,8 +636,9 @@ def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
 
 
 def _killing_mode(model: StateModel) -> str:
-    """Exact clock for a constant rate or an SDE driver, hazard otherwise."""
-    return "clock" if (model.kill.is_constant or model.sde is not None) else "hazard"
+    """Exact clock for a constant rate (an SDE's sits on its constant
+    driver), hazard otherwise."""
+    return "clock" if model.killing.is_constant else "hazard"
 
 
 def _join(parts):
@@ -589,16 +673,17 @@ def simulate(model: StateModel, spec: SimSpec, observers: dict,
              killing_mode: str) -> Simulation:
     """Run the kernel once over the paths of ``spec``.  ``observers``
     maps a name to a factory ``n -> observer``; every chunk of n paths
-    gets a fresh set, fed ``record(j, x, status)`` after the start and
-    after each step, and each observer's ``per_path()`` state is joined
-    in chunk order.  ``killing_mode`` is "clock" (exact exponential
+    gets a fresh set, fed ``record(j, x, status, values)`` after the
+    start and after each step, and each observer's ``per_path()`` state
+    is joined in chunk order.  ``killing_mode`` is "clock" (exact exponential
     clock, constant rate) or "hazard"."""
     if spec.x0.shape[0] != model.dim:
         raise ValueError("x0 dimension mismatch")
     results, ledger, dyn = _run_ensemble(
         model, spec.x0, spec.n_paths, spec.n_steps, spec.dt, spec.rng_seed,
         spec.explosion_threshold, killing_mode, spec.small_jump_cut,
-        lambda size: _Tee({name: make(size) for name, make in observers.items()}),
+        lambda paths: _Tee({name: make(paths.stop - paths.start)
+                            for name, make in observers.items()}),
     )
     return Simulation(
         observed=_join([tee.per_path() for tee, _, _ in results]),
@@ -685,13 +770,15 @@ def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed:
     if killing_mode == "auto":
         killing_mode = _killing_mode(model)
     snap_idx, actual = snap_times(snap_times_req, dt)
+    # every chunk writes its paths' slice of the output
+    values = np.full((len(snap_idx), n, len(radii), model.dim), np.nan)
+    status = np.zeros((len(snap_idx), n, len(radii)), dtype=np.int8)
     results, _, _ = _run_ensemble(
         model, x0, n, max(snap_idx), dt, seed, explosion_threshold, killing_mode,
-        small_jump_cut, lambda size: _SnapshotRecorder(size, snap_idx, model.dim, x0, radii),
+        small_jump_cut,
+        lambda paths: _SnapshotRecorder(values[:, paths], status[:, paths], snap_idx, x0, radii),
         stop_radius=max(radii),
     )
-    values = np.concatenate([r.values for r, _, _ in results], axis=1)
-    status = np.concatenate([r.status for r, _, _ in results], axis=1)
     frozen_first = sum(r.first_step_frozen for r, _, _ in results)
     return actual, values, status, frozen_first
 
@@ -720,9 +807,11 @@ class PathSampler:
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         dt = self.dt if dt is None else dt
         snap_idx, actual = snap_times(times, dt)
-        results, _, _ = _run_ensemble(
+        # every chunk writes its paths' slice of the output
+        out = np.zeros((len(snap_idx), n))
+        _run_ensemble(
             self.model, x0, n, max(snap_idx), dt, self.seed, self.explosion_threshold,
             _killing_mode(self.model), self.small_jump_cut,
-            lambda size: _MaxRecorder(size, snap_idx, self.model.dim, x0),
+            lambda paths: _MaxRecorder(out[:, paths], snap_idx, self.model.dim, x0),
         )
-        return actual, np.concatenate([r.out for r, _, _ in results], axis=1).T
+        return actual, out.T

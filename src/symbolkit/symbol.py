@@ -175,28 +175,29 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
 def _report(x, xi, analytic: complex, times, values, status,
             settings: ProbeSettings) -> SymbolReport:
     """One (xi, K) report from the stopped snapshots ``values`` (T, n, d)
-    and ``status`` (T, n) at the ascending ``times``."""
-    e_by_time = {}
-    for k, t in enumerate(times):
-        phase = np.exp(1j * ((values[k] - x) @ xi))
-        phase[status[k] != STATUS_FINITE] = 0.0
-        e_by_time[float(t)] = phase
-    ladder = sorted(e_by_time, reverse=True)
-
-    estimates, stderrs = [], []
-    for t in ladder:
-        p_hat = -(e_by_time[t].mean() - 1.0) / t
-        estimates.append(complex(p_hat))
-        stderrs.append(_complex_stderr(e_by_time[t]) / t)
-
-    if settings.extrapolate and len(ladder) >= 2:
-        ts = np.asarray(ladder)
+    and ``status`` (T, n) at the ascending ``times``, one rung at a time:
+    its phase, estimate, stderr and term of the intercept."""
+    ladder = sorted((float(t), k) for k, t in enumerate(times))[::-1]
+    fit = settings.extrapolate and len(ladder) >= 2
+    if fit:
+        ts = np.asarray([t for t, _ in ladder])
         design = np.stack([np.ones_like(ts), ts], axis=1)
         # intercept weights of the least-squares line fit
-        hat = np.linalg.pinv(design.T @ design) @ design.T
-        w0 = hat[0]
-        # per-path contribution to the intercept captures rung correlation
-        per_path = sum(w0[k] * (-(e_by_time[t] - 1.0) / t) for k, t in enumerate(ladder))
+        w0 = (np.linalg.pinv(design.T @ design) @ design.T)[0]
+
+    estimates, stderrs = [], []
+    # per-path contribution to the intercept captures rung correlation;
+    # summed from 0 as Python's sum does, which sets the sign of a zero
+    per_path = 0
+    for rung, (t, k) in enumerate(ladder):
+        phase = np.exp(1j * ((values[k] - x) @ xi))
+        phase[status[k] != STATUS_FINITE] = 0.0
+        estimates.append(complex(-(phase.mean() - 1.0) / t))
+        stderrs.append(_complex_stderr(phase) / t)
+        if fit:
+            per_path = per_path + w0[rung] * (-(phase - 1.0) / t)
+
+    if fit:
         extrapolated = complex(per_path.mean())
         ex_stderr = _complex_stderr(per_path)
     else:
@@ -206,7 +207,7 @@ def _report(x, xi, analytic: complex, times, values, status,
     abs_err = abs(extrapolated - analytic)
     rel_err = abs_err / abs(analytic) if abs(analytic) > 1e-8 else None
     return SymbolReport(
-        x=x, xi=xi, analytic=analytic, t_ladder=tuple(ladder),
+        x=x, xi=xi, analytic=analytic, t_ladder=tuple(t for t, _ in ladder),
         estimates=estimates, stderrs=stderrs,
         extrapolated=extrapolated, extrapolated_stderr=ex_stderr,
         abs_error=abs_err, rel_error=rel_err,

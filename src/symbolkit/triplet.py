@@ -18,6 +18,10 @@ rule.
 
 Every measure and measure family also owns its simulation draws
 (``jump_sampler``); each docstring records the streams drawn per step.
+State-dependent coefficients are read through ``CoefficientValues``, the
+values of a model's coefficients at one batch of states: the simulation
+kernel evaluates them once per step and hands the same values to the
+jump samplers and to the symbol.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "SdeBlock",
     "ConditionEstimate",
     "Coefficient",
+    "CoefficientValues",
     "QuadratureError",
     "SectorConditionError",
     "eval_exponent",
@@ -135,16 +140,23 @@ def _sin_minus_chi_theta(theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
 class JumpSampler:
     """A measure's jumps as one simulation draws them.
 
-    ``add_increments(inc, xs, dt, rngs)`` adds one step's jumps at the
-    (n, d) states xs into the (n, d) array inc, in place, on top of the
-    drift and Gaussian part; it draws from the named streams in rngs and
-    writes NaN rows for paths whose coefficients fail.  ``drift`` is the
-    constant part of the compensator, summed with l before the product
-    with dt; ``bias_notes`` describe the approximations made."""
+    ``for_chunk(n)`` makes the step function of one chunk of n paths,
+    with scratch buffers that belong to that chunk alone: ``add(inc,
+    values, dt, rngs)`` adds one step's jumps into the (n, d) array inc,
+    in place, on top of the drift and Gaussian part, at the states whose
+    coefficient values are ``values`` (``CoefficientValues``); it draws
+    from the named streams in rngs and writes NaN rows for paths whose
+    coefficients fail.  ``drift`` is the constant part of the
+    compensator, summed with l before the product with dt;
+    ``bias_notes`` describe the approximations made."""
 
-    add_increments: Callable[[np.ndarray, np.ndarray, float, dict], None]
+    for_chunk: Callable[[int], Callable[[np.ndarray, "CoefficientValues", float, dict], None]]
     drift: float | np.ndarray = 0.0
     bias_notes: dict = field(default_factory=dict)
+
+
+def _no_jumps(inc, values, dt, rngs):
+    pass
 
 
 class LevyMeasure:
@@ -179,7 +191,7 @@ class ZeroMeasure(LevyMeasure):
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """No jumps and no draws."""
-        return JumpSampler(lambda inc, xs, dt, rngs: None)
+        return JumpSampler(lambda n: _no_jumps)
 
     def is_symmetric(self):
         return True
@@ -217,11 +229,16 @@ class DiscreteMeasure(LevyMeasure):
         from the ``jump`` stream.  The compensator -sum rate chi(y) y is
         the constant drift."""
 
-        def add(inc, xs, dt, rngs):
-            counts = rngs["jump"].poisson(self.rates * dt, size=(xs.shape[0], len(self.rates)))
-            inc += counts @ self.jumps
+        def chunk(n):
+            jumps = np.empty((n, self.jumps.shape[1]))
 
-        return JumpSampler(add, -(self.rates * cutoff(self.jumps)) @ self.jumps)
+            def add(inc, values, dt, rngs):
+                counts = rngs["jump"].poisson(self.rates * dt, size=(n, len(self.rates)))
+                inc += np.matmul(counts, self.jumps, out=jumps)
+
+            return add
+
+        return JumpSampler(chunk, -(self.rates * cutoff(self.jumps)) @ self.jumps)
 
     def is_symmetric(self):
         # symmetric iff atoms come in (+y, -y) pairs with equal rates
@@ -262,12 +279,18 @@ class StableMeasure(LevyMeasure):
         ``stable`` stream (``_stable_standard``), scaled by
         (scale dt)^(1/alpha).  The symmetric measure has no compensator."""
 
-        def add(inc, xs, dt, rngs):
-            alpha = np.full(xs.shape[0], self.alpha)
-            inc[:, 0] += ((self.scale * dt) ** (1.0 / self.alpha)
-                          * _stable_standard(alpha, rngs["stable"]))
+        def chunk(n):
+            draw = _StableDraw(n)
+            draw.orders(np.full(n, self.alpha))
 
-        return JumpSampler(add)
+            def add(inc, values, dt, rngs):
+                s = draw.draw(rngs["stable"])
+                np.multiply((self.scale * dt) ** (1.0 / self.alpha), s, out=s)
+                inc[:, 0] += s
+
+            return add
+
+        return JumpSampler(chunk)
 
     def is_symmetric(self):
         return True
@@ -279,22 +302,64 @@ class StableMeasure(LevyMeasure):
 
 def _stable_standard(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One symmetric stable variate with characteristic function
-    exp(-|xi|^alpha) per entry of alpha, by the polar
-    (Chambers-Mallows-Stuck) method: draws (n,) uniforms for the angle u,
-    then (n,) uniforms for the exponential w, from rng.  Only the branch
-    that is returned is evaluated: tan(u) where alpha is 1, the general
-    formula elsewhere; a mixed alpha evaluates both."""
-    n = alpha.shape[0]
-    u = (rng.random(n) - 0.5) * math.pi
-    v = rng.random(n)
-    cauchy = np.abs(alpha - 1.0) < 1e-12
-    if cauchy.all():
-        return np.tan(u)
-    w = np.maximum(-np.log(np.maximum(v, 1e-300)), 1e-300)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-             * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
-    return np.where(cauchy, np.tan(u), s) if cauchy.any() else s
+    exp(-|xi|^alpha) per entry of alpha (``_StableDraw``)."""
+    draw = _StableDraw(alpha.shape[0])
+    draw.orders(alpha)
+    return draw.draw(rng)
+
+
+class _StableDraw:
+    """Symmetric stable variates for one chunk of n paths, by the polar
+    (Chambers-Mallows-Stuck) method, in buffers that belong to the chunk.
+    ``orders(alpha)`` sets the n orders (alpha is read, not copied, by
+    the next ``draw``); ``draw(rng)`` draws (n,) uniforms for the angle
+    u, then (n,) uniforms for the exponential w, from rng, and returns
+    the variates in a buffer that the next draw overwrites.  Only the
+    branch that is returned is evaluated: tan(u) where alpha is 1, the
+    general formula
+
+        sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / w)^((1 - alpha)/alpha)
+
+    elsewhere, left to right; a mixed alpha evaluates both."""
+
+    def __init__(self, n: int):
+        self.u, self.v, self.out, self.work = (np.empty(n) for _ in range(4))
+        # 1/alpha, 1 - alpha and (1 - alpha)/alpha
+        self.inv, self.one_minus, self.power = (np.empty(n) for _ in range(3))
+        self.cauchy = np.empty(n, dtype=bool)
+
+    def orders(self, alpha: np.ndarray) -> None:
+        self.alpha = alpha
+        np.subtract(alpha, 1.0, out=self.inv)
+        np.less(np.abs(self.inv, out=self.inv), 1e-12, out=self.cauchy)
+        self.all_cauchy = bool(self.cauchy.all())
+        self.any_cauchy = self.all_cauchy or bool(self.cauchy.any())
+        np.divide(1.0, alpha, out=self.inv)
+        if not self.all_cauchy:
+            np.subtract(1.0, alpha, out=self.one_minus)
+            np.divide(self.one_minus, alpha, out=self.power)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        u, w, s, work = self.u, self.v, self.out, self.work
+        rng.random(out=u)
+        u -= 0.5
+        u *= math.pi
+        rng.random(out=w)
+        if self.all_cauchy:
+            return np.tan(u, out=s)
+        # w = max(-log(max(v, 1e-300)), 1e-300)
+        np.maximum(w, 1e-300, out=w)
+        np.negative(np.log(w, out=w), out=w)
+        np.maximum(w, 1e-300, out=w)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.sin(np.multiply(self.alpha, u, out=s), out=s)
+            s /= np.power(np.cos(u, out=work), self.inv, out=work)
+            np.cos(np.multiply(self.one_minus, u, out=work), out=work)
+            work /= w
+            s *= np.power(work, self.power, out=work)
+        if self.any_cauchy:
+            np.copyto(s, np.tan(u, out=work), where=self.cauchy)
+        return s
 
 
 def _vectorised(density) -> Callable[[np.ndarray], np.ndarray]:
@@ -486,17 +551,22 @@ class DensityMeasure(LevyMeasure):
         rate = self.rate_above(cut)
         sub_std = math.sqrt(max(sub_var, 0.0))
 
-        def add(inc, xs, dt, rngs):
-            n = xs.shape[0]
-            counts = rngs["jump"].poisson(rate * dt, size=n)
-            total = int(counts.sum())
-            if total:
-                sizes = self.sample_sizes(total, rngs["jump"], cut=cut)
-                np.add.at(inc[:, 0], np.repeat(np.arange(n), counts), sizes)
-            if sub_std > 0.0:
-                inc[:, 0] += sub_std * math.sqrt(dt) * rngs["small"].standard_normal(n)
+        def chunk(n):
+            paths, small = np.arange(n), np.empty(n)
 
-        return JumpSampler(add, np.array([-self.mean_band(cut, r_chi)]), {
+            def add(inc, values, dt, rngs):
+                counts = rngs["jump"].poisson(rate * dt, size=n)
+                total = int(counts.sum())
+                if total:
+                    sizes = self.sample_sizes(total, rngs["jump"], cut=cut)
+                    np.add.at(inc[:, 0], np.repeat(paths, counts), sizes)
+                if sub_std > 0.0:
+                    rngs["small"].standard_normal(out=small)
+                    inc[:, 0] += np.multiply(sub_std * math.sqrt(dt), small, out=small)
+
+            return add
+
+        return JumpSampler(chunk, np.array([-self.mean_band(cut, r_chi)]), {
             "small_jump_cut": cut,
             "substituted_variance": sub_var,
             "discarded_second_moment_bound": self.small_mass_second_moment,
@@ -647,19 +717,76 @@ class Coefficient:
     def is_constant(self) -> bool:
         return self.expr is None
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.is_constant:
-            return np.full(xs.shape[0], self.value)
-        return np.broadcast_to(np.asarray(self.expr.evaluate(xs), dtype=float),
-                               (xs.shape[0],)).copy()
+    def __call__(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The values at the (n, d) states, written into the (n,) array
+        ``out`` if given; an undefined expression raises."""
+        return self._values(xs, out, strict=True)
 
-    def lenient(self, xs: np.ndarray) -> np.ndarray:
+    def lenient(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """As a call, but NaN where the expression is undefined."""
+        return self._values(xs, out, strict=False)
+
+    def _values(self, xs, out, strict: bool) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self.is_constant:
-            return np.full(xs.shape[0], self.value)
-        return np.broadcast_to(np.asarray(self.expr.evaluate_lenient(xs), dtype=float),
-                               (xs.shape[0],)).copy()
+            values = self.value
+        elif strict:
+            values = np.asarray(self.expr.evaluate(xs), dtype=float)
+        else:
+            values = np.asarray(self.expr.evaluate_lenient(xs), dtype=float)
+        if out is None:
+            return np.broadcast_to(values, (xs.shape[0],)).copy()
+        np.copyto(out, values)
+        return out
+
+
+class CoefficientValues:
+    """The values of a model's coefficients at one batch of n states.
+
+    ``blocks`` lists (key, coefficients, shape) triples: ``values[key]``
+    is the (n, *shape) array whose [:, k] entries, in C order, are the
+    k-th coefficient's values, laid out as ``np.stack`` lays out the
+    coefficients' own arrays.  A block whose coefficients are all
+    constant is filled once, when it is first read; ``evaluate(xs)``
+    writes the others' values at the (n, d) states xs, one evaluation
+    per coefficient, and ``carry(other, where)`` copies another batch's
+    values on the rows where ``where`` holds.  The arrays are buffers
+    that the next ``evaluate`` or ``carry`` overwrites: a reader copies
+    what it keeps and never writes into them."""
+
+    def __init__(self, blocks, n: int):
+        self.n = n
+        self.layout, self.arrays, self.varying = {}, {}, []
+        for key, coeffs, shape in blocks:
+            self.layout[key] = (coeffs, shape)
+            if any(c.expr is not None for c in coeffs):
+                self._make(key)
+
+    def _make(self, key) -> np.ndarray:
+        coeffs, shape = self.layout[key]
+        block = self.arrays[key] = np.empty((self.n, *shape))
+        flat = block.reshape(self.n, -1)
+        for k, c in enumerate(coeffs):
+            if c.is_constant:
+                flat[:, k] = c.value
+            else:
+                self.varying.append((c, flat[:, k]))
+        return block
+
+    def __getitem__(self, key) -> np.ndarray:
+        block = self.arrays.get(key)
+        return self._make(key) if block is None else block
+
+    def evaluate(self, xs: np.ndarray, lenient: bool = True) -> "CoefficientValues":
+        """Evaluate every state-dependent coefficient at the (n, d)
+        states xs; with ``lenient`` a failure gives NaN, else it raises."""
+        for c, out in self.varying:
+            (c.lenient if lenient else c)(xs, out=out)
+        return self
+
+    def carry(self, other: "CoefficientValues", where: np.ndarray) -> None:
+        for (_, out), (_, new) in zip(self.varying, other.varying):
+            np.copyto(out, new, where=where)
 
 
 class VectorCoefficient:
@@ -724,9 +851,15 @@ class MeasureFamily:
                     lenient: bool = False):
         """Jump part of the symbol at the (N, d) frequencies xis, with its
         frequency-only part evaluated here, once: the (N,) values when the
-        family is constant, else a function of (N, d) states.  With
-        ``lenient`` a state where the family is undefined gives NaN."""
+        family is constant, else a function of the ``CoefficientValues``
+        at N states, which returns the term in a buffer of its own that
+        the next call overwrites.  With ``lenient`` (values evaluated
+        leniently) a state where the family is undefined gives NaN."""
         raise NotImplementedError
+
+    def coefficient_blocks(self) -> list:
+        """The family's coefficients as ``CoefficientValues`` blocks."""
+        return []
 
     def jump_sampler(self, cutoff: CutoffFunction, q_trace: float,
                      small_jump_cut: float | None) -> JumpSampler:
@@ -777,15 +910,16 @@ class DiscreteMeasureFamily(MeasureFamily):
     def rates_many(self, xs: np.ndarray) -> np.ndarray:
         return np.stack([c(xs) for c in self.rate_coeffs], axis=-1)
 
-    def rates_many_lenient(self, xs: np.ndarray) -> np.ndarray:
-        return np.stack([c.lenient(xs) for c in self.rate_coeffs], axis=-1)
+    def coefficient_blocks(self):
+        """The (n, K) rates, keyed by the family."""
+        return [(self, self.rate_coeffs, (len(self.rate_coeffs),))]
 
     def exponent_at(self, xis, cutoff, lenient=False):
         theta = xis @ self.jumps.T
         chi = cutoff(self.jumps)
         vals = np.exp(1j * theta) - 1.0 - 1j * theta * chi   # (N, K)
-        rates = self.rates_many_lenient if lenient else self.rates_many
-        return lambda xs: np.sum(vals * rates(xs), axis=1)
+        terms, out = np.empty(vals.shape, dtype=complex), np.empty(len(vals), dtype=complex)
+        return lambda values: np.sum(np.multiply(vals, values[self], out=terms), axis=1, out=out)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """Per step, Poisson counts of shape (n, K) from the ``jump``
@@ -793,15 +927,32 @@ class DiscreteMeasureFamily(MeasureFamily):
         A rate that is NaN, infinite or negative draws at rate 0 and
         makes its path's row NaN."""
         chi = cutoff(self.jumps)
+        k, d = self.jumps.shape
 
-        def add(inc, xs, dt, rngs):
-            r = self.rates_many_lenient(xs)
-            ok = np.isfinite(r) & (r >= 0)
-            r = np.where(ok, r, 0.0)
-            inc += rngs["jump"].poisson(r * dt) @ self.jumps - ((r * chi) @ self.jumps) * dt
-            inc[~np.all(ok, axis=1)] = np.nan
+        def chunk(n):
+            r, work = np.empty((n, k)), np.empty((n, k))
+            ok, rate_ok = np.empty((n, k), dtype=bool), np.empty((n, k), dtype=bool)
+            failed = np.empty(n, dtype=bool)
+            jumps, compensator = np.empty((n, d)), np.empty((n, d))
 
-        return JumpSampler(add)
+            def add(inc, values, dt, rngs):
+                rates = values[self]
+                # r = rates where finite and non-negative, else 0
+                np.greater_equal(rates, 0, out=rate_ok)
+                np.logical_and(np.isfinite(rates, out=ok), rate_ok, out=ok)
+                np.copyto(r, 0.0)
+                np.copyto(r, rates, where=ok)
+                counts = rngs["jump"].poisson(np.multiply(r, dt, out=work))
+                np.matmul(counts, self.jumps, out=jumps)
+                np.matmul(np.multiply(r, chi, out=work), self.jumps, out=compensator)
+                np.multiply(compensator, dt, out=compensator)
+                inc += np.subtract(jumps, compensator, out=jumps)
+                np.logical_not(np.logical_and.reduce(ok, axis=1, out=failed), out=failed)
+                np.copyto(inc, np.nan, where=failed[:, None])
+
+            return add
+
+        return JumpSampler(chunk)
 
     def box_violation(self, pts):
         bad = np.any(self.rates_many(pts) < 0, axis=1)
@@ -825,23 +976,34 @@ class StableMeasureFamily(MeasureFamily):
         x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
         return StableMeasure(float(self.alpha_coeff(x)[0]), float(self.scale_coeff(x)[0]))
 
-    def exponent_at(self, xis, cutoff, lenient=False):
-        absxi = np.abs(xis[:, 0])
-        nonzero = absxi > 0
+    def coefficient_blocks(self):
+        return [(self.alpha_coeff, [self.alpha_coeff], ()),
+                (self.scale_coeff, [self.scale_coeff], ())]
 
-        def term(xs):
+    def exponent_at(self, xis, cutoff, lenient=False):
+        """-scale |xi|^alpha, 0 at xi = 0; with ``lenient`` an order
+        outside (0, 2] gives NaN, else it raises."""
+        absxi = np.abs(xis[:, 0])
+        zero = ~(absxi > 0)
+        n = len(xis)
+        alpha_ok, power, out = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
+        in_range, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+
+        def term(values):
+            alpha, scale = values[self.alpha_coeff], values[self.scale_coeff]
             if lenient:
-                alpha = self.alpha_coeff.lenient(xs)
-                scale = self.scale_coeff.lenient(xs)
-                alpha = np.where((alpha > 0) & (alpha <= 2), alpha, np.nan)
-            else:
-                alpha = self.alpha_coeff(xs)
-                scale = self.scale_coeff(xs)
-            if np.any(alpha <= 0) or np.any(alpha > 2):
+                # np.where((alpha > 0) & (alpha <= 2), alpha, nan)
+                np.greater(alpha, 0, out=in_range)
+                np.logical_and(in_range, np.less_equal(alpha, 2, out=below), out=in_range)
+                np.copyto(alpha_ok, np.nan)
+                np.copyto(alpha_ok, alpha, where=in_range)
+                alpha = alpha_ok
+            elif np.any(alpha <= 0) or np.any(alpha > 2):
                 raise ValueError("stable order must stay in (0, 2] on the evaluation set")
             with np.errstate(divide="ignore"):
-                out = np.where(nonzero, scale * absxi ** alpha, 0.0)
-            return (-out).astype(complex)
+                np.multiply(scale, np.power(absxi, alpha, out=power), out=power)
+            np.copyto(power, 0.0, where=zero)
+            return np.negative(power, out=out)
 
         return term
 
@@ -849,12 +1011,21 @@ class StableMeasureFamily(MeasureFamily):
         """As StableMeasure's, at each path's order (clipped to
         [1e-6, 2]) and scale (floored at 0)."""
 
-        def add(inc, xs, dt, rngs):
-            alpha = np.clip(self.alpha_coeff.lenient(xs), 1e-6, 2.0)
-            scale = np.maximum(self.scale_coeff.lenient(xs), 0.0)
-            inc[:, 0] += (scale * dt) ** (1.0 / alpha) * _stable_standard(alpha, rngs["stable"])
+        def chunk(n):
+            draw = _StableDraw(n)
+            alpha, jump = np.empty(n), np.empty(n)
 
-        return JumpSampler(add)
+            def add(inc, values, dt, rngs):
+                draw.orders(np.clip(values[self.alpha_coeff], 1e-6, 2.0, out=alpha))
+                # (scale dt)^(1/alpha) * the standard variate
+                np.maximum(values[self.scale_coeff], 0.0, out=jump)
+                np.multiply(jump, dt, out=jump)
+                np.power(jump, draw.inv, out=jump)
+                inc[:, 0] += np.multiply(jump, draw.draw(rngs["stable"]), out=jump)
+
+            return add
+
+        return JumpSampler(chunk)
 
     def box_violation(self, pts):
         alpha = self.alpha_coeff(pts)
@@ -950,6 +1121,8 @@ class StateModel:
         self.domain_box = np.atleast_2d(np.asarray(domain_box, dtype=float))
         self.sde = sde
         self.name = name
+        # the rate that kills the process: an SDE's sits on its driver
+        self.killing = kill if sde is None else Coefficient(sde.driver.killing_rate, dim)
         if self.domain_box.shape != (dim, 2):
             raise ValueError("domain box must be (d, 2)")
 
@@ -993,86 +1166,138 @@ class StateModel:
             raise ValueError("model is state dependent")
         return self.triplet_at(np.zeros(self.dim))
 
+    def coefficient_blocks(self) -> list:
+        """The coefficients that the simulation and the symbol read, as
+        ``CoefficientValues`` blocks keyed by their holders: the killing
+        rate (``killing``), the (n, d) drift, the (n, d, d) covariance and
+        the measure family's coefficients, or for an SDE the killing rate
+        and f."""
+        if self.sde is not None:
+            f = self.sde.coefficient
+            return [(self.killing, [self.killing], ()), (f, [f], ())]
+        d = self.dim
+        return [(self.kill, [self.kill], ()),
+                (self.drift, self.drift.parts, (d,)),
+                (self.covariance, [c for row in self.covariance.rows for c in row], (d, d)),
+                *self.measures.coefficient_blocks()]
+
+    def coefficient_values(self, xs: np.ndarray, lenient: bool = False) -> CoefficientValues:
+        """The coefficients' values at the (N, d) states xs; with
+        ``lenient`` a coefficient that cannot be evaluated gives NaN
+        instead of raising."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        return CoefficientValues(self.coefficient_blocks(), xs.shape[0]).evaluate(xs, lenient)
+
     def symbol_many(self, xs: np.ndarray, xis: np.ndarray,
                     lenient: bool = False) -> np.ndarray:
         """Frozen-coefficient symbol p(x, xi) over batched inputs
         (both (N, d)); includes the killing rate.  With ``lenient`` a
         coefficient that cannot be evaluated gives NaN in its row
         instead of raising; the other rows keep their bits."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        return self._symbol_rows(xis, lenient)(xs)
+        # a constant model's symbol reads no coefficient values
+        values = None if self.is_constant else self.coefficient_values(xs, lenient)
+        return self._symbol_rows(xis, lenient)(values)
 
-    def symbol_at(self, u, lenient: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-        """p(., u) at one fixed frequency u, as a function of (N, d)
-        states: ``symbol_at(u)(xs)`` equals ``symbol_many(xs, np.tile(u,
-        (N, 1)))`` bit for bit.  The terms that do not depend on the state
-        are evaluated once per batch size N, on the tiled frequency, by
-        the code ``symbol_many`` runs; BLAS products of one row and of N
-        copies of it need not agree in the last bit, so one row is not
-        enough."""
+    def symbol_at(self, u, lenient: bool = False) -> Callable[..., np.ndarray]:
+        """p(., u) at one fixed frequency u: ``symbol_at(u)(xs)`` equals
+        ``symbol_many(xs, np.tile(u, (N, 1)))`` bit for bit.  The returned
+        ``symbol(xs, values=None, out=None)`` reads the coefficients from
+        ``values`` (``coefficient_values(xs, lenient)``, evaluated if not
+        given) and writes into the complex (N,) array ``out`` if given.
+        The terms that do not depend on the state, and scratch buffers
+        for the others, are made once per batch size N, on the tiled
+        frequency, by the code ``symbol_many`` runs; BLAS products of one
+        row and of N copies of it need not agree in the last bit, so one
+        row is not enough.  The buffers make one ``symbol`` unsafe to
+        share between threads."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         by_size = {}
 
-        def symbol(xs):
-            xs = np.atleast_2d(np.asarray(xs, dtype=float))
-            n = xs.shape[0]
-            rows = by_size.get(n)
+        def symbol(xs, values=None, out=None):
+            if values is None:
+                values = self.coefficient_values(xs, lenient)
+            rows = by_size.get(values.n)
             if rows is None:
-                rows = by_size[n] = self._symbol_rows(np.tile(u, (n, 1)), lenient)
-            return rows(xs)
+                rows = by_size[values.n] = self._symbol_rows(np.tile(u, (values.n, 1)), lenient)
+            return rows(values, out)
 
         return symbol
 
-    def _symbol_rows(self, xis: np.ndarray, lenient: bool) -> Callable[[np.ndarray], np.ndarray]:
-        """p(., xi) at the (N, d) frequencies xis as a function of (N, d)
-        states,
+    def _symbol_rows(self, xis: np.ndarray, lenient: bool) -> Callable[..., np.ndarray]:
+        """p(., xi) at the (N, d) frequencies xis as a function
+        ``symbol(values, out=None)`` of the coefficient values at N states
+        (evaluated leniently if ``lenient``),
 
             ((a - i <l, xi>) + <xi, Q xi> / 2) - jump part,
 
-        summed in this order.  A term whose coefficient is constant is
-        evaluated here, once, as is the frequency-only part of the jump
-        term (``MeasureFamily.exponent_at``); a leading run of constant
-        terms is summed here too, all but the last sum, so that every
-        call returns a new array."""
+        summed in this order into out, or into a new array.  A term whose
+        coefficient is constant is evaluated here, once, as is the
+        frequency-only part of the jump term (``MeasureFamily.exponent_at``);
+        a leading run of constant terms is summed here too, all but the
+        last sum.  The state-dependent terms are formed in buffers made
+        here."""
         if self.sde is not None:
-            return lambda xs: self._sde_symbol(xs, xis, lenient)
+            def sde(values, out=None):
+                p = self._sde_symbol(values, xis)
+                if out is None:
+                    return p
+                np.copyto(out, p)
+                return out
 
-        def term(coeff, value):
-            ev = coeff.lenient if lenient else coeff
-            if coeff.is_constant:
-                return value(ev(xis))
-            return lambda xs: value(ev(xs))
+            return sde
+        n = len(xis)
 
-        first = term(self.kill, lambda a: a)
+        if self.kill.is_constant:
+            first = self.kill(xis)
+        else:
+            first = lambda values: values[self.kill]
+
+        if self.drift.is_constant:
+            drift = 1j * np.einsum("nd,nd->n", self.drift(xis), xis)
+        else:
+            real, imag = np.empty(n), np.empty(n, dtype=complex)
+
+            def drift(values):
+                np.einsum("nd,nd->n", values[self.drift], xis, out=real)
+                return np.multiply(1j, real, out=imag)
+
+        if self.covariance.is_constant:
+            covariance = 0.5 * np.einsum("ni,nij,nj->n", xis, self.covariance(xis), xis)
+        else:
+            quad = np.empty(n)
+
+            def covariance(values):
+                np.einsum("ni,nij,nj->n", xis, values[self.covariance], xis, out=quad)
+                return np.multiply(0.5, quad, out=quad)
+
         rest = [
-            (np.subtract, term(self.drift, lambda ell: 1j * np.einsum("nd,nd->n", ell, xis))),
-            (np.add, term(self.covariance,
-                          lambda q: 0.5 * np.einsum("ni,nij,nj->n", xis, q, xis))),
+            (np.subtract, drift),
+            (np.add, covariance),
             (np.subtract, self.measures.exponent_at(xis, self.cutoff, lenient)),
         ]
         while len(rest) > 1 and not callable(first) and not callable(rest[0][1]):
             op, value = rest.pop(0)
             first = op(first, value)
 
-        def symbol(xs):
-            out = first(xs) if callable(first) else first
-            # the first sum makes a new array; the others add into it
+        def symbol(values, out=None):
+            total = first(values) if callable(first) else first
+            # the first sum writes out (or makes a new array); the others add into it
             (op, value), *more = rest
-            out = op(out, value(xs) if callable(value) else value)
+            out = op(total, value(values) if callable(value) else value, out=out)
             for op, value in more:
-                op(out, value(xs) if callable(value) else value, out=out)
+                op(out, value(values) if callable(value) else value, out=out)
             return out
 
         return symbol
 
-    def _sde_symbol(self, xs, xis, lenient):
-        f = (self.sde.coefficient.lenient if lenient else self.sde.coefficient)(xs)  # (N,)
+    def _sde_symbol(self, values, xis):
+        f = values[self.sde.coefficient]  # (N,)
         eff = f[:, None] * xis
         ok = np.isfinite(f)
         if ok.all():
             return self.sde.driver.exponent_many(eff)
-        out = np.full(xs.shape[0], np.nan, dtype=complex)
+        out = np.full(len(f), np.nan, dtype=complex)
         out[ok] = self.sde.driver.exponent_many(eff[ok])
         return out
 

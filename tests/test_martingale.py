@@ -399,3 +399,31 @@ def test_streamed_checks_leave_no_reference_cycles():
         gc.garbage.clear()
         gc.enable()
     assert not ours
+
+
+@pytest.mark.parametrize("name, expression, steps", [
+    ("killed_autonomous", "x1^2", 100),         # the killing rate
+    ("stable_like", "0.3 + 0.4/(1 + x1^2)", 200),  # the stable order
+])
+def test_verify_evaluates_each_coefficient_once_per_step(monkeypatch, tmp_path, name,
+                                                         expression, steps):
+    # the kernel evaluates every state-dependent coefficient once at the
+    # start and once per step, at the proposal; the jump sampler, the
+    # hazard and the observers read those values
+    from symbolkit.cli import main
+    from symbolkit.triplet import Coefficient
+
+    calls = {}
+    lenient = Coefficient.lenient
+
+    def counted(self, xs, *args, **kwargs):
+        if not self.is_constant:
+            text = self.expr.to_text()
+            calls[text] = calls.get(text, 0) + 1
+        return lenient(self, xs, *args, **kwargs)
+
+    monkeypatch.setattr(Coefficient, "lenient", counted)
+    rc = main(["verify", "--model", name, "--suite", "all", "--paths", "10000",
+               "--seed", "1", "--out", str(tmp_path)])
+    assert rc in (0, 1)
+    assert calls == {expression: steps + 1}

@@ -24,9 +24,11 @@ from symbolkit.triplet import (
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
+    DiscreteMeasureFamily,
     LevyTriplet,
     MatrixCoefficient,
     StableMeasure,
+    StableMeasureFamily,
     StateModel,
     VectorCoefficient,
     ZeroMeasure,
@@ -244,13 +246,54 @@ class TestMultiDimensional:
             assert abs(e.mean() - target) <= 3.0 * complex_se(e)
 
 
+def _threaded_runs(bm_triplet):
+    """Runs of 40,000 paths, two full chunks and a part, over every kind
+    of per-chunk buffer: each sampler kind, the SDE driver, hazard
+    killing with a state-dependent covariance, and the snapshot and
+    running-maximum recorders that write into one shared output."""
+    spec = SimSpec(x0=[0.0], horizon=0.2, dt=0.01, n_paths=40_000, rng_seed=93)
+    expr = parse_expression
+    stable_family = _model(0.0, [expr("-x1")], [[0.0]],
+                           StableMeasureFamily(expr("0.8 + 0.7/(1+x1^2)"),
+                                               expr("1 + 0.2*x1^2"), 1))
+    atom_family = _model(expr("0.5 + x1^2"), [0.1], [[0.2]],
+                         DiscreteMeasureFamily([[0.3], [-0.5]], [expr("1 + x1^2"), 2.0], 1))
+    hazard = _model(expr("x1^2"), [expr("-x1")], [[expr("0.5 + 0.1*sin(x1)")]])
+    density = DensityMeasure(expr("exp(-abs(x1))/abs(x1)^1.5"), 1e-3, 20.0)
+    cauchy = StateModel.from_triplet(LevyTriplet(0.3, [0.0], [[0.0]], StableMeasure(1.0, 1.0)))
+    return {
+        "bm": lambda: sample_levy(bm_triplet, spec),
+        "stable_family": lambda: sample_autonomous(stable_family, spec),
+        "atom_family": lambda: sample_autonomous(atom_family, spec),
+        "hazard": lambda: sample_autonomous(hazard, spec),
+        "density": lambda: sample_levy(LevyTriplet(0.0, [0.0], [[0.1]], density), spec),
+        "sde": lambda: sample_sde(expr("1 + 0.5*sin(x1)"),
+                                  LevyTriplet(0.2, [0.0], [[0.0]], StableMeasure(1.5, 1.0)),
+                                  spec),
+        "snapshots": lambda: PathSampler(cauchy, dt=0.01, seed=93).snapshots(
+            [0.0], (0.05, 0.2), 40_000, radii=(0.5, 2.0)),
+        "running_max": lambda: PathSampler(stable_family, dt=0.01, seed=93).running_max(
+            [0.0], (0.05, 0.2), 40_000),
+    }
+
+
+def _arrays(result):
+    if isinstance(result, tuple):
+        return [np.asarray(a) for a in result]
+    return [result.values, result.status, result.invalid]
+
+
 def test_worker_count_does_not_change_results(monkeypatch, bm_triplet):
-    spec = SimSpec(x0=[0.0], horizon=1.0, dt=0.01, n_paths=40_000, rng_seed=93)
-    base = sample_levy(bm_triplet, spec)
-    monkeypatch.setenv("SYMBOLKIT_THREADS", "4")
-    threaded = sample_levy(bm_triplet, spec)
-    assert np.array_equal(base.values, threaded.values, equal_nan=True)
-    assert np.array_equal(base.status, threaded.status)
+    # every chunk owns its step buffers: threads that shared one would
+    # mix their paths' numbers
+    for name, run in _threaded_runs(bm_triplet).items():
+        monkeypatch.setenv("SYMBOLKIT_THREADS", "1")
+        base = _arrays(run())
+        monkeypatch.setenv("SYMBOLKIT_THREADS", "4")
+        threaded = _arrays(run())
+        for a, b in zip(base, threaded, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
