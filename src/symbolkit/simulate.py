@@ -1,13 +1,19 @@
 """Path ensemble generation.
 
-One vectorised stepping kernel (``_run_chunk``, driven chunk by chunk
-by ``_run_ensemble``) serves every output.  After the start and after
-each step it calls ``recorder.record(j, x, status, values)`` with the
-grid index, the (n, d) states, the (n,) status codes and the
-coefficient values at the states (``triplet.CoefficientValues``); rows
-whose status is not finite still hold the last finite state.  The
-kernel can freeze each path at its first grid exit from a ball around
-the start point.
+One driver, ``simulate(model, spec, observers, killing_mode)``, serves
+every output.  It alone cuts the paths into chunks, picks the worker
+count, compiles the dynamics, runs the vectorised stepping kernel
+(``_run_chunk``) on each chunk and writes the seed ledger.  Every
+output is an observer: ``observers`` maps a name to a factory that
+receives the slice of the chunk's path indices, so an observer can
+write straight into its slice of an output that the caller allocated,
+or keep per-path state that ``simulate`` joins in chunk order.  After
+the start and after each step the kernel calls ``record(j, x, status,
+values)`` with the grid index, the (n, d) states, the (n,) status codes
+and the coefficient values at the states
+(``triplet.CoefficientValues``); rows whose status is not finite still
+hold the last finite state.  The kernel can freeze each path at its
+first grid exit from a ball around the start point.
 
 Buffers.  Each chunk makes its step arrays once (the increment, the
 proposal, the norms, the masks, the hazard uniforms) and draws into
@@ -31,15 +37,15 @@ the proposal, and carries the values to the new x where the path moves;
 the jump samplers, the hazard and the observers read them.  The values
 are those an evaluation at x would give, because a coefficient is
 evaluated entry by entry.
-``simulate`` is the streaming entry point: it feeds each chunk a fresh
-set of named observers and joins their per-path state in chunk order.
-Its observers are the full trajectory (``_FullRecorder``, behind
+
+The observers: the full trajectory (``_FullRecorder``, behind
 ``sample_levy``, ``sample_autonomous`` and ``sample_sde``, which return
-an ``Ensemble``) and the martingale checks' accumulators
-(``martingale.run_checks``), which keep no (paths x steps) array.  The
-other recorders are stopped snapshots at chosen times
-(``snapshot_run``) and the running maximum
-(``PathSampler.running_max``).
+an ``Ensemble``); the per-path CSV files of ``simulate --out``
+(``PathWriter``, which holds one chunk's trajectory at a time); stopped
+snapshots at chosen times (``snapshot_run``); the running maximum
+(``PathSampler.running_max``); and the martingale checks' accumulators
+(``martingale.run_checks``).  Only the first holds a (paths x steps)
+array.  No other code drives the kernel.
 
 One snapshot run serves every stopping radius of a probe.  The kernel
 freezes paths at the largest radius; the snapshot recorder holds each
@@ -64,18 +70,21 @@ The dynamics are chosen by the entry point:
 * ``sample_sde`` -- Euler scheme dX = f(X) dZ against a constant driver.
 
 Snapshots and running maxima use the exact clock when the killing rate
-is constant (or sits on an SDE driver) and hazard killing otherwise.
+is constant (or sits on an SDE driver) and hazard killing otherwise
+(``_killing_mode``); the ``simulate`` and ``verify`` commands choose by
+the model kind instead (``cli._killing_mode``).
 
 The kernel knows no measure kind.  Each step it puts the drift (with
 the constant part of the jump compensator) and the Gaussian part into
 the increment array, then asks the model's measure family for the
-jumps: ``measures.jump_sampler(...)`` is built once per run and its
-``add_increments`` adds them in place.  The measure owns its random
-streams (``jump``, ``stable``, ``small``); ``triplet.py`` records what
-each kind draws, in order and shape.  The stable sampler draws both of
-its uniforms every step but evaluates only the branch it returns:
-tan(u) where the order is 1, the Chambers-Mallows-Stuck formula
-elsewhere, both only when a step mixes the two.
+jumps: ``measures.jump_sampler(...)`` is built once per run, and the
+step function that its ``for_chunk(n)`` makes adds them in place.  The
+measure owns its random streams (``jump``, ``stable``, ``small``);
+``triplet.py`` records what each kind draws, in order and shape.  The
+stable sampler draws both of its uniforms every step but evaluates only
+the branch it returns: tan(u) where the order is 1, the
+Chambers-Mallows-Stuck formula elsewhere, both only when a step mixes
+the two.
 
 Determinism contract: draws come from per-(seed, purpose, chunk)
 substreams with a fixed chunk size, so results are bit-identical for a
@@ -100,7 +109,6 @@ from .extended import (
     STATUS_FINITE,
     STATUS_INFINITY,
 )
-from .serialize import dump_json
 from .triplet import Coefficient, CoefficientValues, LevyTriplet, SdeBlock, StateModel
 from .expr import Expression
 
@@ -108,6 +116,7 @@ __all__ = [
     "SimSpec",
     "Ensemble",
     "PathSampler",
+    "PathWriter",
     "sample_levy",
     "sample_autonomous",
     "sample_sde",
@@ -163,8 +172,10 @@ class SimSpec:
             raise ValueError("horizon must be at least one step")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-        if not self.explosion_threshold > float(np.linalg.norm(self.x0)):
-            raise ValueError("explosion threshold must exceed |x0|")
+        norm = float(np.linalg.norm(self.x0))
+        if not self.explosion_threshold > norm:
+            raise ValueError(f"explosion threshold {self.explosion_threshold} must exceed "
+                             f"|x0| = {norm}")
 
     @property
     def n_steps(self) -> int:
@@ -203,24 +214,19 @@ class SimSpec:
 class Ensemble:
     """Simulated paths on a shared time grid, columnar storage."""
 
-    def __init__(self, times, values, status, spec: SimSpec, seed_ledger,
-                 invalid=None, model_name: str = "model", bias_notes=None):
+    def __init__(self, times, values, status, spec: SimSpec, seed_ledger, invalid,
+                 bias_notes):
         self.times = np.asarray(times, dtype=float)
         self.values = values          # (n, m, d)
         self.status = status          # (n, m) int8
         self.spec = spec
         self.seed_ledger = seed_ledger
-        self.invalid = invalid if invalid is not None else np.zeros(values.shape[0], bool)
-        self.model_name = model_name
-        self.bias_notes = bias_notes or {}
+        self.invalid = invalid
+        self.bias_notes = bias_notes
 
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
 
     @property
     def invalid_count(self) -> int:
@@ -238,34 +244,6 @@ class Ensemble:
 
     def time_index(self, t: float) -> int:
         return self.spec.time_index(t)
-
-    def e_xi_at(self, t: float, xi) -> np.ndarray:
-        """Per-path e_xi(X_t - x0): complex phase on finite states, zero
-        on cemetery states."""
-        j = self.time_index(t)
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        vals = self.values[:, j, :] - self.spec.x0
-        out = np.exp(1j * (vals @ xi))
-        out[self.status[:, j] != STATUS_FINITE] = 0.0
-        out[self.invalid] = np.nan
-        return out
-
-    def export(self, outdir) -> None:
-        out = FsPath(outdir)
-        (out / "paths").mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "schema": "symbolkit-ensemble/1",
-            "model": self.model_name,
-            "spec": self.spec.to_json(),
-            "seed_ledger": self.seed_ledger,
-            "invalid_count": self.invalid_count,
-            "bias_notes": self.bias_notes,
-        }
-        with open(out / "manifest.json", "w") as fh:
-            fh.write(dump_json(manifest))
-        width = max(5, len(str(self.n_paths - 1)))
-        for i in range(self.n_paths):
-            self.path(i).to_csv(out / "paths" / f"path_{i:0{width}d}.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +382,41 @@ def _batched_cholesky(q: np.ndarray) -> np.ndarray:
 # recorders
 
 class _FullRecorder:
-    def __init__(self, n, n_steps, dim):
-        self.values = np.full((n, n_steps + 1, dim), np.nan)
-        self.status = np.zeros((n, n_steps + 1), dtype=np.int8)
+    """Every grid state and status, written into one chunk's slices
+    ``values`` (n, m, d) and ``status`` (n, m) of the run's output."""
+
+    def __init__(self, values, status):
+        self.values, self.status = values, status
 
     def record(self, j, x, status, values):
         np.copyto(self.values[:, j, :], x, where=(status == STATUS_FINITE)[:, None])
         self.status[:, j] = status
 
-    def per_path(self):
-        return self.values, self.status
+
+class PathWriter(_FullRecorder):
+    """Writes its chunk's paths of ``spec`` into ``folder`` at the last
+    step, one ``extended.Path`` CSV file per path named by its index in
+    the run, and then frees them: ``simulate`` keeps every chunk's
+    observers until the run ends."""
+
+    def __init__(self, folder, spec: SimSpec, paths: slice):
+        m = spec.n_steps + 1
+        n = paths.stop - paths.start
+        super().__init__(np.full((n, m, spec.x0.shape[0]), np.nan),
+                         np.zeros((n, m), dtype=np.int8))
+        self.folder, self.spec, self.start, self.last = FsPath(folder), spec, paths.start, m - 1
+        self.width = max(5, len(str(spec.n_paths - 1)))
+
+    def record(self, j, x, status, values):
+        super().record(j, x, status, values)
+        if j == self.last:
+            self.folder.mkdir(parents=True, exist_ok=True)
+            times = self.spec.times
+            for i in range(self.status.shape[0]):
+                Path(times, self.values[i], self.status[i], dt=self.spec.dt,
+                     validate=False).to_csv(
+                    self.folder / f"path_{self.start + i:0{self.width}d}.csv")
+            self.values = self.status = None
 
 
 class _Tee:
@@ -427,16 +430,18 @@ class _Tee:
             obs.record(j, x, status, values)
 
     def per_path(self) -> dict:
-        return {name: obs.per_path() for name, obs in self.observers.items()}
+        return {name: obs.per_path() for name, obs in self.observers.items()
+                if hasattr(obs, "per_path")}
 
 
 class _SnapshotRecorder:
     """State and status at the snapshot indices, one slot per stopping
     radius, written into one chunk's slices ``values`` (T, n, R, d) and
-    ``status`` (T, n, R) of the run's output, plus each radius's count of
-    paths that left its ball in the first step.  The kernel freezes paths
-    at the largest radius itself; a smaller radius is watched here: a
-    path is held, finite, at its first grid exit from that ball."""
+    ``status`` (T, n, R) of the run's output; ``per_path()`` flags, per
+    path and radius, an exit from the ball in the first step.  The kernel
+    freezes paths at the largest radius itself; a smaller radius is
+    watched here: a path is held, finite, at its first grid exit from
+    that ball."""
 
     def __init__(self, values, status, snap_idx, center, radii):
         n, dim = values.shape[1], values.shape[3]
@@ -444,7 +449,7 @@ class _SnapshotRecorder:
         self.values, self.status = values, status
         self.center = center
         self.radii = radii
-        self.first_step_frozen = np.zeros(len(radii), dtype=np.int64)
+        self.first_step_left = np.empty((n, len(radii)), dtype=bool)
         # slot: (held mask, held states) of each radius below the largest
         self.watched = {r: (np.zeros(n, dtype=bool), np.empty((n, dim)))
                         for r, k in enumerate(radii) if k < max(radii)}
@@ -458,7 +463,7 @@ class _SnapshotRecorder:
             dist = _norm(np.subtract(x, self.center, out=self.diff), out=self.dist,
                          sq=self.diff)
             if j == 1:
-                self.first_step_frozen += [int((dist > k).sum()) for k in self.radii]
+                np.greater(dist[:, None], self.radii, out=self.first_step_left)
             new = self.new
             for r, (held, held_x) in self.watched.items():
                 np.greater(dist, self.radii[r], out=new)
@@ -476,6 +481,9 @@ class _SnapshotRecorder:
                 held, held_x = self.watched[r]
                 np.copyto(self.values[k, :, r], held_x, where=held[:, None])
                 np.copyto(self.status[k, :, r], STATUS_FINITE, where=held)
+
+    def per_path(self):
+        return self.first_step_left
 
 
 class _MaxRecorder:
@@ -599,42 +607,6 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
     return recorder, invalid, status
 
 
-def _run_ensemble(model: StateModel, x0: np.ndarray, n_paths: int, n_steps: int,
-                  dt: float, seed: int, expl: float, killing_mode: str,
-                  small_jump_cut, recorder_factory, stop_radius: float = math.inf):
-    """Run the kernel over n_paths in chunks of CHUNK_SIZE; each chunk's
-    recorder is ``recorder_factory(paths)``, paths the slice of the
-    chunk's path indices."""
-    dyn = _Dynamics(model, dt, small_jump_cut, killing_mode)
-    chunks = []
-    start = 0
-    cid = 0
-    while start < n_paths:
-        size = min(CHUNK_SIZE, n_paths - start)
-        chunks.append((cid, start, size))
-        start += size
-        cid += 1
-
-    def work(args):
-        cid, start, size = args
-        return _run_chunk(dyn, x0, size, n_steps, dt, seed, cid, expl,
-                          recorder_factory(slice(start, start + size)), stop_radius)
-
-    workers = _worker_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
-
-    ledger = [{
-        "chunk": cid,
-        "paths": [start, start + size],
-        "streams": {name: [seed, code, cid] for name, code in _PURPOSES.items()},
-    } for cid, start, size in chunks]
-    return results, ledger, dyn
-
-
 def _killing_mode(model: StateModel) -> str:
     """Exact clock for a constant rate (an SDE's sits on its constant
     driver), hazard otherwise."""
@@ -669,22 +641,42 @@ class Simulation:
         return (self.status != STATUS_INFINITY) & ~self.invalid
 
 
-def simulate(model: StateModel, spec: SimSpec, observers: dict,
-             killing_mode: str) -> Simulation:
-    """Run the kernel once over the paths of ``spec``.  ``observers``
-    maps a name to a factory ``n -> observer``; every chunk of n paths
-    gets a fresh set, fed ``record(j, x, status, values)`` after the
-    start and after each step, and each observer's ``per_path()`` state
-    is joined in chunk order.  ``killing_mode`` is "clock" (exact exponential
-    clock, constant rate) or "hazard"."""
+def simulate(model: StateModel, spec: SimSpec, observers: dict, killing_mode: str,
+             stop_radius: float = math.inf) -> Simulation:
+    """Run the kernel once over the paths of ``spec``, in chunks of
+    CHUNK_SIZE paths on up to SYMBOLKIT_THREADS workers.  ``observers``
+    maps a name to a factory ``paths -> observer``, paths the slice of
+    the chunk's path indices; every chunk gets a fresh set, fed
+    ``record(j, x, status, values)`` after the start and after each step,
+    and the ``per_path()`` state of each observer that has one is joined
+    in chunk order.  ``killing_mode`` is "clock" (exact exponential
+    clock, constant rate) or "hazard"; each path freezes at its first
+    grid exit from the ball of radius ``stop_radius`` around x0."""
     if spec.x0.shape[0] != model.dim:
         raise ValueError("x0 dimension mismatch")
-    results, ledger, dyn = _run_ensemble(
-        model, spec.x0, spec.n_paths, spec.n_steps, spec.dt, spec.rng_seed,
-        spec.explosion_threshold, killing_mode, spec.small_jump_cut,
-        lambda paths: _Tee({name: make(paths.stop - paths.start)
-                            for name, make in observers.items()}),
-    )
+    dyn = _Dynamics(model, spec.dt, spec.small_jump_cut, killing_mode)
+    n_steps, seed = spec.n_steps, spec.rng_seed
+    chunks = [slice(start, min(start + CHUNK_SIZE, spec.n_paths))
+              for start in range(0, spec.n_paths, CHUNK_SIZE)]
+
+    def work(cid):
+        paths = chunks[cid]
+        tee = _Tee({name: make(paths) for name, make in observers.items()})
+        return _run_chunk(dyn, spec.x0, paths.stop - paths.start, n_steps, spec.dt, seed,
+                          cid, spec.explosion_threshold, tee, stop_radius)
+
+    workers = _worker_count()
+    if workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(work, range(len(chunks))))
+    else:
+        results = [work(cid) for cid in range(len(chunks))]
+
+    ledger = [{
+        "chunk": cid,
+        "paths": [paths.start, paths.stop],
+        "streams": {name: [seed, code, cid] for name, code in _PURPOSES.items()},
+    } for cid, paths in enumerate(chunks)]
     return Simulation(
         observed=_join([tee.per_path() for tee, _, _ in results]),
         status=np.concatenate([status for _, _, status in results]),
@@ -697,19 +689,19 @@ def sample_levy(triplet: LevyTriplet, spec: SimSpec) -> Ensemble:
     """Simulate a constant-triplet ensemble with an exact exponential
     killing clock when the killing rate is positive."""
     model = StateModel.from_triplet(triplet)
-    return _sample(model, spec, killing_mode="clock", name="levy")
+    return _sample(model, spec, killing_mode="clock")
 
 
 def sample_autonomous(model: StateModel, spec: SimSpec) -> Ensemble:
     """Euler scheme for a state-dependent model with hazard killing and
     explosion absorption."""
-    return _sample(model, spec, killing_mode="hazard", name=model.name)
+    return _sample(model, spec, killing_mode="hazard")
 
 
 def sample_sde(f, driver: LevyTriplet, spec: SimSpec) -> Ensemble:
     """Euler scheme for dX = f(X-) dZ with a constant driving triplet."""
     model = make_sde_model(f, driver)
-    return _sample(model, spec, killing_mode="clock", name="sde")
+    return _sample(model, spec, killing_mode="clock")
 
 
 def make_sde_model(f, driver: LevyTriplet) -> StateModel:
@@ -729,13 +721,14 @@ def make_sde_model(f, driver: LevyTriplet) -> StateModel:
     )
 
 
-def _sample(model: StateModel, spec: SimSpec, killing_mode: str, name: str) -> Ensemble:
-    n_steps = spec.n_steps
-    sim = simulate(model, spec, {"full": lambda n: _FullRecorder(n, n_steps, model.dim)},
+def _sample(model: StateModel, spec: SimSpec, killing_mode: str) -> Ensemble:
+    # every chunk writes its paths' slice of the output
+    values = np.full((spec.n_paths, spec.n_steps + 1, model.dim), np.nan)
+    status = np.zeros(values.shape[:2], dtype=np.int8)
+    sim = simulate(model, spec,
+                   {"full": lambda paths: _FullRecorder(values[paths], status[paths])},
                    killing_mode)
-    values, status = sim.observed["full"]
-    return Ensemble(spec.times, values, status, spec, sim.ledger, sim.invalid,
-                    model_name=name, bias_notes=sim.bias_notes)
+    return Ensemble(spec.times, values, status, spec, sim.ledger, sim.invalid, sim.bias_notes)
 
 
 def snap_times(times, dt: float) -> tuple[list[int], np.ndarray]:
@@ -753,8 +746,7 @@ def snap_times(times, dt: float) -> tuple[list[int], np.ndarray]:
 
 
 def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed: int,
-                 killing_mode: str = "auto", radii=(math.inf,),
-                 explosion_threshold: float = 1e9, small_jump_cut=None):
+                 radii=(math.inf,), explosion_threshold: float = 1e9, small_jump_cut=None):
     """Evolve ``n`` paths and capture state and status at the requested
     times only, once per stopping radius: slot r holds each path at
     min(t, its first grid exit from the closed ball of radius radii[r]
@@ -763,24 +755,22 @@ def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed:
     first_step_frozen (R,)), the last counting the paths that left each
     ball in the first step.  One run serves every radius (see the module
     docstring)."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     radii = tuple(float(r) for r in radii)
     if not radii or not all(r > 0 for r in radii):
         raise ValueError(f"stopping radii must be positive, got {list(radii)}")
-    if killing_mode == "auto":
-        killing_mode = _killing_mode(model)
     snap_idx, actual = snap_times(snap_times_req, dt)
+    spec = SimSpec(x0=x0, horizon=max(snap_idx) * dt, dt=dt, n_paths=n, rng_seed=seed,
+                   explosion_threshold=explosion_threshold, small_jump_cut=small_jump_cut)
     # every chunk writes its paths' slice of the output
     values = np.full((len(snap_idx), n, len(radii), model.dim), np.nan)
     status = np.zeros((len(snap_idx), n, len(radii)), dtype=np.int8)
-    results, _, _ = _run_ensemble(
-        model, x0, n, max(snap_idx), dt, seed, explosion_threshold, killing_mode,
-        small_jump_cut,
-        lambda paths: _SnapshotRecorder(values[:, paths], status[:, paths], snap_idx, x0, radii),
-        stop_radius=max(radii),
+    sim = simulate(
+        model, spec,
+        {"snap": lambda paths: _SnapshotRecorder(values[:, paths], status[:, paths],
+                                                 snap_idx, spec.x0, radii)},
+        _killing_mode(model), stop_radius=max(radii),
     )
-    frozen_first = sum(r.first_step_frozen for r, _, _ in results)
-    return actual, values, status, frozen_first
+    return actual, values, status, sim.observed["snap"].sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -804,14 +794,15 @@ class PathSampler:
         """Running maximum of |X_s - x0| captured at the requested times
         (snapped to the dt grid); returns (actual_times, (n, T) array).
         Cemetery states count as +inf."""
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         dt = self.dt if dt is None else dt
         snap_idx, actual = snap_times(times, dt)
+        spec = SimSpec(x0=x0, horizon=max(snap_idx) * dt, dt=dt, n_paths=n, rng_seed=self.seed,
+                       explosion_threshold=self.explosion_threshold,
+                       small_jump_cut=self.small_jump_cut)
         # every chunk writes its paths' slice of the output
         out = np.zeros((len(snap_idx), n))
-        _run_ensemble(
-            self.model, x0, n, max(snap_idx), dt, self.seed, self.explosion_threshold,
-            _killing_mode(self.model), self.small_jump_cut,
-            lambda paths: _MaxRecorder(out[:, paths], snap_idx, self.model.dim, x0),
-        )
+        simulate(self.model, spec,
+                 {"max": lambda paths: _MaxRecorder(out[:, paths], snap_idx, self.model.dim,
+                                                    spec.x0)},
+                 _killing_mode(self.model))
         return actual, out.T

@@ -807,10 +807,6 @@ class VectorCoefficient:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return np.stack([p(xs) for p in self.parts], axis=-1)
 
-    def lenient(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.stack([p.lenient(xs) for p in self.parts], axis=-1)
-
 
 class MatrixCoefficient:
     def __init__(self, specs: Sequence[Sequence], dim: int):
@@ -829,11 +825,6 @@ class MatrixCoefficient:
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         cols = [np.stack([c(xs) for c in row], axis=-1) for row in self.rows]
-        return np.stack(cols, axis=-2)
-
-    def lenient(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        cols = [np.stack([c.lenient(xs) for c in row], axis=-1) for row in self.rows]
         return np.stack(cols, axis=-2)
 
 

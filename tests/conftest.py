@@ -1,7 +1,3 @@
-import importlib.util
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 from symbolkit import (
@@ -50,20 +46,3 @@ def bm_model(bm_triplet):
 @pytest.fixture
 def cauchy_model(cauchy_triplet):
     return StateModel.from_triplet(cauchy_triplet)
-
-
-def complex_se(samples: np.ndarray) -> float:
-    n = samples.shape[0]
-    return float(np.sqrt((samples.real.var(ddof=1) + samples.imag.var(ddof=1)) / n))
-
-
-DATA = Path(__file__).parent / "data"
-
-
-def load_data_module(name: str):
-    """Import the capture script ``tests/data/<name>.py``, which defines
-    the cases behind one of the pinned data files."""
-    spec = importlib.util.spec_from_file_location(name, DATA / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.stats import norm
 
 from symbolkit.expr import Binary, Const, ExpressionDomainError, Unary, Var
+from symbolkit.extended import STATUS_FINITE
 
 
 def bm_max_abs_cdf(r: float, t: float, terms: int = 30) -> float:
@@ -146,3 +147,14 @@ def _walk(e, xs: list[float]) -> float:
     if e.op == "max":
         return max(a, b)
     raise AssertionError(e.op)
+
+
+def e_xi_at(ens, t: float, xi) -> np.ndarray:
+    """Per-path e_xi(X_t - x0) of a stored ensemble: the complex phase on
+    finite states, zero on cemetery states, NaN on invalid paths."""
+    j = ens.time_index(t)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    out = np.exp(1j * ((ens.values[:, j, :] - ens.spec.x0) @ xi))
+    out[ens.status[:, j] != STATUS_FINITE] = 0.0
+    out[ens.invalid] = np.nan
+    return out

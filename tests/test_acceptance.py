@@ -46,8 +46,8 @@ from symbolkit.triplet import (
     eval_exponent,
 )
 
-from conftest import complex_se
-from oracles import bm_max_abs_exceed, expr_reference
+from helpers import complex_se
+from oracles import bm_max_abs_exceed, e_xi_at, expr_reference
 
 N_BIG = 100_000
 
@@ -95,7 +95,7 @@ def test_criterion_01_levy_exponent_identity():
         ens = sample_levy(tri, spec)
         for t in t_grid:
             for xi in xi_grid:
-                e = ens.e_xi_at(t, [xi])
+                e = e_xi_at(ens, t, [xi])
                 target = np.exp(-t * eval_exponent(tri, [xi]))
                 err = abs(e.mean() - target)
                 se = complex_se(e)

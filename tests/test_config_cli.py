@@ -340,3 +340,20 @@ def test_quadrature_error_exit_code(tmp_path, capsys, monkeypatch):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["symbol", "--x", "2", "--xi", "1"],
+    ["maximal", "--x0", "2"],
+    ["scaling", "--x0", "2", "--t-grid", "0.01,0.1,1", "--direction", "zero",
+     "--lambdas", "4"],
+    ["simulate", "--x0", "2"],
+    ["verify", "--x0", "2"],
+])
+def test_explosion_threshold_below_start_exit_code(tmp_path, capsys, args):
+    # a start point on or outside the explosion threshold would count
+    # every path as exploded at once
+    model = _write(tmp_path, {**BASE, "simulation": {"explosion_threshold": 1}})
+    rc = main([*args, "--model", str(model), "--paths", "100", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "explosion threshold 1.0 must exceed |x0| = 2.0" in capsys.readouterr().err

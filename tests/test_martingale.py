@@ -35,7 +35,8 @@ from symbolkit.triplet import (
     ZeroMeasure,
 )
 
-from conftest import load_data_module
+from helpers import load_data_module
+from oracles import e_xi_at
 
 DATA = FsPath(__file__).parent / "data"
 CAPTURE = load_data_module("capture_martingale_reports")
@@ -135,10 +136,10 @@ class TestExponentialMartingale:
         ens = sample_levy(cp_triplet, _spec(n=10_000, dt=0.05, seed=79))
         rep = exponential_martingale_check(ens, cp_triplet, [1.0], (0.5, 1.0))
         from symbolkit.triplet import eval_exponent
-        from conftest import complex_se
+        from helpers import complex_se
         verdicts = []
         for t in (0.5, 1.0):
-            e = ens.e_xi_at(t, [1.0])
+            e = e_xi_at(ens, t, [1.0])
             target = np.exp(-t * eval_exponent(cp_triplet, [1.0]))
             verdicts.append(abs(e.mean() - target) <= 3 * complex_se(e))
         assert rep.passed == all(verdicts)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import symbolkit
+import symbolkit.simulate as simulate_module
 from symbolkit.cli import main
+from symbolkit.config import compile_model, load_config, resolve_model_path
 from symbolkit.expr import parse_expression
 from symbolkit.extended import STATUS_DELTA, STATUS_FINITE, STATUS_INFINITY
 from symbolkit.simulate import (
@@ -35,7 +38,8 @@ from symbolkit.triplet import (
     eval_exponent,
 )
 
-from conftest import complex_se, load_data_module
+from helpers import complex_se, load_data_module
+from oracles import e_xi_at
 
 DATA = FsPath(__file__).parent / "data"
 N_UNIT = 20_000
@@ -75,7 +79,7 @@ class TestSampleLevy:
 
     def test_cauchy_empirical_cf(self, cauchy_triplet):
         ens = sample_levy(cauchy_triplet, _spec(seed=4))
-        e = ens.e_xi_at(1.0, [1.0])
+        e = e_xi_at(ens, 1.0, [1.0])
         target = math.exp(-1.0)
         assert abs(e.mean() - target) <= 3.0 * complex_se(e)
 
@@ -85,7 +89,7 @@ class TestSampleLevy:
             ens = sample_levy(tri, _spec(seed=seed, dt=0.05))
             for t in (0.25, 0.5, 1.0):
                 for xi in (-1.0, 0.5, 2.0):
-                    e = ens.e_xi_at(t, [xi])
+                    e = e_xi_at(ens, t, [xi])
                     target = np.exp(-t * eval_exponent(tri, [xi]))
                     assert abs(e.mean() - target) <= 3.0 * complex_se(e) + 1e-12, (t, xi)
 
@@ -119,7 +123,7 @@ class TestDensitySimulation:
         ens = sample_levy(tri, _spec(n=40_000, dt=0.01, seed=9))
         assert "small_jump_cut" in ens.bias_notes
         for xi in (0.7, 1.5):
-            e = ens.e_xi_at(1.0, [xi])
+            e = e_xi_at(ens, 1.0, [xi])
             target = np.exp(-eval_exponent(tri, [xi]))
             # allow the documented substitution bias on top of MC noise
             tol = 3.0 * complex_se(e) + 2e-3
@@ -193,15 +197,56 @@ class TestSampleSde:
         assert abs(xT.mean() - 1.0) <= 3.0 * xT.std() / math.sqrt(N_UNIT)
 
 
+BUNDLED = sorted(f.stem for f in (FsPath(symbolkit.__file__).parent / "models").glob("*.model"))
+
+
+def _export(out, model, *args):
+    return main(["simulate", "--model", model, "--out", str(out), *args])
+
+
 class TestEnsembleExport:
-    def test_export_manifest_and_paths(self, tmp_path, bm_triplet):
-        ens = sample_levy(bm_triplet, _spec(n=3, dt=0.25))
-        ens.export(tmp_path)
+    def test_export_manifest_and_paths(self, tmp_path):
+        assert _export(tmp_path, "bm", "--paths", "3", "--dt", "0.25") == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["schema"] == "symbolkit-ensemble/1"
+        assert manifest["model"] == "bm"
         assert manifest["spec"]["n_paths"] == 3
         files = sorted((tmp_path / "paths").glob("*.csv"))
-        assert len(files) == 3
+        assert [f.name for f in files] == [f"path_{i:05d}.csv" for i in range(3)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_export_streams_the_sampled_paths(self, monkeypatch, tmp_path, name, threads):
+        # the files written chunk by chunk equal the stored ensemble's
+        # paths byte for byte, over several chunks and at any worker count
+        assert len(BUNDLED) == 9
+        monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 16)
+        monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+        out = tmp_path / "cli"
+        assert _export(out, name, "--paths", "40", "--horizon", "0.2", "--dt", "0.02") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [c["paths"] for c in manifest["seed_ledger"]] == [[0, 16], [16, 32], [32, 40]]
+        monkeypatch.setenv("SYMBOLKIT_THREADS", "1")
+        cfg = load_config(resolve_model_path(name))
+        model = compile_model(cfg)
+        spec = SimSpec(**manifest["spec"])
+        if cfg.mode == "levy":
+            ens = sample_levy(model.constant_triplet(), spec)
+        elif cfg.mode == "sde":
+            ens = sample_sde(model.sde.coefficient, model.sde.driver, spec)
+        else:
+            ens = sample_autonomous(model, spec)
+        assert manifest["model"] == name
+        assert manifest["invalid_count"] == ens.invalid_count
+        assert manifest["seed_ledger"] == ens.seed_ledger
+        assert manifest["bias_notes"] == json.loads(json.dumps(ens.bias_notes))
+        files = sorted((out / "paths").iterdir())
+        assert len(files) == 40
+        for i, f in enumerate(files):
+            ref = tmp_path / "ref.csv"
+            ens.path(i).to_csv(ref)
+            assert f.name == f"path_{i:05d}.csv"
+            assert f.read_bytes() == ref.read_bytes(), f.name
 
     def test_snapshots_match_full_run(self, bm_triplet, bm_model):
         # the snapshot runner must agree with the full ensemble sharing
@@ -230,7 +275,7 @@ class TestMultiDimensional:
         ens = sample_levy(tri, SimSpec(x0=[0.0, 0.0], horizon=1.0, dt=0.05,
                                        n_paths=N_UNIT, rng_seed=91))
         for xi in ([1.0, 0.0], [0.5, -1.0]):
-            e = ens.e_xi_at(1.0, xi)
+            e = e_xi_at(ens, 1.0, xi)
             target = np.exp(-eval_exponent(tri, xi))
             assert abs(e.mean() - target) <= 3.0 * complex_se(e)
 
@@ -241,7 +286,7 @@ class TestMultiDimensional:
         ens = sample_levy(tri, SimSpec(x0=[0.0, 0.0], horizon=1.0, dt=0.02,
                                        n_paths=N_UNIT, rng_seed=92))
         for xi in ([1.0, 1.0], [-0.7, 0.2]):
-            e = ens.e_xi_at(1.0, xi)
+            e = e_xi_at(ens, 1.0, xi)
             target = np.exp(-eval_exponent(tri, xi))
             assert abs(e.mean() - target) <= 3.0 * complex_se(e)
 

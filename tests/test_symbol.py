@@ -30,7 +30,7 @@ from symbolkit.triplet import (
     eval_exponent,
 )
 
-from conftest import load_data_module
+from helpers import load_data_module
 
 DATA = FsPath(__file__).parent / "data"
 CAPTURE = load_data_module("capture_symbol_reports")

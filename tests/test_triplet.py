@@ -32,7 +32,7 @@ from symbolkit.triplet import (
     eval_symbol,
 )
 
-from conftest import load_data_module
+from helpers import load_data_module
 from oracles import grid_max_ratio, stable_standard_reference
 
 
