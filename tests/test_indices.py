@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,10 @@ from symbolkit.triplet import (
     eval_symbol,
 )
 
+from helpers import DATA, load_data_module
 from oracles import bm_max_abs_exceed, brute_quantity_H
+
+CAPTURE = load_data_module("capture_index_reports")
 
 
 def test_kappa_limit_and_monotonicity():
@@ -243,3 +247,12 @@ def test_symbol_known_real_propagates_unrelated_errors(monkeypatch, bm_model):
     monkeypatch.setattr(ZeroMeasure, "is_symmetric", failing(RuntimeError("unrelated")))
     with pytest.raises(RuntimeError, match="unrelated"):
         _symbol_known_real(bm_model)
+
+
+def test_index_reports_bit_identical():
+    # every report field, bit for bit, as captured by
+    # tests/data/capture_index_reports.py
+    pinned = json.loads((DATA / "index_reports.json").read_text())
+    got = CAPTURE.capture()
+    assert sorted(got) == sorted(pinned)
+    assert [case for case in pinned if got[case] != pinned[case]] == []
