@@ -9,6 +9,8 @@ directory given by --out (created on demand).
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from pathlib import Path as FsPath
 
@@ -181,8 +183,13 @@ def _symbol_failed(rep) -> bool:
 
 
 def _cmd_indices(args) -> int:
+    for flag, r in (("--rmin", args.rmin), ("--rmax", args.rmax)):
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"{flag} {r}: need a finite positive radius")
+    if not args.rmin < args.rmax:
+        raise ValueError(f"--rmax {args.rmax} must exceed --rmin {args.rmin}")
     cfg, model = _load(args.model)
-    x = np.asarray(_floats(args.x), dtype=float) if args.x else None
+    x = _vector(args.x, cfg.dim, "--x") if args.x else None
     direction = {"origin": "origin", "infinity": "infinity"}[args.direction]
     c0 = None
     if args.sector_from_grid:
@@ -286,7 +293,10 @@ def _cmd_maximal(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args does
+    not change it."""
     p = argparse.ArgumentParser(prog="symbolkit",
                                 description="Levy-type process toolkit")
     p.add_argument("--version", action="version", version=f"symbolkit {__version__}")

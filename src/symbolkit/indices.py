@@ -10,6 +10,14 @@ with kappa = 1 / (4 arctan(1 / (2 c0))) from the sector constant c0
 the model's domain box.  Suprema are grid suprema; the grids used are
 part of every report.
 
+H and h over a grid of radii come from one symbol evaluation per
+quantity and block of consecutive radii, a block holding at most
+GRID_PAIRS_PER_CALL (state, frequency) pairs, with each radius's
+suprema read from its slice.  A model whose jump measure couples the
+frequencies of one evaluation (a density measure: its adaptive
+quadrature shares panels across all frequencies of a call) runs one
+radius per evaluation, so its values do not depend on the grid.
+
 Power-law decay of H and h in R yields eight scaling indices: the
 R -> infinity family (indices at the origin) and the R -> 0 family
 (indices at infinity).  Local log-log slopes over the tail decade stand
@@ -101,48 +109,80 @@ def _y_grid(model: StateModel, R: float, x=None, y_box=None,
     return pts
 
 
-def _sup_over_eps(model: StateModel, ys: np.ndarray, scale: float,
-                  eps_grid: np.ndarray, reduce_re: bool) -> np.ndarray:
-    """For each y: sup over the eps grid of |p(y, eps*scale)| (or of
-    Re p when reduce_re)."""
-    n_y, n_e = ys.shape[0], eps_grid.shape[0]
-    xs = np.repeat(ys, n_e, axis=0)
-    xis = np.tile(eps_grid * scale, (n_y, 1))
-    vals = model.symbol_many(xs, xis).reshape(n_y, n_e)
-    table = vals.real if reduce_re else np.abs(vals)
-    return table.max(axis=1)
+# (state, frequency) pairs per symbol_many call of _radius_grid; like
+# QUAD_WORK_ITEMS, enough for every one-dimensional grid of radii
+GRID_PAIRS_PER_CALL = 1 << 17
+
+
+def _couples_frequencies(model: StateModel) -> bool:
+    """Whether the model's jump part at one frequency depends on the
+    other frequencies of a symbol_many call (density quadrature)."""
+    if model.sde is not None:
+        return model.sde.driver.measure.couples_frequencies
+    return model.measures.couples_frequencies
+
+
+def _radius_grid(model: StateModel, R, c0=None, x=None, y_box=None,
+                 y_resolution: int = 41, eps_grid: np.ndarray | None = None) -> np.ndarray:
+    """H at each radius of the grid R, or h when a sector constant c0
+    (a number or a ConditionEstimate) is given.
+
+    At radius r each state y of the r-grid takes the sup over the eps
+    grid of |p(y, eps / r)| (of Re p(y, eps / (4 kappa r)) for h); H is
+    their max over the states, h their min.  Consecutive radii share one
+    symbol_many call of at most GRID_PAIRS_PER_CALL pairs; a radius over
+    that budget, or any radius of a model whose measure couples the
+    frequencies of a call, has a call of its own."""
+    R = np.atleast_1d(np.asarray(R, dtype=float))
+    if not np.all(R > 0):
+        raise ValueError("R must be positive")
+    if c0 is None:
+        scale = 1.0 / R
+    else:
+        if isinstance(c0, ConditionEstimate):
+            if not c0.satisfied:
+                raise SectorConditionError("sector condition failed on the probe grid")
+            c0 = c0.constant
+        scale = 1.0 / (4.0 * kappa(float(c0)) * R)
+    if eps_grid is None:
+        eps_grid = _unit_ball_grid(model.dim)
+    n_e = eps_grid.shape[0]
+    ys = [_y_grid(model, r, x=x, y_box=y_box, resolution=y_resolution) for r in R]
+    pairs = np.array([y.shape[0] * n_e for y in ys])
+    budget = 0 if _couples_frequencies(model) else GRID_PAIRS_PER_CALL
+    out = np.empty(len(R))
+    start = 0
+    while start < len(R):
+        stop = start + 1
+        while stop < len(R) and pairs[start:stop + 1].sum() <= budget:
+            stop += 1
+        block = range(start, stop)
+        xs = np.concatenate([np.repeat(ys[i], n_e, axis=0) for i in block])
+        xis = np.concatenate([np.tile(eps_grid * scale[i], (ys[i].shape[0], 1))
+                              for i in block])
+        vals = model.symbol_many(xs, xis)
+        table = np.abs(vals) if c0 is None else vals.real
+        for i, part in zip(block, np.split(table, np.cumsum(pairs[start:stop])[:-1])):
+            per_y = part.reshape(-1, n_e).max(axis=1)
+            out[i] = per_y.max() if c0 is None else per_y.min()
+        start = stop
+    return out
 
 
 def quantity_H(model: StateModel, R: float, x=None, y_box=None,
                y_resolution: int = 41, eps_grid: np.ndarray | None = None) -> float:
     """Grid supremum of |p(y, eps/R)| over the state ball (or box) and
     the unit frequency ball."""
-    if not R > 0:
-        raise ValueError("R must be positive")
-    if eps_grid is None:
-        eps_grid = _unit_ball_grid(model.dim)
-    ys = _y_grid(model, R, x=x, y_box=y_box, resolution=y_resolution)
-    per_y = _sup_over_eps(model, ys, 1.0 / R, eps_grid, reduce_re=False)
-    return float(per_y.max())
+    return float(_radius_grid(model, R, x=x, y_box=y_box, y_resolution=y_resolution,
+                              eps_grid=eps_grid)[0])
 
 
 def quantity_h(model: StateModel, R: float, c0, x=None, y_box=None,
                y_resolution: int = 41, eps_grid: np.ndarray | None = None) -> float:
     """Grid inf over states of the sup over frequencies of
     Re p(y, eps/(4 kappa R)); requires the sector condition."""
-    if not R > 0:
-        raise ValueError("R must be positive")
-    if isinstance(c0, ConditionEstimate):
-        if not c0.satisfied:
-            raise SectorConditionError("sector condition failed on the probe grid")
-        c0 = c0.constant
-    c0 = float(c0)
-    if eps_grid is None:
-        eps_grid = _unit_ball_grid(model.dim)
-    k = kappa(c0)
-    ys = _y_grid(model, R, x=x, y_box=y_box, resolution=y_resolution)
-    per_y = _sup_over_eps(model, ys, 1.0 / (4.0 * k * R), eps_grid, reduce_re=True)
-    return float(per_y.min())
+    return float(_radius_grid(model, R, c0, x=x, y_box=y_box, y_resolution=y_resolution,
+                              eps_grid=eps_grid)[0])
 
 
 @dataclass
@@ -232,6 +272,8 @@ def estimate_indices(model: StateModel, R_min: float, R_max: float,
         raise ValueError("direction must be 'origin' or 'infinity'")
     if n_points < 16:
         raise ValueError("need at least 16 grid points")
+    if not (math.isfinite(R_max) and 0 < R_min < R_max):
+        raise ValueError(f"need finite 0 < R_min < R_max, got R_min={R_min}, R_max={R_max}")
     if R_max / R_min < 1000 * (1 - 1e-9):
         raise ValueError("R range must span at least three decades")
     if direction == "infinity" and x is None:
@@ -240,7 +282,7 @@ def estimate_indices(model: StateModel, R_min: float, R_max: float,
     R = np.geomspace(R_min, R_max, n_points)
     notes: list[str] = []
     x_arr = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-    H_vals = np.array([quantity_H(model, r, x=x_arr, y_box=y_box) for r in R])
+    H_vals = _radius_grid(model, R, x=x_arr, y_box=y_box)
 
     h_vals = None
     kap = None
@@ -248,8 +290,7 @@ def estimate_indices(model: StateModel, R_min: float, R_max: float,
     if c0 is not None or _symbol_known_real(model):
         try:
             c0_eff = c0 if c0 is not None else 0.0
-            h_vals = np.array([quantity_h(model, r, c0_eff, x=x_arr, y_box=y_box)
-                               for r in R])
+            h_vals = _radius_grid(model, R, c0_eff, x=x_arr, y_box=y_box)
             c0_val = c0_eff.constant if isinstance(c0_eff, ConditionEstimate) else float(c0_eff)
             kap = kappa(c0_val)
         except SectorConditionError as err:
@@ -376,14 +417,14 @@ def verify_maximal_inequality(sampler: PathSampler, model: StateModel, x,
     t_grid = tuple(float(t) for t in t_actual)
     half = maxima[: n_paths // 2]
 
-    H = np.array([quantity_H(model, r, x=x) for r in R_grid])
+    H = _radius_grid(model, R_grid, x=x)
     h = None
     notes = []
     try:
         c0_eff = c0 if c0 is not None else (0.0 if _symbol_known_real(model) else None)
         if c0_eff is None:
             raise SectorConditionError("no sector estimate supplied")
-        h = np.array([quantity_h(model, r, c0_eff, x=x) for r in R_grid])
+        h = _radius_grid(model, R_grid, c0_eff, x=x)
     except SectorConditionError as err:
         notes.append(f"lower ratio skipped: {err}")
 

@@ -167,7 +167,13 @@ class LevyMeasure:
     to be subtracted from the polynomial part of the exponent, and the
     JumpSampler of a run with cut-off chi, Gaussian covariance trace
     q_trace (d if state dependent) and an optional small-jump cut.
+
+    ``couples_frequencies`` is true when the exponent at one frequency
+    depends on the other frequencies of the same ``exponent_term`` call,
+    so that its bits change with the batch.
     """
+
+    couples_frequencies = False
 
     def exponent_term(self, xis: np.ndarray, cutoff: CutoffFunction) -> np.ndarray:
         raise NotImplementedError
@@ -412,8 +418,12 @@ class DensityMeasure(LevyMeasure):
     Every integral over the support folds the two sides onto
     eps <= y <= y_max and runs through ``_integrate``, one adaptive
     Gauss–Kronrod rule that evaluates the density once per refinement
-    round on all new nodes.
+    round on all new nodes.  The frequencies of one ``exponent_term``
+    call share their panels, so each frequency's value depends on the
+    others in the call (``couples_frequencies``).
     """
+
+    couples_frequencies = True
 
     def __init__(self, density, eps: float, y_max: float):
         if not (0 < eps < y_max):
@@ -835,6 +845,8 @@ class MeasureFamily:
     """Jump measures N(x, dy) indexed by the state, with the same
     jump sampler protocol as LevyMeasure."""
 
+    couples_frequencies = False
+
     def at(self, x: np.ndarray) -> LevyMeasure:
         raise NotImplementedError
 
@@ -878,6 +890,10 @@ class ConstantMeasureFamily(MeasureFamily):
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         return self.measure.jump_sampler(cutoff, q_trace, small_jump_cut)
+
+    @property
+    def couples_frequencies(self):
+        return self.measure.couples_frequencies
 
     @property
     def is_constant(self):

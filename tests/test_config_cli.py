@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symbolkit
 from symbolkit.cli import main
 from symbolkit.config import (
     ModelConfigError,
@@ -357,3 +362,48 @@ def test_explosion_threshold_below_start_exit_code(tmp_path, capsys, args):
     rc = main([*args, "--model", str(model), "--paths", "100", "--out", str(tmp_path)])
     assert rc == 2
     assert "explosion threshold 1.0 must exceed |x0| = 2.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--rmin", "0"], "--rmin 0.0: need a finite positive radius"),
+    (["--rmin", "nan"], "--rmin nan: need a finite positive radius"),
+    (["--rmin=-1"], "--rmin -1.0: need a finite positive radius"),
+    (["--rmax", "inf"], "--rmax inf: need a finite positive radius"),
+    (["--x", "nan"], "--x 'nan': need 1 finite number(s)"),
+    (["--x", "1,2"], "--x '1,2': need 1 finite number(s) for a 1-dimensional model"),
+])
+def test_indices_invalid_input_exit_code(tmp_path, capsys, args, message):
+    rc = main(["indices", "--model", "stable_like", "--direction", "infinity", "--x", "0",
+               "--rmin", "1e-6", "--rmax", "1e-2", "--out", str(tmp_path), *args])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_commands_in_one_process_match_separate_runs(tmp_path):
+    # the parser is built once per process; a second command through it
+    # writes the same files as a fresh process does
+    commands = [
+        ["conditions", "--model", "killed_levy"],
+        ["indices", "--model", "stable_like", "--direction", "infinity", "--x", "0.5",
+         "--rmin", "1e-6", "--rmax", "1e-2"],
+    ]
+    src = str(Path(symbolkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for i, cmd in enumerate(commands):
+        subprocess.run([sys.executable, "-m", "symbolkit", *cmd,
+                        "--out", str(tmp_path / "separate" / str(i))],
+                       env=env, check=True, capture_output=True)
+    with pytest.raises(SystemExit) as version:
+        main(["--version"])
+    assert version.value.code == 0
+    for i, cmd in enumerate(commands):
+        assert main([*cmd, "--out", str(tmp_path / "shared" / str(i))]) == 0
+    separate = sorted(p.relative_to(tmp_path / "separate")
+                      for p in (tmp_path / "separate").rglob("*") if p.is_file())
+    shared = sorted(p.relative_to(tmp_path / "shared")
+                    for p in (tmp_path / "shared").rglob("*") if p.is_file())
+    assert separate == shared and len(shared) == 3
+    for rel in shared:
+        assert (tmp_path / "shared" / rel).read_bytes() == \
+            (tmp_path / "separate" / rel).read_bytes()

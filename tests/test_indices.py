@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from symbolkit.config import bundled_model_path, load_model
+from symbolkit.expr import parse_expression
 from symbolkit.indices import (
+    GRID_PAIRS_PER_CALL,
     estimate_indices,
     kappa,
     quantity_H,
@@ -15,10 +17,16 @@ from symbolkit.indices import (
 )
 from symbolkit.simulate import PathSampler
 from symbolkit.triplet import (
+    Coefficient,
+    ConstantMeasureFamily,
+    CutoffFunction,
+    DensityMeasure,
     LevyTriplet,
+    MatrixCoefficient,
     SectorConditionError,
     StableMeasure,
     StateModel,
+    VectorCoefficient,
     ZeroMeasure,
     check_sector,
     eval_symbol,
@@ -130,6 +138,10 @@ class TestIndexEstimation:
             estimate_indices(bm_model, 1.0, 1e5, 8, "origin")
         with pytest.raises(ValueError):
             estimate_indices(bm_model, 1.0, 1e5, 16, "infinity")
+        for r_min, r_max in ((0.0, 1e5), (math.nan, 1e5), (-1.0, 1e5), (1e-6, math.inf),
+                             (1e5, 1.0)):
+            with pytest.raises(ValueError, match="need finite 0 < R_min < R_max"):
+                estimate_indices(bm_model, r_min, r_max, 16, "origin")
 
     def test_report_serialisation(self, tmp_path, bm_model):
         rep = estimate_indices(bm_model, 1e2, 1e6, 16, "origin")
@@ -256,3 +268,49 @@ def test_index_reports_bit_identical():
     got = CAPTURE.capture()
     assert sorted(got) == sorted(pinned)
     assert [case for case in pinned if got[case] != pinned[case]] == []
+
+
+def _symbol_calls(monkeypatch, model, *args, **kwargs) -> list[int]:
+    """The pair count of each StateModel.symbol_many call made by
+    estimate_indices(model, *args, **kwargs)."""
+    calls = []
+    symbol_many = StateModel.symbol_many
+
+    def counting(self, xs, xis, lenient=False):
+        calls.append(len(xs))
+        return symbol_many(self, xs, xis, lenient)
+
+    monkeypatch.setattr(StateModel, "symbol_many", counting)
+    estimate_indices(model, *args, **kwargs)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["stable_like", "cauchy"])
+def test_one_symbol_call_per_quantity(monkeypatch, name):
+    # all 16 radii of H share one call, and so do those of h
+    calls = _symbol_calls(monkeypatch, load_model(bundled_model_path(name)),
+                          1e2, 1e6, 16, "origin")
+    assert len(calls) == 2
+    assert all(n <= GRID_PAIRS_PER_CALL for n in calls)
+
+
+def test_density_keeps_one_call_per_radius(monkeypatch):
+    # the density's quadrature couples the frequencies of a call
+    density = DensityMeasure(parse_expression("exp(-abs(x1))/abs(x1)^1.5", dim=1),
+                             eps=1e-3, y_max=20.0)
+    model = StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[0.0]], density))
+    assert len(_symbol_calls(monkeypatch, model, 1e2, 1e6, 16, "origin")) == 32
+
+
+def test_grid_over_budget_runs_one_radius_per_call(monkeypatch):
+    # 41 x 41 states times 513 frequencies exceed the budget at each
+    # radius; the drift makes the symbol complex, so h is skipped
+    model = StateModel(
+        dim=2, kill=Coefficient(parse_expression("0.1*x1^2 + x2^2", dim=2), 2),
+        drift=VectorCoefficient([0.5, 0.0], 2),
+        covariance=MatrixCoefficient([[1.0, 0.0], [0.0, 1.0]], 2),
+        measures=ConstantMeasureFamily(ZeroMeasure()), cutoff=CutoffFunction(),
+        domain_box=np.array([[-10.0, 10.0], [-10.0, 10.0]]))
+    calls = _symbol_calls(monkeypatch, model, 1e2, 1e6, 16, "origin")
+    assert calls == [41 * 41 * 513] * 16
+    assert calls[0] > GRID_PAIRS_PER_CALL
