@@ -45,12 +45,40 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _linspace_spec(text: str) -> np.ndarray:
-    """Parse "lo:hi:n" into a linear grid, or a comma list into points."""
-    if ":" in text:
-        lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
-    return np.asarray(_floats(text))
+_NUMBERS = {
+    "numbers": lambda v: True,
+    "finite numbers": math.isfinite,
+    "finite positive numbers": lambda v: math.isfinite(v) and v > 0,
+}
+
+
+def _numbers(text: str, flag: str, kind: str = "numbers") -> list[float]:
+    """A comma list of one or more ``kind`` (a key of _NUMBERS)."""
+    try:
+        values = _floats(text)
+    except ValueError:
+        values = []
+    if not values or not all(map(_NUMBERS[kind], values)):
+        raise ValueError(f"{flag} {text!r}: need one or more {kind}")
+    return values
+
+
+def _linspace_spec(text: str, flag: str) -> np.ndarray:
+    """Parse "lo:hi:n" into a linear grid, or a comma list into points;
+    every point must be finite."""
+    try:
+        if ":" in text:
+            lo, hi, n = text.split(":")
+            with np.errstate(invalid="ignore"):
+                grid = np.linspace(float(lo), float(hi), int(n))
+        else:
+            grid = np.asarray(_floats(text))
+    except ValueError:
+        grid = None
+    if grid is None or not np.all(np.isfinite(grid)):
+        raise ValueError(f"{flag} {text!r}: need \"lo:hi:n\" or a comma list, "
+                         f"with finite points")
+    return grid
 
 
 def _load(spec: str):
@@ -94,13 +122,6 @@ def _make_spec(x0, dt, seed, n_paths, horizon, expl, cut) -> SimSpec:
                    explosion_threshold=expl, small_jump_cut=cut)
 
 
-def _killing_mode(cfg) -> str:
-    """The killing mode of ``simulate`` and ``verify``: the exact clock
-    for levy and sde models, hazard killing for autonomous ones even at a
-    constant rate."""
-    return "hazard" if cfg.mode == "autonomous" else "clock"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -108,8 +129,7 @@ def _cmd_simulate(args) -> int:
     cfg, model = _load(args.model)
     spec = _make_spec(*_sim_args(cfg, args))
     folder = FsPath(args.out) / "paths"
-    sim = simulate(model, spec, {"paths": lambda paths: PathWriter(folder, spec, paths)},
-                   _killing_mode(cfg))
+    sim = simulate(model, spec, {"paths": lambda paths: PathWriter(folder, spec, paths)})
     out = _outdir(args)
     invalid = int(sim.invalid.sum())
     manifest = {
@@ -142,13 +162,13 @@ def _cmd_symbol(args) -> int:
     sampler = PathSampler(model=model, dt=settings.step, seed=seed,
                           explosion_threshold=expl, small_jump_cut=cut)
     base = settings.k_radius
-    out = _outdir(args)
     failed = False
     if args.xi_grid:
-        grid = _linspace_spec(args.xi_grid)
+        grid = _linspace_spec(args.xi_grid, "--xi-grid")
         if grid.size == 0:
             raise ValueError(f"--xi-grid {args.xi_grid}: no frequency")
         reports = estimate_symbol_grid(sampler, x, grid, [base], settings)[base]
+        out = _outdir(args)
         write_grid_csv(out / "symbol_grid.csv", reports)
         for rep in reports:
             failed |= _symbol_failed(rep)
@@ -156,11 +176,13 @@ def _cmd_symbol(args) -> int:
     else:
         if args.xi is None:
             raise ValueError("symbol needs --xi or --xi-grid")
+        xi = _numbers(args.xi, "--xi", "finite numbers")
         radii = tuple(_floats(args.radii)) if args.radii else ()
         # the base radius is simulated with the --radii, once
-        probes = estimate_symbol_grid(sampler, x, [_floats(args.xi)],
+        probes = estimate_symbol_grid(sampler, x, [xi],
                                       radii if base in radii else (base, *radii), settings)
         rep = probes[base][0]
+        out = _outdir(args)
         rep.write_json(out / "symbol_report.json")
         print(f"analytic {rep.analytic:.6g}  estimate {rep.extrapolated:.6g} "
               f"(stderr {rep.extrapolated_stderr:.3g})")
@@ -193,8 +215,10 @@ def _cmd_indices(args) -> int:
     direction = {"origin": "origin", "infinity": "infinity"}[args.direction]
     c0 = None
     if args.sector_from_grid:
-        xg = _linspace_spec(args.sector_x_grid).reshape(-1, 1) if cfg.dim == 1 else None
-        kg = _linspace_spec(args.sector_xi_grid).reshape(-1, 1) if cfg.dim == 1 else None
+        xg = _linspace_spec(args.sector_x_grid, "--sector-x-grid").reshape(-1, 1) \
+            if cfg.dim == 1 else None
+        kg = _linspace_spec(args.sector_xi_grid, "--sector-xi-grid").reshape(-1, 1) \
+            if cfg.dim == 1 else None
         c0 = check_sector(model, xg, kg)
     rep = estimate_indices(model, args.rmin, args.rmax, n_points=args.points,
                            direction=direction, x=x, c0=c0)
@@ -217,8 +241,8 @@ def _cmd_conditions(args) -> int:
     if cfg.dim != 1:
         print("conditions grids are one-dimensional in this build", file=sys.stderr)
         return 2
-    xg = _linspace_spec(args.x_grid).reshape(-1, 1)
-    kg = _linspace_spec(args.xi_grid).reshape(-1, 1)
+    xg = _linspace_spec(args.x_grid, "--x-grid").reshape(-1, 1)
+    kg = _linspace_spec(args.xi_grid, "--xi-grid").reshape(-1, 1)
     growth = check_growth(model, xg, kg)
     sector = check_sector(model, xg, kg)
     out = _outdir(args)
@@ -244,7 +268,7 @@ def _cmd_verify(args) -> int:
                                                    _vector(args.u, cfg.dim, "--u"), t_grid)
         elif cfg.mode != "sde":
             checks[suite] = canonical_representation(model, spec)
-    reports = run_checks(checks, model, spec, _killing_mode(cfg)) if checks else {}
+    reports = run_checks(checks, model, spec) if checks else {}
     out = _outdir(args)
     all_passed = True
     for suite in suites:
@@ -265,8 +289,9 @@ def _cmd_scaling(args) -> int:
     sampler = PathSampler(model=model, dt=dt, seed=seed,
                           explosion_threshold=expl, small_jump_cut=cut)
     direction = {"zero": "zero", "infinity": "infinity"}[args.direction]
-    t_grid = _floats(args.t_grid)
-    rep = scaling_diagnostic(sampler, x0, _floats(args.lambdas), t_grid,
+    t_grid = _numbers(args.t_grid, "--t-grid")
+    lambdas = _numbers(args.lambdas, "--lambdas", "finite positive numbers")
+    rep = scaling_diagnostic(sampler, x0, lambdas, t_grid,
                              direction, n_paths=n_paths)
     out = _outdir(args)
     with open(out / "scaling.json", "w") as fh:
@@ -281,8 +306,10 @@ def _cmd_maximal(args) -> int:
     x0, dt, seed, n_paths, _, expl, cut = _sim_args(cfg, args)
     sampler = PathSampler(model=model, dt=dt, seed=seed,
                           explosion_threshold=expl, small_jump_cut=cut)
-    rep = verify_maximal_inequality(sampler, model, x0, _floats(args.t_grid),
-                                    _floats(args.r_grid), n_paths)
+    rep = verify_maximal_inequality(sampler, model, x0, _numbers(args.t_grid, "--t-grid"),
+                                    _numbers(args.r_grid, "--r-grid",
+                                             "finite positive numbers"),
+                                    n_paths)
     out = _outdir(args)
     with open(out / "maximal_inequality.json", "w") as fh:
         fh.write(dump_json(rep.to_json()))

@@ -35,7 +35,13 @@ import numpy as np
 from .expr import ExpressionDomainError
 from .serialize import dump_json, write_csv
 from .simulate import PathSampler
-from .triplet import ConditionEstimate, SectorConditionError, StateModel
+from .triplet import (
+    ConditionEstimate,
+    ConstantMeasureFamily,
+    SectorConditionError,
+    StableMeasureFamily,
+    StateModel,
+)
 
 __all__ = [
     "IndexReport",
@@ -60,34 +66,37 @@ def kappa(c0: float) -> float:
     return 1.0 / (4.0 * math.atan(1.0 / (2.0 * c0)))
 
 
-def _unit_ball_grid(dim: int, n_dirs: int = 64, n_radii: int = 8,
-                    include_zero: bool = True) -> np.ndarray:
+# the frequency grid over the unit ball: directions (in two or more
+# dimensions) times radii, plus the origin
+BALL_DIRECTIONS, BALL_RADII = 64, 8
+# the state grid: points per axis, lowered until the grid holds at most
+# Y_GRID_CAP points
+Y_RESOLUTION, Y_GRID_CAP = 41, 2048
+
+
+def _unit_ball_grid(dim: int) -> np.ndarray:
     """Grid over the closed unit ball with the boundary covered densely."""
     if dim == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif dim == 2:
-        ang = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * math.pi, BALL_DIRECTIONS, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     else:
         rng = np.random.default_rng(20240501)
-        raw = rng.standard_normal((n_dirs, dim))
+        raw = rng.standard_normal((BALL_DIRECTIONS, dim))
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    radii = np.linspace(1.0 / n_radii, 1.0, n_radii)
+    radii = np.linspace(1.0 / BALL_RADII, 1.0, BALL_RADII)
     pts = (dirs[None, :, :] * radii[:, None, None]).reshape(-1, dim)
-    if include_zero:
-        pts = np.concatenate([np.zeros((1, dim)), pts], axis=0)
-    return pts
+    return np.concatenate([np.zeros((1, dim)), pts], axis=0)
 
 
-def _y_grid(model: StateModel, R: float, x=None, y_box=None,
-            resolution: int = 41, cap: int = 2048) -> np.ndarray:
+def _y_grid(model: StateModel, R: float, x=None) -> np.ndarray:
     """State grid: the ball |y - x| <= 2R intersected with the domain
     box, or the whole box for the global quantities.  Constant models
     collapse to a single representative point."""
     if model.is_constant:
         return np.zeros((1, model.dim))
-    box = np.atleast_2d(np.asarray(y_box, dtype=float)) if y_box is not None \
-        else model.domain_box
+    box = model.domain_box
     d = model.dim
     if x is not None:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -95,8 +104,8 @@ def _y_grid(model: StateModel, R: float, x=None, y_box=None,
         hi = np.minimum(box[:, 1], x + 2.0 * R)
     else:
         lo, hi = box[:, 0], box[:, 1]
-    res = resolution
-    while res ** d > cap and res > 3:
+    res = Y_RESOLUTION
+    while res ** d > Y_GRID_CAP and res > 3:
         res -= 2
     axes = [np.linspace(lo[k], hi[k], res) for k in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -122,8 +131,7 @@ def _couples_frequencies(model: StateModel) -> bool:
     return model.measures.couples_frequencies
 
 
-def _radius_grid(model: StateModel, R, c0=None, x=None, y_box=None,
-                 y_resolution: int = 41, eps_grid: np.ndarray | None = None) -> np.ndarray:
+def _radius_grid(model: StateModel, R, c0=None, x=None) -> np.ndarray:
     """H at each radius of the grid R, or h when a sector constant c0
     (a number or a ConditionEstimate) is given.
 
@@ -144,10 +152,9 @@ def _radius_grid(model: StateModel, R, c0=None, x=None, y_box=None,
                 raise SectorConditionError("sector condition failed on the probe grid")
             c0 = c0.constant
         scale = 1.0 / (4.0 * kappa(float(c0)) * R)
-    if eps_grid is None:
-        eps_grid = _unit_ball_grid(model.dim)
+    eps_grid = _unit_ball_grid(model.dim)
     n_e = eps_grid.shape[0]
-    ys = [_y_grid(model, r, x=x, y_box=y_box, resolution=y_resolution) for r in R]
+    ys = [_y_grid(model, r, x=x) for r in R]
     pairs = np.array([y.shape[0] * n_e for y in ys])
     budget = 0 if _couples_frequencies(model) else GRID_PAIRS_PER_CALL
     out = np.empty(len(R))
@@ -169,20 +176,16 @@ def _radius_grid(model: StateModel, R, c0=None, x=None, y_box=None,
     return out
 
 
-def quantity_H(model: StateModel, R: float, x=None, y_box=None,
-               y_resolution: int = 41, eps_grid: np.ndarray | None = None) -> float:
+def quantity_H(model: StateModel, R: float, x=None) -> float:
     """Grid supremum of |p(y, eps/R)| over the state ball (or box) and
     the unit frequency ball."""
-    return float(_radius_grid(model, R, x=x, y_box=y_box, y_resolution=y_resolution,
-                              eps_grid=eps_grid)[0])
+    return float(_radius_grid(model, R, x=x)[0])
 
 
-def quantity_h(model: StateModel, R: float, c0, x=None, y_box=None,
-               y_resolution: int = 41, eps_grid: np.ndarray | None = None) -> float:
+def quantity_h(model: StateModel, R: float, c0, x=None) -> float:
     """Grid inf over states of the sup over frequencies of
     Re p(y, eps/(4 kappa R)); requires the sector condition."""
-    return float(_radius_grid(model, R, c0, x=x, y_box=y_box, y_resolution=y_resolution,
-                              eps_grid=eps_grid)[0])
+    return float(_radius_grid(model, R, c0, x=x)[0])
 
 
 @dataclass
@@ -258,7 +261,7 @@ def _local_slopes(R: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def estimate_indices(model: StateModel, R_min: float, R_max: float,
                      n_points: int = 16, direction: str = "origin",
-                     x=None, c0=None, y_box=None) -> IndexReport:
+                     x=None, c0=None) -> IndexReport:
     """Estimate the four indices in the requested direction from grid
     slopes of H (and of h when the sector condition holds).
 
@@ -282,7 +285,7 @@ def estimate_indices(model: StateModel, R_min: float, R_max: float,
     R = np.geomspace(R_min, R_max, n_points)
     notes: list[str] = []
     x_arr = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-    H_vals = _radius_grid(model, R, x=x_arr, y_box=y_box)
+    H_vals = _radius_grid(model, R, x=x_arr)
 
     h_vals = None
     kap = None
@@ -290,7 +293,7 @@ def estimate_indices(model: StateModel, R_min: float, R_max: float,
     if c0 is not None or _symbol_known_real(model):
         try:
             c0_eff = c0 if c0 is not None else 0.0
-            h_vals = _radius_grid(model, R, c0_eff, x=x_arr, y_box=y_box)
+            h_vals = _radius_grid(model, R, c0_eff, x=x_arr)
             c0_val = c0_eff.constant if isinstance(c0_eff, ConditionEstimate) else float(c0_eff)
             kap = kappa(c0_val)
         except SectorConditionError as err:
@@ -357,11 +360,10 @@ def _symbol_known_real(model: StateModel) -> bool:
             return False
         if np.any(model.drift.constant_value() != 0.0):
             return False
-        if not model.measures.is_constant:
+        if not isinstance(model.measures, ConstantMeasureFamily):
             # state-dependent symmetric families: stable is symmetric
-            from .triplet import StableMeasureFamily
             return isinstance(model.measures, StableMeasureFamily)
-        return model.measures.at(np.zeros(model.dim)).is_symmetric()
+        return model.measures.measure.is_symmetric()
     except ExpressionDomainError:
         return False
 

@@ -326,13 +326,11 @@ class Check:
                            ens.valid)
 
 
-def run_checks(checks: dict, model: StateModel, spec: SimSpec,
-               killing_mode: str) -> dict:
+def run_checks(checks: dict, model: StateModel, spec: SimSpec) -> dict:
     """Run every check inside one simulation of ``model`` under ``spec``
-    and ``killing_mode`` (see ``simulate.simulate``); returns the reports
-    by the checks' keys."""
-    sim = simulate(model, spec, {name: c.observer for name, c in checks.items()},
-                   killing_mode)
+    (``simulate.simulate``, whose killing follows the model's rate);
+    returns the reports by the checks' keys."""
+    sim = simulate(model, spec, {name: c.observer for name, c in checks.items()})
     valid = sim.valid
     return {name: c.report(sim.observed[name], valid) for name, c in checks.items()}
 

@@ -1,6 +1,6 @@
 """Path ensemble generation.
 
-One driver, ``simulate(model, spec, observers, killing_mode)``, serves
+One driver, ``simulate(model, spec, observers, stop_radius)``, serves
 every output.  It alone cuts the paths into chunks, picks the worker
 count, compiles the dynamics, runs the vectorised stepping kernel
 (``_run_chunk``) on each chunk and writes the seed ledger.  Every
@@ -58,21 +58,22 @@ the run stopped at that radius.  The exception is a state-dependent
 atom family: its Poisson counts are drawn at the paths' current rates,
 so the smaller radii get other draws of the same law.
 
-The dynamics are chosen by the entry point:
+The entry points build the model; the dynamics follow from it:
 
 * ``sample_levy`` -- constant triplet, exact-in-law increments per step
-  (Gaussian part, Poisson counts per atom, stable increments) and an
-  exact exponential killing clock when the killing rate is positive;
+  (Gaussian part, Poisson counts per atom, stable increments);
 * ``sample_autonomous`` -- Euler scheme freezing the state-dependent
-  triplet at the left endpoint of each step, with hazard killing
-  (probability 1 - exp(-abar dt) per step, abar the endpoint average)
-  and absorption at the explosion threshold;
+  triplet at the left endpoint of each step, with absorption at the
+  explosion threshold;
 * ``sample_sde`` -- Euler scheme dX = f(X) dZ against a constant driver.
 
-Snapshots and running maxima use the exact clock when the killing rate
-is constant (or sits on an SDE driver) and hazard killing otherwise
-(``_killing_mode``); the ``simulate`` and ``verify`` commands choose by
-the model kind instead (``cli._killing_mode``).
+One killing rule, decided by ``_Dynamics`` from the rate that kills
+(``StateModel.killing``; an SDE's sits on its constant driver): an
+exact exponential clock (the ``clock`` stream, one draw per path) when
+the rate is constant, and hazard killing (probability 1 - exp(-abar dt)
+per step from the ``hazard`` stream, abar the endpoint average of the
+rate) when it depends on the state.  Every entry point and command
+follows it.
 
 The kernel knows no measure kind.  Each step it puts the drift (with
 the constant part of the jump compensator) and the Gaussian part into
@@ -255,31 +256,28 @@ class _Dynamics:
     family's JumpSampler.  Buffers live in each chunk's ``scratch(n)``,
     never here."""
 
-    def __init__(self, model: StateModel, dt: float, small_jump_cut: float | None,
-                 killing_mode: str):
+    def __init__(self, model: StateModel, dt: float, small_jump_cut: float | None):
         self.model = model
         self.dt = dt
         self.dim = model.dim
-        self.killing_mode = killing_mode
         self.blocks = model.coefficient_blocks()
+        # the killing rule: the exact clock for a constant rate (None
+        # selects hazard killing)
         killing = model.killing
         self.kill_const = killing.value if killing.is_constant else None
         if model.sde is not None:
             driver_model = StateModel.from_triplet(model.sde.driver)
-            self.driver = _Dynamics(driver_model, dt, small_jump_cut, "clock")
+            self.driver = _Dynamics(driver_model, dt, small_jump_cut)
             self.f_coeff = model.sde.coefficient
             self.bias_notes = self.driver.bias_notes
             return
         self.driver = None
 
-        if killing_mode == "clock" and self.kill_const is None:
-            raise ValueError("exact killing clock requires a constant killing rate")
-
-        # covariance
+        # covariance; only an exactly zero matrix has no Gaussian part
         if model.covariance.is_constant:
             q = model.covariance.constant_value()
-            self.chol_const = LevyTriplet(0.0, np.zeros(self.dim), q).cholesky()
-            self.has_gauss = bool(np.any(self.chol_const != 0.0))
+            self.chol_const = _batched_cholesky(q[None])[0]
+            self.has_gauss = bool(np.any(q != 0.0))
         else:
             q = np.eye(self.dim)
             self.chol_const = None
@@ -298,7 +296,7 @@ class _Dynamics:
     def clock_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
         a = self.kill_const
         u = rng.random(n)
-        if a is None or a <= 0.0:
+        if a <= 0.0:
             return np.full(n, np.inf)
         with np.errstate(divide="ignore"):
             return -np.log(u) / a
@@ -545,21 +543,17 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
     active = np.ones(n, dtype=bool)
     invalid = np.zeros(n, dtype=bool)
     move, explode, stay, ring, ok, flag = (np.empty(n, dtype=bool) for _ in range(6))
-    use_clock = dyn.killing_mode == "clock"
-    t_kill = dyn.clock_times(n, rngs["clock"]) if use_clock else None
+    use_clock = dyn.kill_const is not None
+    if use_clock:
+        t_kill = dyn.clock_times(n, rngs["clock"])
+    else:
+        u_haz, q = np.empty(n), np.empty(n)
 
     # the coefficient values at x, carried from the step that set x, and
     # at the step's proposal
     at_x, at_prop = (CoefficientValues(dyn.blocks, n) for _ in range(2))
     at_x.evaluate(x)
     killing = dyn.model.killing
-    if not use_clock:
-        u_haz = np.empty(n)
-        if dyn.kill_const is None:
-            q = np.empty(n)
-        else:
-            # exact for a constant rate
-            q = np.full(n, -math.expm1(-dyn.kill_const * dt))
 
     stopping = math.isfinite(stop_radius)
 
@@ -575,8 +569,7 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
         # move = active & the increment (and the hazard) finite
         np.logical_and.reduce(np.isfinite(inc, out=inc_finite), axis=1, out=move)
         if not use_clock:
-            if dyn.kill_const is None:
-                dyn.hazard_prob(at_x[killing], at_prop[killing], q, flag)
+            dyn.hazard_prob(at_x[killing], at_prop[killing], q, flag)
             rngs["hazard"].random(out=u_haz)
             move &= np.isfinite(q, out=flag)
         invalid |= np.logical_and(active, np.logical_not(move, out=flag), out=flag)
@@ -607,12 +600,6 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
     return recorder, invalid, status
 
 
-def _killing_mode(model: StateModel) -> str:
-    """Exact clock for a constant rate (an SDE's sits on its constant
-    driver), hazard otherwise."""
-    return "clock" if model.killing.is_constant else "hazard"
-
-
 def _join(parts):
     """Concatenate per-chunk observer states in chunk order: arrays with
     the paths on the first axis, possibly in dicts and tuples."""
@@ -641,7 +628,7 @@ class Simulation:
         return (self.status != STATUS_INFINITY) & ~self.invalid
 
 
-def simulate(model: StateModel, spec: SimSpec, observers: dict, killing_mode: str,
+def simulate(model: StateModel, spec: SimSpec, observers: dict,
              stop_radius: float = math.inf) -> Simulation:
     """Run the kernel once over the paths of ``spec``, in chunks of
     CHUNK_SIZE paths on up to SYMBOLKIT_THREADS workers.  ``observers``
@@ -649,12 +636,12 @@ def simulate(model: StateModel, spec: SimSpec, observers: dict, killing_mode: st
     the chunk's path indices; every chunk gets a fresh set, fed
     ``record(j, x, status, values)`` after the start and after each step,
     and the ``per_path()`` state of each observer that has one is joined
-    in chunk order.  ``killing_mode`` is "clock" (exact exponential
-    clock, constant rate) or "hazard"; each path freezes at its first
-    grid exit from the ball of radius ``stop_radius`` around x0."""
+    in chunk order.  The model's killing rate picks the killing (see the
+    module docstring); each path freezes at its first grid exit from the
+    ball of radius ``stop_radius`` around x0."""
     if spec.x0.shape[0] != model.dim:
         raise ValueError("x0 dimension mismatch")
-    dyn = _Dynamics(model, spec.dt, spec.small_jump_cut, killing_mode)
+    dyn = _Dynamics(model, spec.dt, spec.small_jump_cut)
     n_steps, seed = spec.n_steps, spec.rng_seed
     chunks = [slice(start, min(start + CHUNK_SIZE, spec.n_paths))
               for start in range(0, spec.n_paths, CHUNK_SIZE)]
@@ -686,22 +673,19 @@ def simulate(model: StateModel, spec: SimSpec, observers: dict, killing_mode: st
 
 
 def sample_levy(triplet: LevyTriplet, spec: SimSpec) -> Ensemble:
-    """Simulate a constant-triplet ensemble with an exact exponential
-    killing clock when the killing rate is positive."""
-    model = StateModel.from_triplet(triplet)
-    return _sample(model, spec, killing_mode="clock")
+    """Simulate a constant-triplet ensemble."""
+    return _sample(StateModel.from_triplet(triplet), spec)
 
 
 def sample_autonomous(model: StateModel, spec: SimSpec) -> Ensemble:
-    """Euler scheme for a state-dependent model with hazard killing and
-    explosion absorption."""
-    return _sample(model, spec, killing_mode="hazard")
+    """Euler scheme for a state-dependent model with explosion
+    absorption."""
+    return _sample(model, spec)
 
 
 def sample_sde(f, driver: LevyTriplet, spec: SimSpec) -> Ensemble:
     """Euler scheme for dX = f(X-) dZ with a constant driving triplet."""
-    model = make_sde_model(f, driver)
-    return _sample(model, spec, killing_mode="clock")
+    return _sample(make_sde_model(f, driver), spec)
 
 
 def make_sde_model(f, driver: LevyTriplet) -> StateModel:
@@ -721,13 +705,12 @@ def make_sde_model(f, driver: LevyTriplet) -> StateModel:
     )
 
 
-def _sample(model: StateModel, spec: SimSpec, killing_mode: str) -> Ensemble:
+def _sample(model: StateModel, spec: SimSpec) -> Ensemble:
     # every chunk writes its paths' slice of the output
     values = np.full((spec.n_paths, spec.n_steps + 1, model.dim), np.nan)
     status = np.zeros(values.shape[:2], dtype=np.int8)
     sim = simulate(model, spec,
-                   {"full": lambda paths: _FullRecorder(values[paths], status[paths])},
-                   killing_mode)
+                   {"full": lambda paths: _FullRecorder(values[paths], status[paths])})
     return Ensemble(spec.times, values, status, spec, sim.ledger, sim.invalid, sim.bias_notes)
 
 
@@ -768,7 +751,7 @@ def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed:
         model, spec,
         {"snap": lambda paths: _SnapshotRecorder(values[:, paths], status[:, paths],
                                                  snap_idx, spec.x0, radii)},
-        _killing_mode(model), stop_radius=max(radii),
+        stop_radius=max(radii),
     )
     return actual, values, status, sim.observed["snap"].sum(axis=0)
 
@@ -790,11 +773,11 @@ class PathSampler:
                             explosion_threshold=self.explosion_threshold,
                             small_jump_cut=self.small_jump_cut)
 
-    def running_max(self, x0, times, n, dt=None):
+    def running_max(self, x0, times, n):
         """Running maximum of |X_s - x0| captured at the requested times
         (snapped to the dt grid); returns (actual_times, (n, T) array).
         Cemetery states count as +inf."""
-        dt = self.dt if dt is None else dt
+        dt = self.dt
         snap_idx, actual = snap_times(times, dt)
         spec = SimSpec(x0=x0, horizon=max(snap_idx) * dt, dt=dt, n_paths=n, rng_seed=self.seed,
                        explosion_threshold=self.explosion_threshold,
@@ -803,6 +786,5 @@ class PathSampler:
         out = np.zeros((len(snap_idx), n))
         simulate(self.model, spec,
                  {"max": lambda paths: _MaxRecorder(out[:, paths], snap_idx, self.model.dim,
-                                                    spec.x0)},
-                 _killing_mode(self.model))
+                                                    spec.x0)})
         return actual, out.T

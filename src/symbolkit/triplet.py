@@ -109,9 +109,6 @@ class CutoffFunction:
             out = np.all(np.abs(y) <= radii, axis=-1).astype(float)
         return out
 
-    def scalar(self, y) -> float:
-        return float(self(np.atleast_1d(y))[0])
-
     @property
     def support_radius(self) -> float:
         """Radius below which chi is identically 1 on the line (used to
@@ -847,9 +844,6 @@ class MeasureFamily:
 
     couples_frequencies = False
 
-    def at(self, x: np.ndarray) -> LevyMeasure:
-        raise NotImplementedError
-
     def exponent_at(self, xis: np.ndarray, cutoff: CutoffFunction,
                     lenient: bool = False):
         """Jump part of the symbol at the (N, d) frequencies xis, with its
@@ -873,17 +867,10 @@ class MeasureFamily:
         points, as a message, or None."""
         return None
 
-    @property
-    def is_constant(self) -> bool:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantMeasureFamily(MeasureFamily):
     measure: LevyMeasure
-
-    def at(self, x):
-        return self.measure
 
     def exponent_at(self, xis, cutoff, lenient=False):
         return self.measure.exponent_term(xis, cutoff)
@@ -895,10 +882,6 @@ class ConstantMeasureFamily(MeasureFamily):
     def couples_frequencies(self):
         return self.measure.couples_frequencies
 
-    @property
-    def is_constant(self):
-        return True
-
 
 class DiscreteMeasureFamily(MeasureFamily):
     """Fixed atom locations with state-dependent rates."""
@@ -908,11 +891,6 @@ class DiscreteMeasureFamily(MeasureFamily):
         self.rate_coeffs = [Coefficient(s, dim) for s in rate_specs]
         if self.jumps.shape[0] != len(self.rate_coeffs):
             raise ValueError("one rate per atom required")
-
-    def at(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        rates = np.array([c(x[None, :])[0] for c in self.rate_coeffs])
-        return DiscreteMeasure(self.jumps, rates)
 
     def rates_many(self, xs: np.ndarray) -> np.ndarray:
         return np.stack([c(xs) for c in self.rate_coeffs], axis=-1)
@@ -967,10 +945,6 @@ class DiscreteMeasureFamily(MeasureFamily):
             return f"atom rate negative at x={pts[int(np.argmax(bad))].tolist()}"
         return None
 
-    @property
-    def is_constant(self):
-        return all(c.is_constant for c in self.rate_coeffs)
-
 
 class StableMeasureFamily(MeasureFamily):
     """Symmetric 1-d stable component with state-dependent order/scale."""
@@ -978,10 +952,6 @@ class StableMeasureFamily(MeasureFamily):
     def __init__(self, alpha_spec, scale_spec, dim: int):
         self.alpha_coeff = Coefficient(alpha_spec, dim)
         self.scale_coeff = Coefficient(scale_spec, dim)
-
-    def at(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        return StableMeasure(float(self.alpha_coeff(x)[0]), float(self.scale_coeff(x)[0]))
 
     def coefficient_blocks(self):
         return [(self.alpha_coeff, [self.alpha_coeff], ()),
@@ -1044,10 +1014,6 @@ class StableMeasureFamily(MeasureFamily):
             return f"stable scale negative at x={pts[int(np.argmax(bad))].tolist()}"
         return None
 
-    @property
-    def is_constant(self):
-        return self.alpha_coeff.is_constant and self.scale_coeff.is_constant
-
 
 # ---------------------------------------------------------------------------
 # triplet and state model
@@ -1086,17 +1052,6 @@ class LevyTriplet:
                 - 1j * (xis @ self.drift)
                 + 0.5 * np.einsum("ni,ij,nj->n", xis, self.covariance, xis))
         return poly - self.measure.exponent_term(xis, self.cutoff)
-
-    def cholesky(self, jitter: float = 1e-10) -> np.ndarray:
-        """Covariance factor for simulation; adds diagonal jitter up to
-        ``jitter`` if the matrix is singular to rounding."""
-        q = self.covariance
-        if np.allclose(q, 0.0):
-            return np.zeros_like(q)
-        try:
-            return np.linalg.cholesky(q)
-        except np.linalg.LinAlgError:
-            return np.linalg.cholesky(q + jitter * np.eye(q.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -1151,27 +1106,24 @@ class StateModel:
 
     @property
     def is_constant(self) -> bool:
+        """Constant coefficients and a ``ConstantMeasureFamily``; the
+        other families read coefficient values, even constant ones."""
         if self.sde is not None:
             return False
         return (self.kill.is_constant and self.drift.is_constant
-                and self.covariance.is_constant and self.measures.is_constant)
-
-    def triplet_at(self, x) -> LevyTriplet:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xs = x[None, :]
-        return LevyTriplet(
-            killing_rate=float(self.kill(xs)[0]),
-            drift=self.drift(xs)[0],
-            covariance=self.covariance(xs)[0],
-            measure=self.measures.at(x),
-            cutoff=self.cutoff,
-        )
+                and self.covariance.is_constant
+                and isinstance(self.measures, ConstantMeasureFamily))
 
     def constant_triplet(self) -> LevyTriplet:
-        if not (self.kill.is_constant and self.drift.is_constant
-                and self.covariance.is_constant and self.measures.is_constant):
+        if not self.is_constant:
             raise ValueError("model is state dependent")
-        return self.triplet_at(np.zeros(self.dim))
+        return LevyTriplet(
+            killing_rate=self.kill.value,
+            drift=self.drift.constant_value(),
+            covariance=self.covariance.constant_value(),
+            measure=self.measures.measure,
+            cutoff=self.cutoff,
+        )
 
     def coefficient_blocks(self) -> list:
         """The coefficients that the simulation and the symbol read, as

@@ -78,28 +78,27 @@ def _expr(text, dim=1):
 
 
 class Case(NamedTuple):
-    """A report case: the model the checks read, the simulation spec,
-    the killing mode of its sampler, and the sampler itself."""
+    """A report case: the model the checks read, the simulation spec and
+    the sampler."""
 
     model: object
     spec: SimSpec
-    killing_mode: str
     sample: Callable
 
 
 def _levy_case(tri, spec):
-    return Case(tri, spec, "clock", lambda: sample_levy(tri, spec))
+    return Case(tri, spec, lambda: sample_levy(tri, spec))
 
 
 def _autonomous_case(model, spec):
-    return Case(model, spec, "hazard", lambda: sample_autonomous(model, spec))
+    return Case(model, spec, lambda: sample_autonomous(model, spec))
 
 
 def _sde_case():
     driver = LevyTriplet(0.4, [0.0], [[1.0]], ZeroMeasure())
     sde = make_sde_model(_expr("1 + 0.1*x1"), driver)
     sde_spec = spec(n=10_000, dt=0.005, seed=86, x0=(0.5,))
-    return Case(sde, sde_spec, "clock",
+    return Case(sde, sde_spec,
                 lambda: sample_sde(sde.sde.coefficient, driver, sde_spec))
 
 
@@ -254,7 +253,7 @@ def reports(case: str) -> dict:
     """Hexed report JSON of every check of a case, replayed on its
     stored ensemble."""
     build, u, t_grid = CASES[case]
-    m, _, _, sample = build()
+    m, _, sample = build()
     ens = sample()
     sm = state_model(m)
     out = {

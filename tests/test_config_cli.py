@@ -379,6 +379,49 @@ def test_indices_invalid_input_exit_code(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["symbol", "--x", "0", "--xi", "nan"], "--xi 'nan': need one or more finite numbers"),
+    (["symbol", "--x", "0", "--xi", "inf"], "--xi 'inf': need one or more finite numbers"),
+    (["symbol", "--x", "0", "--xi-grid", "nan:1:3"], "--xi-grid 'nan:1:3': need"),
+    *[(["scaling", "--direction", "zero", "--t-grid", "0.01,0.1,1", f"--lambdas={lam}"],
+       f"--lambdas '{lam}': need one or more finite positive numbers")
+      for lam in ("0", "nan", "inf", "-1", "")],
+    (["conditions", "--x-grid=nan:1:3"], "--x-grid 'nan:1:3': need"),
+    (["conditions", "--xi-grid=0:inf:3"], "--xi-grid '0:inf:3': need"),
+    (["maximal", "--t-grid="], "--t-grid '': need one or more numbers"),
+    (["maximal", "--r-grid="], "--r-grid '': need one or more finite positive numbers"),
+], ids=["xi_nan", "xi_inf", "xi_grid_nan", "lambda_zero", "lambda_nan", "lambda_inf",
+        "lambda_negative", "lambdas_empty", "x_grid_nan", "xi_grid_inf", "t_grid_empty",
+        "r_grid_empty"])
+def test_grid_and_frequency_input_exit_code(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    rc = main([*args, "--model", "bm", "--paths", "100", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_kills_by_the_rate_not_the_model_kind(tmp_path):
+    # one constant-rate model, written as a levy and as an autonomous
+    # model file, is killed by the same clock and gives the same reports
+    body = {**BASE, "killing_rate": 0.8, "drift": [0.3],
+            "simulation": {"n_paths": 2000, "seed": 5}}
+    outs, codes = [], []
+    for mode in ("levy", "autonomous"):
+        (tmp_path / mode).mkdir()
+        f = _write(tmp_path / mode, {**body, "mode": mode})
+        out = tmp_path / mode / "out"
+        codes.append(main(["verify", "--model", str(f), "--suite", "all", "--out", str(out)]))
+        outs.append(out)
+    assert codes[0] == codes[1] in (0, 1)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["verify_canonical.json", "verify_exponential.json",
+                     "verify_killing.json"]
+    assert sorted(p.name for p in outs[1].iterdir()) == names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_commands_in_one_process_match_separate_runs(tmp_path):
     # the parser is built once per process; a second command through it
     # writes the same files as a fresh process does

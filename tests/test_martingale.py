@@ -222,7 +222,7 @@ def _streamed_reports(case: str) -> dict:
     """The reports of ``_reports`` from one simulation with the checks'
     observers inside the kernel."""
     build, u, t_grid = REPORT_CASES[case]
-    model, spec, killing_mode, _ = build()
+    model, spec, _ = build()
     state_model = CAPTURE.state_model(model)
     checks = {
         "killing": killing_compensator(state_model, spec, t_grid),
@@ -230,7 +230,7 @@ def _streamed_reports(case: str) -> dict:
     }
     if state_model.sde is None:
         checks["canonical"] = canonical_representation(state_model, spec)
-    reports = run_checks(checks, state_model, spec, killing_mode)
+    reports = run_checks(checks, state_model, spec)
     return {k: _hex(rep.to_json()) for k, rep in reports.items()}
 
 
@@ -305,7 +305,7 @@ def test_streamed_two_chunks_match_ensemble_checks(monkeypatch):
     expected = _hexed(_replayed(sample_autonomous(model, spec), model, t_grid))
     for threads in ("1", "2"):
         monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
-        got = _hexed(run_checks(_checks(model, spec, t_grid), model, spec, "hazard"))
+        got = _hexed(run_checks(_checks(model, spec, t_grid), model, spec))
         assert got == expected, threads
 
 
@@ -321,7 +321,7 @@ def test_invalid_paths_do_not_break_streamed_checks():
     model, spec = _log_drift()
     ens = sample_autonomous(model, spec)
     assert ens.invalid_count > 0
-    streamed = run_checks(_checks(model, spec, (0.25,)), model, spec, "hazard")
+    streamed = run_checks(_checks(model, spec, (0.25,)), model, spec)
     assert _hexed(streamed) == _hexed(_replayed(ens, model, (0.25,)))
     for rep in streamed.values():
         assert rep.excluded_paths == int((~ens.valid).sum())
@@ -332,7 +332,7 @@ def test_non_finite_value_on_valid_path_fails_closed():
     with pytest.raises(ValueError, match=r"exponential_martingale_autonomous: value not "
                                          r"finite at t = 0\.5 on a valid path, at state "
                                          r"x = \[-"):
-        run_checks(_checks(model, spec, (0.25, 0.5)), model, spec, "hazard")
+        run_checks(_checks(model, spec, (0.25, 0.5)), model, spec)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -351,7 +351,7 @@ def test_check_input_rejected_before_simulating(build, message):
 def test_fewer_than_two_valid_paths_fails_closed():
     model, spec = StateModel.from_triplet(_BM), _spec(n=1, dt=0.25)
     with pytest.raises(ValueError, match="1 valid paths of 1"):
-        run_checks({"killing": killing_compensator(model, spec, _T3)}, model, spec, "clock")
+        run_checks({"killing": killing_compensator(model, spec, _T3)}, model, spec)
 
 
 def test_cli_verify_keeps_no_paths_by_steps_array(tmp_path):
@@ -389,7 +389,7 @@ def test_streamed_checks_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        run_checks(_checks(model, spec, (0.25, 0.5)), model, spec, "hazard")
+        run_checks(_checks(model, spec, (0.25, 0.5)), model, spec)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         ours = [repr(o)[:80] for o in gc.garbage

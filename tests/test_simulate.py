@@ -105,6 +105,14 @@ class TestSampleLevy:
         for i in range(ens.n_paths):
             ens.path(i).validate()
 
+    def test_small_constant_covariance_is_simulated(self):
+        # a covariance within np.allclose's tolerance of zero was once
+        # dropped, while the symbol carries 0.5 * 4e-9 * xi^2
+        ens = sample_levy(LevyTriplet(0.0, [0.0], [[4e-9]], ZeroMeasure()),
+                          _spec(dt=0.1, seed=57))
+        var = ens.values[:, -1, 0].var()
+        assert var == pytest.approx(4e-9, rel=5.0 * math.sqrt(2.0 / N_UNIT))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SimSpec(x0=[0.0], horizon=1.0, dt=0.0, n_paths=1)
@@ -136,6 +144,18 @@ class TestSampleAutonomous:
         b = sample_autonomous(bm_model, _spec(n=5000, seed=77))
         ks = stats.ks_2samp(a.values[:, -1, 0], b.values[:, -1, 0])
         assert ks.pvalue > 0.01
+
+    def test_constant_rate_uses_the_levy_clock(self):
+        # one killing rule, decided by the rate: a constant rate is killed
+        # by the exact clock whichever entry point builds the model
+        tri = LevyTriplet(0.7, [0.2], [[0.5]], DiscreteMeasure([[0.4], [-1.2]], [1.0, 0.5]))
+        spec = _spec(n=3000, seed=58)
+        a = sample_autonomous(StateModel.from_triplet(tri), spec)
+        b = sample_levy(tri, spec)
+        assert (b.status == STATUS_DELTA).any()
+        for x, y in ((a.values, b.values), (a.status, b.status), (a.invalid, b.invalid)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
 
     def test_state_dependent_killing_survival(self):
         model = _model(parse_expression("x1^2"), [1.0], [[0.0]], box=((-3.0, 3.0),))
@@ -264,9 +284,11 @@ class TestEnsembleExport:
 
     def test_zero_dt_is_not_replaced(self, bm_model):
         sampler = PathSampler(model=bm_model, dt=0.05, seed=51)
-        for run in (sampler.snapshots, sampler.running_max):
-            with pytest.raises(ValueError, match="dt must be finite and positive"):
-                run([0.0], [0.5], 10, dt=0.0)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            sampler.snapshots([0.0], [0.5], 10, dt=0.0)
+        # running_max steps at the sampler's own dt
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            PathSampler(model=bm_model, dt=0.0, seed=51).running_max([0.0], [0.5], 10)
 
 
 class TestMultiDimensional:

@@ -153,6 +153,25 @@ def test_symbol_state_dependent_killing():
     assert eval_symbol(model, [1.0], [9.0]) == pytest.approx(2.0 + 0j)
 
 
+def test_symbol_of_a_family_with_constant_coefficients():
+    # an atom or stable family reads its coefficient values even when
+    # they are constant, so the model is not a constant one
+    families = {
+        "atoms": (DiscreteMeasureFamily([[0.3], [-0.5]], [1.0, 2.0], 1),
+                  DiscreteMeasure([[0.3], [-0.5]], [1.0, 2.0])),
+        "stable": (StableMeasureFamily(1.5, 0.8, 1), StableMeasure(1.5, 0.8)),
+    }
+    for name, (family, measure) in families.items():
+        model = StateModel(dim=1, kill=Coefficient(0.2, 1), drift=VectorCoefficient([0.1], 1),
+                           covariance=MatrixCoefficient([[0.5]], 1), measures=family,
+                           cutoff=CutoffFunction(), domain_box=[[-5.0, 5.0]])
+        assert not model.is_constant, name
+        tri = LevyTriplet(0.2, [0.1], [[0.5]], measure)
+        for xi in (-2.0, 0.7):
+            assert eval_symbol(model, [1.0], [xi]) == pytest.approx(eval_exponent(tri, [xi]),
+                                                                    rel=1e-12), name
+
+
 def test_symbol_stable_like():
     model = _stable_like_model()
     assert eval_symbol(model, [0.0], [2.0]) == pytest.approx(2.0 ** 0.7)
