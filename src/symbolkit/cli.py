@@ -36,7 +36,7 @@ from .simulate import PathSampler, PathWriter, SimSpec, simulate
 # perfbench's tracer test checks that it replaces this name here too
 from .simulate import sample_autonomous  # noqa: F401
 from .symbol import IndependenceReport, ProbeSettings, estimate_symbol_grid, write_grid_csv
-from .triplet import QuadratureError, check_growth, check_sector, eval_symbol
+from .triplet import QuadratureError, check_growth, check_sector
 
 __all__ = ["main"]
 
@@ -151,10 +151,13 @@ def _cmd_symbol(args) -> int:
         raise ValueError("--radii runs the exit-ball check for one --xi, not for --xi-grid")
     cfg, model = _load(args.model)
     x0, dt, seed, n_paths, _, expl, cut = _sim_args(cfg, args)
-    x = np.asarray(_floats(args.x), dtype=float)
+    x = _vector(args.x, cfg.dim, "--x")
+    k_radius = _numbers(args.k_radius, "--k-radius", "finite positive numbers")
+    if len(k_radius) > 1:
+        raise ValueError(f"--k-radius {args.k_radius!r}: one radius; --radii takes several")
     settings = ProbeSettings(
-        k_radius=args.k_radius,
-        t_ladder=tuple(_floats(args.ladder)),
+        k_radius=k_radius[0],
+        t_ladder=tuple(_numbers(args.ladder, "--ladder", "finite positive numbers")),
         n_samples=n_paths if args.paths is not None else args.samples,
         extrapolate=not args.no_extrapolate,
         dt=args.dt,
@@ -177,7 +180,8 @@ def _cmd_symbol(args) -> int:
         if args.xi is None:
             raise ValueError("symbol needs --xi or --xi-grid")
         xi = _numbers(args.xi, "--xi", "finite numbers")
-        radii = tuple(_floats(args.radii)) if args.radii else ()
+        radii = (tuple(_numbers(args.radii, "--radii", "finite positive numbers"))
+                 if args.radii else ())
         # the base radius is simulated with the --radii, once
         probes = estimate_symbol_grid(sampler, x, [xi],
                                       radii if base in radii else (base, *radii), settings)
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="probe state, comma separated")
     sp.add_argument("--xi", default=None, help="frequency, comma separated")
     sp.add_argument("--xi-grid", default=None, help="lo:hi:n scalar frequency grid")
-    sp.add_argument("--k-radius", type=float, default=1.0)
+    sp.add_argument("--k-radius", default="1.0")
     sp.add_argument("--ladder", default="0.04,0.02,0.01,0.005")
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--no-extrapolate", action="store_true")

@@ -18,7 +18,6 @@ import numpy as np
 from .expr import ExpressionDomainError, ExpressionSyntaxError, parse_expression
 from .triplet import (
     Coefficient,
-    ConstantMeasureFamily,
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
@@ -92,7 +91,8 @@ CONTINUITY_GRID = 33
 OSCILLATION_LIMIT = 1e6
 
 
-def _coeff_spec(raw, dim: int, field_name: str):
+def _coeff_spec(raw, dim: int, field_name: str, constant: bool = False):
+    """A float, or an Expression in x1..xd unless ``constant``."""
     if isinstance(raw, bool):
         raise ModelConfigError(field_name, "expected a number or expression string")
     if isinstance(raw, (int, float)):
@@ -109,6 +109,9 @@ def _coeff_spec(raw, dim: int, field_name: str):
                 return float(e.evaluate(np.zeros(dim)))
             except ExpressionDomainError:
                 pass
+        if constant:
+            raise ModelConfigError(field_name, f"a levy model needs a constant, got {raw!r}; "
+                                   "state-dependent models use mode autonomous")
         return e
     raise ModelConfigError(field_name, "expected a number or expression string")
 
@@ -185,10 +188,10 @@ def parse_config(raw: dict, name: str = "model") -> ModelConfig:
     )
 
 
-def _build_measure_family(measure_raw: dict, dim: int):
+def _build_measure_family(measure_raw: dict, dim: int, constant: bool):
     kind = measure_raw["kind"]
     if kind == "zero":
-        return ConstantMeasureFamily(ZeroMeasure())
+        return ZeroMeasure()
     if kind == "discrete":
         atoms = measure_raw.get("atoms", [])
         if not atoms:
@@ -197,15 +200,16 @@ def _build_measure_family(measure_raw: dict, dim: int):
         for i, atom in enumerate(atoms):
             _check_keys(atom, {"jump", "rate"}, f"levy_measure.atoms[{i}]")
             jumps.append(np.atleast_1d(np.asarray(atom["jump"], dtype=float)))
-            rate_specs.append(_coeff_spec(atom["rate"], dim, f"levy_measure.atoms[{i}].rate"))
+            rate_specs.append(_coeff_spec(atom["rate"], dim, f"levy_measure.atoms[{i}].rate",
+                                          constant))
         if all(isinstance(r, float) for r in rate_specs):
-            return ConstantMeasureFamily(DiscreteMeasure(np.stack(jumps), np.array(rate_specs)))
+            return DiscreteMeasure(np.stack(jumps), np.array(rate_specs))
         return DiscreteMeasureFamily(np.stack(jumps), rate_specs, dim)
     if kind == "alpha_stable":
-        alpha = _coeff_spec(measure_raw.get("alpha", 1.0), dim, "levy_measure.alpha")
-        scale = _coeff_spec(measure_raw.get("scale", 1.0), dim, "levy_measure.scale")
+        alpha = _coeff_spec(measure_raw.get("alpha", 1.0), dim, "levy_measure.alpha", constant)
+        scale = _coeff_spec(measure_raw.get("scale", 1.0), dim, "levy_measure.scale", constant)
         if isinstance(alpha, float) and isinstance(scale, float):
-            return ConstantMeasureFamily(StableMeasure(alpha, scale))
+            return StableMeasure(alpha, scale)
         return StableMeasureFamily(alpha, scale, dim)
     if kind == "density":
         for key in ("density", "eps", "y_max"):
@@ -222,22 +226,23 @@ def _build_measure_family(measure_raw: dict, dim: int):
                 raise ModelConfigError(f"levy_measure.{key}",
                                        f"expected a number, got {measure_raw[key]!r}") from err
         try:
-            m = DensityMeasure(expr, *bounds)
+            return DensityMeasure(expr, *bounds)
         except (ValueError, TypeError) as err:
             raise ModelConfigError("levy_measure", str(err)) from err
-        return ConstantMeasureFamily(m)
     raise AssertionError(kind)
 
 
 def compile_model(cfg: ModelConfig) -> StateModel:
     dim = cfg.dim
-    kill = Coefficient(_coeff_spec(cfg.killing_rate, dim, "killing_rate"), dim)
+    # a levy model's characteristics do not depend on the state
+    constant = cfg.mode == "levy"
+    kill = Coefficient(_coeff_spec(cfg.killing_rate, dim, "killing_rate", constant), dim)
     drift = VectorCoefficient(
-        [_coeff_spec(v, dim, f"drift[{i}]") for i, v in enumerate(cfg.drift)], dim)
+        [_coeff_spec(v, dim, f"drift[{i}]", constant) for i, v in enumerate(cfg.drift)], dim)
     cov = MatrixCoefficient(
-        [[_coeff_spec(v, dim, f"covariance[{i}][{j}]") for j, v in enumerate(row)]
+        [[_coeff_spec(v, dim, f"covariance[{i}][{j}]", constant) for j, v in enumerate(row)]
          for i, row in enumerate(cfg.covariance)], dim)
-    measures = _build_measure_family(cfg.levy_measure, dim)
+    measures = _build_measure_family(cfg.levy_measure, dim, constant)
 
     sde_block = None
     if cfg.mode == "sde":

@@ -15,8 +15,8 @@ states they were taken at: O(n * (d + T)) memory.  Each step works in
 place, in buffers of the observer's own chunk: the sums, the increment
 and its norm, the symbol's state-dependent terms and the phase.  The
 frequency u of the exponential check is fixed for the run, so its
-compensator evaluates ``StateModel.symbol_at(u)``, whose state-free
-terms are formed once per batch size.  The coefficients are read from
+compensator evaluates ``StateModel.symbol_at(u, n)``, whose state-free
+terms are formed once per chunk of n paths.  The coefficients are read from
 the kernel's ``values`` at x, never evaluated again; ``x``, ``status``
 and ``values`` are the kernel's buffers, so an observer copies what it
 keeps.  No observer is part of a reference cycle, which would keep its
@@ -229,7 +229,7 @@ class _ExponentialObserver(_Columns):
         super().__init__(columns)
         self.u = u
         # one per chunk: chunks may run on different threads
-        symbol = model.symbol_at(u, lenient=True)
+        symbol = model.symbol_at(u, n, lenient=True)
         phase_one = self.phase_one = np.exp(1j * float(u.sum()))
         killing = model.killing
         # e^{i<u, 1>} a, formed once when the rate is constant

@@ -16,6 +16,12 @@ QuadratureError with the achieved error when the panel cap is reached).
 Their moments (jump rate, second moment, mean over a band) use the same
 rule.
 
+Every term of the symbol is row-local: one (state, frequency) row has
+the same value in any batch.  ``_row_dot``, ``_row_quad`` and
+``_atom_block`` sum coordinates left to right with elementwise numpy,
+where BLAS or einsum may sum in an order that depends on the batch.
+Only density measures couple the frequencies of a call.
+
 Every measure and measure family also owns its simulation draws
 (``jump_sampler``); each docstring records the streams drawn per step.
 State-dependent coefficients are read through ``CoefficientValues``, the
@@ -43,7 +49,6 @@ __all__ = [
     "DensityMeasure",
     "JumpSampler",
     "MeasureFamily",
-    "ConstantMeasureFamily",
     "DiscreteMeasureFamily",
     "StableMeasureFamily",
     "LevyTriplet",
@@ -119,7 +124,42 @@ class CutoffFunction:
 
 
 # ---------------------------------------------------------------------------
-# jump measures
+# row-local arithmetic
+
+def _row_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """<a, b> over the last axis, broadcast over the others: the
+    coordinates' products summed left to right, into ``out`` if given."""
+    out = np.multiply(a[..., 0], b[..., 0], out=out)
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
+def _row_quad(xis: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """<xi, Q xi> per row of the (N, d) xis, for a (d, d) or an (N, d, d)
+    Q: the terms (xi_i Q_ij) xi_j summed over (i, j) in C order, into
+    ``out`` if given."""
+    d = xis.shape[1]
+    out = np.multiply(xis[:, 0], q[..., 0, 0], out=out)
+    out *= xis[:, 0]
+    for i in range(d):
+        for j in range(d):
+            if i or j:
+                out += xis[:, i] * q[..., i, j] * xis[:, j]
+    return out
+
+
+def _atom_block(xis: np.ndarray, jumps: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """e^{i theta} - 1 - i theta chi(y) for each row of the (N, d) xis
+    and each of the K atoms y, as an (N, K) array, theta = <xi, y> by
+    ``_row_dot``; the measure sums it over the atoms by ``np.sum`` over
+    axis 1, weighted by the rates."""
+    theta = _row_dot(xis[:, None, :], jumps)
+    return np.exp(1j * theta) - 1.0 - 1j * theta * chi
+
+
+# ---------------------------------------------------------------------------
+# jump measures and measure families
 
 def _sin_minus_chi_theta(theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """sin(theta) - chi theta for chi in {0, 1}, without cancellation
@@ -156,28 +196,51 @@ def _no_jumps(inc, values, dt, rngs):
     pass
 
 
-class LevyMeasure:
-    """Base class; subclasses implement the exponent integral
+class MeasureFamily:
+    """Jump measures N(x, dy), indexed by the state or constant.
 
-    I(xi) = integral (e^{i<y,xi>} - 1 - i<y,xi> chi(y)) N(dy),
+    ``exponent_at`` gives the jump part of the symbol, the integral
 
-    to be subtracted from the polynomial part of the exponent, and the
-    JumpSampler of a run with cut-off chi, Gaussian covariance trace
+        I(xi) = integral (e^{i<y,xi>} - 1 - i<y,xi> chi(y)) N(x, dy),
+
+    which is subtracted from the polynomial part; ``jump_sampler`` gives
+    the JumpSampler of a run with cut-off chi, Gaussian covariance trace
     q_trace (d if state dependent) and an optional small-jump cut.
 
     ``couples_frequencies`` is true when the exponent at one frequency
-    depends on the other frequencies of the same ``exponent_term`` call,
+    depends on the other frequencies of the same ``exponent_at`` call,
     so that its bits change with the batch.
     """
 
     couples_frequencies = False
 
-    def exponent_term(self, xis: np.ndarray, cutoff: CutoffFunction) -> np.ndarray:
+    def exponent_at(self, xis: np.ndarray, cutoff: CutoffFunction,
+                    lenient: bool = False):
+        """I at the (N, d) frequencies xis.  A constant measure returns
+        the (N,) values.  A state-dependent family evaluates its
+        frequency-only part here, once, and returns a function of the
+        ``CoefficientValues`` at N states, which writes the term into a
+        buffer of its own that the next call overwrites.  With
+        ``lenient`` (values evaluated leniently) a state where the
+        family is undefined gives NaN."""
         raise NotImplementedError
+
+    def coefficient_blocks(self) -> list:
+        """The family's coefficients as ``CoefficientValues`` blocks."""
+        return []
 
     def jump_sampler(self, cutoff: CutoffFunction, q_trace: float,
                      small_jump_cut: float | None) -> JumpSampler:
         raise NotImplementedError
+
+    def box_violation(self, pts: np.ndarray) -> str | None:
+        """The first invariant the family breaks at the (m, d) probe
+        points, as a message, or None."""
+        return None
+
+
+class LevyMeasure(MeasureFamily):
+    """A jump measure that does not depend on the state."""
 
     def is_symmetric(self) -> bool:
         raise NotImplementedError
@@ -188,9 +251,8 @@ class LevyMeasure:
 
 @dataclass(frozen=True)
 class ZeroMeasure(LevyMeasure):
-    def exponent_term(self, xis, cutoff):
-        xis = np.atleast_2d(xis)
-        return np.zeros(xis.shape[0], dtype=complex)
+    def exponent_at(self, xis, cutoff, lenient=False):
+        return np.zeros(len(xis), dtype=complex)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """No jumps and no draws."""
@@ -220,12 +282,8 @@ class DiscreteMeasure(LevyMeasure):
         if np.any(np.linalg.norm(self.jumps, axis=1) == 0):
             raise ValueError("atoms at the origin are not allowed")
 
-    def exponent_term(self, xis, cutoff):
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        theta = xis @ self.jumps.T                       # (N, K)
-        chi = cutoff(self.jumps)                         # (K,)
-        vals = np.exp(1j * theta) - 1.0 - 1j * theta * chi
-        return vals @ self.rates.astype(complex)
+    def exponent_at(self, xis, cutoff, lenient=False):
+        return np.sum(_atom_block(xis, self.jumps, cutoff(self.jumps)) * self.rates, axis=1)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """Per step, Poisson counts of shape (n, K), one column per atom,
@@ -271,8 +329,7 @@ class StableMeasure(LevyMeasure):
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
-    def exponent_term(self, xis, cutoff):
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    def exponent_at(self, xis, cutoff, lenient=False):
         if xis.shape[1] != 1:
             raise ValueError("stable measures are one-dimensional")
         return (-self.scale * np.abs(xis[:, 0]) ** self.alpha).astype(complex)
@@ -415,7 +472,7 @@ class DensityMeasure(LevyMeasure):
     Every integral over the support folds the two sides onto
     eps <= y <= y_max and runs through ``_integrate``, one adaptive
     Gauss–Kronrod rule that evaluates the density once per refinement
-    round on all new nodes.  The frequencies of one ``exponent_term``
+    round on all new nodes.  The frequencies of one ``exponent_at``
     call share their panels, so each frequency's value depends on the
     others in the call (``couples_frequencies``).
     """
@@ -579,8 +636,7 @@ class DensityMeasure(LevyMeasure):
             "discarded_second_moment_bound": self.small_mass_second_moment,
         })
 
-    def exponent_term(self, xis, cutoff):
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    def exponent_at(self, xis, cutoff, lenient=False):
         if xis.shape[1] != 1:
             raise ValueError("density measures are one-dimensional")
         # I(-xi) is the conjugate of I(xi): integrate each distinct |xi| once
@@ -593,7 +649,7 @@ class DensityMeasure(LevyMeasure):
         return np.where(xis[:, 0] < 0, out.conj(), out)
 
     def _exponent_scalar(self, xi: float, cutoff: CutoffFunction) -> complex:
-        return complex(self.exponent_term(np.array([[xi]]), cutoff)[0])
+        return complex(self.exponent_at(np.array([[xi]]), cutoff)[0])
 
     def _exponents(self, xi: np.ndarray, r: float) -> np.ndarray:
         """I(xi) at positive frequencies xi, with the compensator on
@@ -836,52 +892,7 @@ class MatrixCoefficient:
 
 
 # ---------------------------------------------------------------------------
-# measure families (possibly state dependent)
-
-class MeasureFamily:
-    """Jump measures N(x, dy) indexed by the state, with the same
-    jump sampler protocol as LevyMeasure."""
-
-    couples_frequencies = False
-
-    def exponent_at(self, xis: np.ndarray, cutoff: CutoffFunction,
-                    lenient: bool = False):
-        """Jump part of the symbol at the (N, d) frequencies xis, with its
-        frequency-only part evaluated here, once: the (N,) values when the
-        family is constant, else a function of the ``CoefficientValues``
-        at N states, which returns the term in a buffer of its own that
-        the next call overwrites.  With ``lenient`` (values evaluated
-        leniently) a state where the family is undefined gives NaN."""
-        raise NotImplementedError
-
-    def coefficient_blocks(self) -> list:
-        """The family's coefficients as ``CoefficientValues`` blocks."""
-        return []
-
-    def jump_sampler(self, cutoff: CutoffFunction, q_trace: float,
-                     small_jump_cut: float | None) -> JumpSampler:
-        raise NotImplementedError
-
-    def box_violation(self, pts: np.ndarray) -> str | None:
-        """The first invariant the family breaks at the (m, d) probe
-        points, as a message, or None."""
-        return None
-
-
-@dataclass(frozen=True)
-class ConstantMeasureFamily(MeasureFamily):
-    measure: LevyMeasure
-
-    def exponent_at(self, xis, cutoff, lenient=False):
-        return self.measure.exponent_term(xis, cutoff)
-
-    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
-        return self.measure.jump_sampler(cutoff, q_trace, small_jump_cut)
-
-    @property
-    def couples_frequencies(self):
-        return self.measure.couples_frequencies
-
+# state-dependent measure families
 
 class DiscreteMeasureFamily(MeasureFamily):
     """Fixed atom locations with state-dependent rates."""
@@ -892,17 +903,12 @@ class DiscreteMeasureFamily(MeasureFamily):
         if self.jumps.shape[0] != len(self.rate_coeffs):
             raise ValueError("one rate per atom required")
 
-    def rates_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.stack([c(xs) for c in self.rate_coeffs], axis=-1)
-
     def coefficient_blocks(self):
         """The (n, K) rates, keyed by the family."""
         return [(self, self.rate_coeffs, (len(self.rate_coeffs),))]
 
     def exponent_at(self, xis, cutoff, lenient=False):
-        theta = xis @ self.jumps.T
-        chi = cutoff(self.jumps)
-        vals = np.exp(1j * theta) - 1.0 - 1j * theta * chi   # (N, K)
+        vals = _atom_block(xis, self.jumps, cutoff(self.jumps))
         terms, out = np.empty(vals.shape, dtype=complex), np.empty(len(vals), dtype=complex)
         return lambda values: np.sum(np.multiply(vals, values[self], out=terms), axis=1, out=out)
 
@@ -940,7 +946,7 @@ class DiscreteMeasureFamily(MeasureFamily):
         return JumpSampler(chunk)
 
     def box_violation(self, pts):
-        bad = np.any(self.rates_many(pts) < 0, axis=1)
+        bad = np.any([c(pts) < 0 for c in self.rate_coeffs], axis=0)
         if np.any(bad):
             return f"atom rate negative at x={pts[int(np.argmax(bad))].tolist()}"
         return None
@@ -1047,11 +1053,10 @@ class LevyTriplet:
         return self.drift.shape[0]
 
     def exponent_many(self, xis: np.ndarray) -> np.ndarray:
+        """The exponent at the (N, d) frequencies xis: the symbol of the
+        triplet's constant model, which reads no state."""
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        poly = (self.killing_rate
-                - 1j * (xis @ self.drift)
-                + 0.5 * np.einsum("ni,ij,nj->n", xis, self.covariance, xis))
-        return poly - self.measure.exponent_term(xis, self.cutoff)
+        return StateModel.from_triplet(self)._symbol_rows(xis, False)(None)
 
 
 @dataclass(frozen=True)
@@ -1092,13 +1097,13 @@ class StateModel:
     def from_triplet(triplet: LevyTriplet, domain_box=None, name: str = "levy") -> "StateModel":
         d = triplet.dim
         if domain_box is None:
-            domain_box = np.tile([-10.0, 10.0], (d, 1))
+            domain_box = [[-10.0, 10.0]] * d
         return StateModel(
             dim=d,
             kill=Coefficient(triplet.killing_rate, d),
             drift=VectorCoefficient(list(triplet.drift), d),
             covariance=MatrixCoefficient(triplet.covariance.tolist(), d),
-            measures=ConstantMeasureFamily(triplet.measure),
+            measures=triplet.measure,
             cutoff=triplet.cutoff,
             domain_box=domain_box,
             name=name,
@@ -1106,13 +1111,13 @@ class StateModel:
 
     @property
     def is_constant(self) -> bool:
-        """Constant coefficients and a ``ConstantMeasureFamily``; the
-        other families read coefficient values, even constant ones."""
+        """Constant coefficients and a ``LevyMeasure``; the other
+        families read coefficient values, even constant ones."""
         if self.sde is not None:
             return False
         return (self.kill.is_constant and self.drift.is_constant
                 and self.covariance.is_constant
-                and isinstance(self.measures, ConstantMeasureFamily))
+                and isinstance(self.measures, LevyMeasure))
 
     def constant_triplet(self) -> LevyTriplet:
         if not self.is_constant:
@@ -1121,7 +1126,7 @@ class StateModel:
             killing_rate=self.kill.value,
             drift=self.drift.constant_value(),
             covariance=self.covariance.constant_value(),
-            measure=self.measures.measure,
+            measure=self.measures,
             cutoff=self.cutoff,
         )
 
@@ -1158,27 +1163,22 @@ class StateModel:
         values = None if self.is_constant else self.coefficient_values(xs, lenient)
         return self._symbol_rows(xis, lenient)(values)
 
-    def symbol_at(self, u, lenient: bool = False) -> Callable[..., np.ndarray]:
-        """p(., u) at one fixed frequency u: ``symbol_at(u)(xs)`` equals
-        ``symbol_many(xs, np.tile(u, (N, 1)))`` bit for bit.  The returned
-        ``symbol(xs, values=None, out=None)`` reads the coefficients from
-        ``values`` (``coefficient_values(xs, lenient)``, evaluated if not
-        given) and writes into the complex (N,) array ``out`` if given.
-        The terms that do not depend on the state, and scratch buffers
-        for the others, are made once per batch size N, on the tiled
-        frequency, by the code ``symbol_many`` runs; BLAS products of one
-        row and of N copies of it need not agree in the last bit, so one
-        row is not enough.  The buffers make one ``symbol`` unsafe to
-        share between threads."""
+    def symbol_at(self, u, n: int, lenient: bool = False) -> Callable[..., np.ndarray]:
+        """p(., u) at one fixed frequency u for batches of n states:
+        ``symbol_at(u, n)(xs)`` equals ``symbol_many`` on xs and n copies
+        of u bit for bit.  The returned ``symbol(xs, values=None, out=None)``
+        reads the coefficients from ``values`` (``coefficient_values(xs,
+        lenient)``, evaluated if not given) and writes into the complex
+        (n,) array ``out`` if given.  The terms that do not depend on the
+        state are formed once, here, from u broadcast to the n rows, and
+        so are scratch buffers for the others, which make one ``symbol``
+        unsafe to share between threads."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        by_size = {}
+        rows = self._symbol_rows(np.broadcast_to(u, (n, len(u))), lenient)
 
         def symbol(xs, values=None, out=None):
             if values is None:
                 values = self.coefficient_values(xs, lenient)
-            rows = by_size.get(values.n)
-            if rows is None:
-                rows = by_size[values.n] = self._symbol_rows(np.tile(u, (values.n, 1)), lenient)
             return rows(values, out)
 
         return symbol
@@ -1191,44 +1191,45 @@ class StateModel:
             ((a - i <l, xi>) + <xi, Q xi> / 2) - jump part,
 
         summed in this order into out, or into a new array.  A term whose
-        coefficient is constant is evaluated here, once, as is the
-        frequency-only part of the jump term (``MeasureFamily.exponent_at``);
-        a leading run of constant terms is summed here too, all but the
-        last sum.  The state-dependent terms are formed in buffers made
-        here."""
+        coefficient is constant is evaluated here, once, from the (d,)
+        drift or (d, d) covariance, as is the frequency-only part of the
+        jump term (``MeasureFamily.exponent_at``); a leading run of
+        constant terms is summed here too, all but the last sum.  The
+        state-dependent terms are formed in buffers made here."""
         if self.sde is not None:
             def sde(values, out=None):
-                p = self._sde_symbol(values, xis)
+                # the driver's exponent at f(x) xi, NaN where f is not finite
+                f = values[self.sde.coefficient]
+                ok = np.isfinite(f)
                 if out is None:
-                    return p
-                np.copyto(out, p)
+                    out = np.empty(len(f), dtype=complex)
+                out[~ok] = np.nan
+                out[ok] = self.sde.driver.exponent_many(f[ok, None] * xis[ok])
                 return out
 
             return sde
         n = len(xis)
 
         if self.kill.is_constant:
-            first = self.kill(xis)
+            first = self.kill.value
         else:
             first = lambda values: values[self.kill]
 
         if self.drift.is_constant:
-            drift = 1j * np.einsum("nd,nd->n", self.drift(xis), xis)
+            drift = 1j * _row_dot(xis, self.drift.constant_value())
         else:
             real, imag = np.empty(n), np.empty(n, dtype=complex)
 
             def drift(values):
-                np.einsum("nd,nd->n", values[self.drift], xis, out=real)
-                return np.multiply(1j, real, out=imag)
+                return np.multiply(1j, _row_dot(values[self.drift], xis, out=real), out=imag)
 
         if self.covariance.is_constant:
-            covariance = 0.5 * np.einsum("ni,nij,nj->n", xis, self.covariance(xis), xis)
+            covariance = 0.5 * _row_quad(xis, self.covariance.constant_value())
         else:
             quad = np.empty(n)
 
             def covariance(values):
-                np.einsum("ni,nij,nj->n", xis, values[self.covariance], xis, out=quad)
-                return np.multiply(0.5, quad, out=quad)
+                return np.multiply(0.5, _row_quad(xis, values[self.covariance], out=quad), out=quad)
 
         rest = [
             (np.subtract, drift),
@@ -1249,16 +1250,6 @@ class StateModel:
             return out
 
         return symbol
-
-    def _sde_symbol(self, values, xis):
-        f = values[self.sde.coefficient]  # (N,)
-        eff = f[:, None] * xis
-        ok = np.isfinite(f)
-        if ok.all():
-            return self.sde.driver.exponent_many(eff)
-        out = np.full(len(f), np.nan, dtype=complex)
-        out[ok] = self.sde.driver.exponent_many(eff[ok])
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1306,8 +1297,10 @@ def _pairs(x_grid, xi_grid, dim):
     kg = np.atleast_2d(np.asarray(xi_grid, dtype=float))
     if kg.shape[1] != dim:
         kg = kg.reshape(-1, dim)
+    if xg.size == 0 or kg.size == 0:
+        raise ValueError("grids must be nonempty")
     xs = np.repeat(xg, kg.shape[0], axis=0)
-    xis = np.tile(kg, (xg.shape[0], 1))
+    xis = np.concatenate([kg] * xg.shape[0])
     return xg, kg, xs, xis
 
 
@@ -1316,10 +1309,8 @@ def check_growth(model: StateModel, x_grid, xi_grid) -> ConditionEstimate:
     supremum of the ratio.  Finiteness over the grid always holds, so
     the estimate is reported with satisfied=True."""
     xg, kg, xs, xis = _pairs(x_grid, xi_grid, model.dim)
-    if xg.size == 0 or kg.size == 0:
-        raise ValueError("grids must be nonempty")
     vals = model.symbol_many(xs, xis)
-    ratio = np.abs(vals) / (1.0 + np.einsum("nd,nd->n", xis, xis))
+    ratio = np.abs(vals) / (1.0 + _row_dot(xis, xis))
     k = int(np.argmax(ratio))
     return ConditionEstimate(
         constant=float(ratio[k]),
@@ -1336,8 +1327,6 @@ def check_sector(model: StateModel, x_grid, xi_grid) -> ConditionEstimate:
     failure and set satisfied=False.
     """
     xg, kg, xs, xis = _pairs(x_grid, xi_grid, model.dim)
-    if xg.size == 0 or kg.size == 0:
-        raise ValueError("grids must be nonempty")
     vals = model.symbol_many(xs, xis)
     re, im = vals.real, np.abs(vals.imag)
     ok = re > SECTOR_REAL_FLOOR

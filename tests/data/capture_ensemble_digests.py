@@ -35,7 +35,6 @@ from symbolkit.simulate import (
 )
 from symbolkit.triplet import (
     Coefficient,
-    ConstantMeasureFamily,
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
@@ -124,11 +123,11 @@ ENSEMBLES = {
         _expr("1 + 0.5*sin(x1)"), LevyTriplet(0.0, [0.0], [[0.0]], _density()),
         _spec(2000, 20, x0=(0.5,))),
     "exploding": lambda: sample_autonomous(
-        _model(1.0, [_expr("x1^3")], [[0.1]], ConstantMeasureFamily(ZeroMeasure()),
+        _model(1.0, [_expr("x1^3")], [[0.1]], ZeroMeasure(),
                box=((-20.0, 20.0),)),
         _spec(2000, 21, x0=(4.0,), dt=0.002, horizon=0.1, explosion_threshold=10.0)),
     "invalid_paths": lambda: sample_autonomous(
-        _model(0.0, [_expr("log(x1)")], [[0.01]], ConstantMeasureFamily(ZeroMeasure()),
+        _model(0.0, [_expr("log(x1)")], [[0.01]], ZeroMeasure(),
                box=((0.1, 3.0),)),
         _spec(500, 22, x0=(0.5,))),
 }
@@ -143,7 +142,7 @@ ARRAYS = {
         radii=(0.5, 1.0, 2.0)),
     "snapshot_hazard_jumps": lambda: snapshot_run(
         _model(_expr("x1^2"), [1.0], [[0.3]],
-               ConstantMeasureFamily(DiscreteMeasure([[0.4], [-0.6]], [1.0, 1.5]))),
+               DiscreteMeasure([[0.4], [-0.6]], [1.0, 1.5])),
         [0.0], _SNAP_TIMES, 3000, 0.01, 24, radii=(math.inf, 0.5)),
     "running_max_density": lambda: PathSampler(
         StateModel.from_triplet(LevyTriplet(0.5, [0.0], [[0.2]], _density())),

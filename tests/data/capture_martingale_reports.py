@@ -39,7 +39,6 @@ from symbolkit.simulate import (
 )
 from symbolkit.triplet import (
     Coefficient,
-    ConstantMeasureFamily,
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
@@ -67,7 +66,7 @@ def model(kill, drift, cov, measures=None, box=((-10.0, 10.0),)):
         dim=d, kill=Coefficient(kill, d),
         drift=VectorCoefficient(drift, d),
         covariance=MatrixCoefficient(cov, d),
-        measures=measures or ConstantMeasureFamily(ZeroMeasure()),
+        measures=measures or ZeroMeasure(),
         cutoff=CutoffFunction(),
         domain_box=np.asarray(box),
     )
@@ -208,7 +207,7 @@ CASES = {
                 [1.0, -0.5], T3),
     "density_autonomous": (
         lambda: _autonomous_case(
-            model(0.0, [_expr("-x1")], [[0.0]], ConstantMeasureFamily(_density())),
+            model(0.0, [_expr("-x1")], [[0.0]], _density()),
             spec(n=2000, dt=0.025, seed=93)),
         [1.0], T3),
     "stable_family_scale": (
@@ -224,7 +223,7 @@ CASES = {
     "u_negative": (
         lambda: _autonomous_case(
             model(_expr("0.2 + 0.1*x1^2"), [_expr("-x1")], [[0.0]],
-                  ConstantMeasureFamily(_density())),
+                  _density()),
             spec(n=2000, dt=0.025, seed=96)),
         [-1.5], T3),
 }

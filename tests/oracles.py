@@ -68,6 +68,21 @@ def brute_quantity_H(symbol_fn, R: float, ys, n_dirs: int = 2, n_radii: int = 8)
     return best
 
 
+def atom_exponent_fsum(xi, jumps, rates, chi) -> tuple[complex, float]:
+    """The sum over atoms y_k of rate_k (e^{i theta_k} - 1 - i theta_k chi_k),
+    theta_k = <xi, y_k>, with every sum a math.fsum: theta_k over the
+    coordinates' products, then the real and the imaginary parts over
+    the atoms.  Each term takes numpy's e^{i theta}, as the exponent
+    does, so only the sums differ.  Returns the value and the sum of the
+    terms' moduli."""
+    theta = np.array([math.fsum(float(a) * float(b) for a, b in zip(xi, y)) for y in jumps])
+    e = np.exp(1j * theta)
+    re = [(float(c) - 1.0) * float(r) for c, r in zip(e.real, rates)]
+    im = [(float(s) - float(t) * float(h)) * float(r)
+          for s, t, h, r in zip(e.imag, theta, chi, rates)]
+    return complex(math.fsum(re), math.fsum(im)), math.fsum(map(math.hypot, re, im))
+
+
 def stable_standard_reference(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One symmetric stable variate with characteristic function
     exp(-|xi|^alpha) per entry of alpha, by the polar

@@ -33,7 +33,6 @@ from symbolkit.simulate import (
 from symbolkit.symbol import ProbeSettings, estimate_symbol_grid, symbol_independence_check
 from symbolkit.triplet import (
     Coefficient,
-    ConstantMeasureFamily,
     CutoffFunction,
     DiscreteMeasure,
     LevyTriplet,
@@ -76,7 +75,7 @@ def _scalar_model(kill, drift, cov, measures=None, box=((-10.0, 10.0),)):
         dim=1, kill=Coefficient(kill, 1),
         drift=VectorCoefficient([drift], 1),
         covariance=MatrixCoefficient([[cov]], 1),
-        measures=measures or ConstantMeasureFamily(ZeroMeasure()),
+        measures=measures or ZeroMeasure(),
         cutoff=CutoffFunction(),
         domain_box=np.asarray(box),
     )

@@ -73,9 +73,41 @@ class TestLoadModel:
             load_model(f)
 
     def test_non_psd_covariance_reports_point(self, tmp_path):
-        f = _write(tmp_path, {**BASE, "covariance": [["-1 - x1^2"]]})
+        f = _write(tmp_path, {**BASE, "mode": "autonomous", "covariance": [["-1 - x1^2"]]})
         with pytest.raises(ModelInvariantError, match="positive semidefinite at x="):
             load_model(f)
+
+    @pytest.mark.parametrize("body, field", [
+        ({"killing_rate": "x1^2"}, "killing_rate"),
+        ({"killing_rate": "x1^2", "drift": ["sin(x1)"]}, "killing_rate"),
+        ({"dim": 2, "drift": [0.0, "x2"], "covariance": [[1.0, 0.0], [0.0, "1 + x1^2"]],
+          "domain_box": [[-5.0, 5.0]] * 2}, "drift[1]"),
+        ({"covariance": [["1 + x1^2"]]}, "covariance[0][0]"),
+        ({"levy_measure": {"kind": "discrete", "atoms": [{"jump": [1.0], "rate": 1.0},
+                                                         {"jump": [-1.0], "rate": "1 + x1^2"}]}},
+         "levy_measure.atoms[1].rate"),
+        ({"covariance": [[0.0]], "levy_measure": {"kind": "alpha_stable", "alpha": 1.5,
+                                                  "scale": "1 + x1^2"}}, "levy_measure.scale"),
+    ])
+    def test_levy_mode_rejects_state_dependent_coefficient(self, tmp_path, capsys, body, field):
+        # a Levy process has constant characteristics: the first
+        # state-dependent field is named, and the CLI exits 2
+        f = _write(tmp_path, {**BASE, **body})
+        with pytest.raises(ModelConfigError) as err:
+            load_model(f)
+        assert err.value.field == field
+        rc = main(["symbol", "--model", str(f), "--x", "0", "--xi", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"error: {field}: a levy model needs a constant" in capsys.readouterr().err
+
+    def test_sde_driver_must_be_constant(self, tmp_path):
+        f = _write(tmp_path, {**BASE, "mode": "sde", "covariance": [[0.0]],
+                              "sde": {"coefficient": "1 + 0.1*x1",
+                                      "driver": {"killing_rate": "x1^2",
+                                                 "covariance": [[1.0]]}}})
+        with pytest.raises(ModelConfigError, match=r"^sde\.driver: .*killing_rate") as err:
+            load_model(f)
+        assert err.value.field == "sde.driver"
 
     def test_bad_expression_position(self, tmp_path):
         f = _write(tmp_path, {**BASE, "killing_rate": "1 +"})
@@ -191,6 +223,11 @@ def test_symbol_xi_grid_csv(tmp_path):
     (["--xi", "1,2"], "xi = [1.0, 2.0] has 2 components; the model is 1-dimensional"),
     ([], "symbol needs --xi or --xi-grid"),
     (["--xi-grid", "1:2:2", "--radii", "1,2"], "--radii runs the exit-ball check for one --xi"),
+    (["--xi", "1", "--x", "nan"], "--x 'nan': need 1 finite number(s)"),
+    (["--xi", "1", "--k-radius", "nan"], "--k-radius 'nan': need one or more finite positive"),
+    (["--xi", "1", "--radii", "nan"], "--radii 'nan': need one or more finite positive"),
+    (["--xi", "1", "--ladder", "nan,0.02"], "--ladder 'nan,0.02': need one or more finite"),
+    (["--xi", "1", "--k-radius", "1,2"], "--k-radius '1,2': one radius"),
 ])
 def test_symbol_invalid_input_exit_code(tmp_path, capsys, args, message):
     rc = main(["symbol", "--model", "bm", "--x", "0", "--out", str(tmp_path), *args])

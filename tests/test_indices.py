@@ -18,7 +18,6 @@ from symbolkit.indices import (
 from symbolkit.simulate import PathSampler
 from symbolkit.triplet import (
     Coefficient,
-    ConstantMeasureFamily,
     CutoffFunction,
     DensityMeasure,
     LevyTriplet,
@@ -309,7 +308,7 @@ def test_grid_over_budget_runs_one_radius_per_call(monkeypatch):
         dim=2, kill=Coefficient(parse_expression("0.1*x1^2 + x2^2", dim=2), 2),
         drift=VectorCoefficient([0.5, 0.0], 2),
         covariance=MatrixCoefficient([[1.0, 0.0], [0.0, 1.0]], 2),
-        measures=ConstantMeasureFamily(ZeroMeasure()), cutoff=CutoffFunction(),
+        measures=ZeroMeasure(), cutoff=CutoffFunction(),
         domain_box=np.array([[-10.0, 10.0], [-10.0, 10.0]]))
     calls = _symbol_calls(monkeypatch, model, 1e2, 1e6, 16, "origin")
     assert calls == [41 * 41 * 513] * 16

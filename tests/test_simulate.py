@@ -23,7 +23,6 @@ from symbolkit.simulate import (
 )
 from symbolkit.triplet import (
     Coefficient,
-    ConstantMeasureFamily,
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
@@ -57,7 +56,7 @@ def _model(kill, drift, cov, measures=None, box=((-10.0, 10.0),)):
         kill=Coefficient(kill, d),
         drift=VectorCoefficient(drift, d),
         covariance=MatrixCoefficient(cov, d),
-        measures=measures or ConstantMeasureFamily(ZeroMeasure()),
+        measures=measures or ZeroMeasure(),
         cutoff=CutoffFunction(),
         domain_box=np.asarray(box),
     )

@@ -18,7 +18,6 @@ from symbolkit.symbol import (
 )
 from symbolkit.triplet import (
     Coefficient,
-    ConstantMeasureFamily,
     CutoffFunction,
     DiscreteMeasureFamily,
     LevyTriplet,
@@ -213,7 +212,7 @@ def _exploding_model():
         dim=1, kill=Coefficient(1.0, 1),
         drift=VectorCoefficient([parse_expression("x1^3")], 1),
         covariance=MatrixCoefficient([[0.1]], 1),
-        measures=ConstantMeasureFamily(ZeroMeasure()),
+        measures=ZeroMeasure(),
         cutoff=CutoffFunction(), domain_box=[[-20.0, 20.0]])
 
 

@@ -13,7 +13,6 @@ from symbolkit.expr import parse_expression
 from symbolkit.simulate import make_sde_model
 from symbolkit.triplet import (
     Coefficient,
-    ConstantMeasureFamily,
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
@@ -33,7 +32,7 @@ from symbolkit.triplet import (
 )
 
 from helpers import load_data_module
-from oracles import grid_max_ratio, stable_standard_reference
+from oracles import atom_exponent_fsum, grid_max_ratio, stable_standard_reference
 
 
 def test_gaussian_exponent():
@@ -146,7 +145,7 @@ def test_symbol_state_dependent_killing():
         kill=Coefficient(parse_expression("1 + x1^2"), 1),
         drift=VectorCoefficient([0.0], 1),
         covariance=MatrixCoefficient([[0.0]], 1),
-        measures=ConstantMeasureFamily(ZeroMeasure()),
+        measures=ZeroMeasure(),
         cutoff=CutoffFunction(),
         domain_box=[[-5.0, 5.0]],
     )
@@ -225,12 +224,12 @@ def test_symbol_at_matches_symbol_many_bit_for_bit(name, lenient):
     model = _symbol_at_model(name)
     rng = np.random.default_rng(7)
     for u in _frequencies(model.dim):
-        at = model.symbol_at(u, lenient=lenient)
+        at = {n: model.symbol_at(u, n, lenient=lenient) for n in (1, 5, 300, 2000)}
         # batch sizes that take different BLAS kernels, each twice so the
-        # second call reuses the terms the first one formed
+        # second call reuses the terms and buffers the first one used
         for n in (1, 5, 300, 2000, 5, 2000):
             xs = _states(model, n, rng)
-            _same_bits(at(xs), model.symbol_many(xs, np.tile(u, (n, 1)), lenient=lenient))
+            _same_bits(at[n](xs), model.symbol_many(xs, np.tile(u, (n, 1)), lenient=lenient))
 
 
 def _failing(term):
@@ -259,15 +258,120 @@ def test_symbol_at_failing_rows(term):
     for u in ([1.3], [-0.7]):
         tiled = np.tile(u, (len(xs), 1))
         # lenient: NaN on the failing rows only, the others keep their bits
-        got = model.symbol_at(u, lenient=True)(xs)
+        got = model.symbol_at(u, len(xs), lenient=True)(xs)
         _same_bits(got, model.symbol_many(xs, tiled, lenient=True))
         assert np.array_equal(np.isnan(got), bad)
         # strict: the same error as symbol_many's
         with pytest.raises(ValueError) as want:
             model.symbol_many(xs, tiled)
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            model.symbol_at(u)(xs)
-        _same_bits(model.symbol_at(u)(xs[~bad]), model.symbol_many(xs[~bad], tiled[~bad]))
+            model.symbol_at(u, len(xs))(xs)
+        _same_bits(model.symbol_at(u, len(xs[~bad]))(xs[~bad]),
+                   model.symbol_many(xs[~bad], tiled[~bad]))
+
+
+# ---------------------------------------------------------------------------
+# the symbol of one (state, frequency) pair does not depend on its batch
+
+def _random_constant(rng, d, atoms=True, covariance=True):
+    """A constant triplet with a random killing rate, drift, covariance
+    (zero unless ``covariance``) and atoms (none unless ``atoms``)."""
+    a = rng.standard_normal((d, d))
+    q = a @ a.T if covariance else np.zeros((d, d))
+    measure = ZeroMeasure()
+    if atoms:
+        k = int(rng.integers(1, 9))
+        measure = DiscreteMeasure(rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-1, 0.5, (k, 1)),
+                                  10.0 ** rng.uniform(-1, 1, k))
+    return LevyTriplet(float(rng.uniform(0.0, 2.0)), rng.standard_normal(d), 0.5 * (q + q.T),
+                       measure, CutoffFunction(radius=float(rng.uniform(0.3, 2.0))))
+
+
+def _state_model(d, kill, drift, covariance, measures=None):
+    coeff = lambda v: parse_expression(v) if isinstance(v, str) else v
+    return StateModel(dim=d, kill=Coefficient(coeff(kill), d),
+                      drift=VectorCoefficient([coeff(v) for v in drift], d),
+                      covariance=MatrixCoefficient([[coeff(v) for v in row] for row in covariance], d),
+                      measures=measures or ZeroMeasure(), cutoff=CutoffFunction(),
+                      domain_box=[[-3.0, 3.0]] * d)
+
+
+# each entry makes the models of one kind from a random generator
+ROW_LOCAL_MODELS = {
+    "atoms_1d": lambda rng: [StateModel.from_triplet(_random_constant(rng, 1, covariance=False))
+                             for _ in range(3)],
+    "atoms_2d": lambda rng: [StateModel.from_triplet(_random_constant(rng, 2, covariance=False))
+                             for _ in range(3)],
+    "atom_family_2d": lambda rng: [_state_model(
+        2, "1 + 0.5*sin(x1)", [0.3, "x1 - x2"], [[0.0, 0.0], [0.0, 0.0]],
+        DiscreteMeasureFamily(rng.standard_normal((5, 2)), [
+            parse_expression("1 + 0.5*sin(x1*x2)"), 0.7, parse_expression("2 + cos(x2)"), 1.3,
+            parse_expression("x1^2")], 2))],
+    "covariance_2d": lambda rng: [StateModel.from_triplet(_random_constant(rng, 2, atoms=False))
+                                  for _ in range(3)],
+    "covariance_3d": lambda rng: [StateModel.from_triplet(_random_constant(rng, 3, atoms=False))
+                                  for _ in range(3)],
+    "state_covariance_2d": lambda rng: [_state_model(
+        2, 0.2, ["x2", "-x1"], [["1 + 0.5*sin(x1)", "0.3*cos(x2)"], ["0.3*cos(x2)", "2 + x1^2"]])],
+    "state_covariance_3d": lambda rng: [_state_model(
+        3, "x3^2", [0.1, "x1", -0.4],
+        [["1 + x1^2", "0.2*x2", 0.1], ["0.2*x2", 2.0, "0.3*sin(x3)"],
+         [0.1, "0.3*sin(x3)", "1.5 + cos(x1)"]])],
+    "stable": lambda rng: [StateModel.from_triplet(
+        LevyTriplet(0.1, [0.2], [[0.3]], StableMeasure(1.3, 0.7))), _stable_like_model()],
+    "sde": lambda rng: [make_sde_model(parse_expression("1 + 0.5*sin(x1)"),
+                                       _random_constant(rng, 1)) for _ in range(2)],
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_LOCAL_MODELS))
+def test_symbol_of_a_pair_does_not_depend_on_its_batch(name):
+    # one pair alone, first, in the middle and last in batches of mixed
+    # frequencies, and at its frequency from symbol_at: the same bits
+    rng = np.random.default_rng(list(ROW_LOCAL_MODELS).index(name))
+    for model in ROW_LOCAL_MODELS[name](rng):
+        d = model.dim
+        lo, hi = model.domain_box[:, 0], model.domain_box[:, 1]
+        states = lambda n: lo + (hi - lo) * (0.05 + 0.9 * rng.random((n, d)))
+        frequencies = lambda n: rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 1.5, (n, 1))
+        for x, xi in zip(states(3), frequencies(3)):
+            for n in (1, 5, 300, 2000, 10_000):
+                at = sorted({0, n // 2, n - 1})
+                want = np.full(len(at), eval_symbol(model, x, xi))
+                xs, xis = states(n), frequencies(n)
+                xs[at], xis[at] = x, xi
+                _same_bits(model.symbol_many(xs, xis)[at], want)
+                _same_bits(model.symbol_at(xi, n)(xs)[at], want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exponent_of_a_triplet_is_the_symbol_of_its_model(d):
+    rng = np.random.default_rng(30 + d)
+    for k in range(60):
+        triplet = _random_constant(rng, d, atoms=k % 2 == 1)
+        model = StateModel.from_triplet(triplet)
+        x = rng.uniform(-5.0, 5.0, d)
+        for xi in rng.standard_normal((5, d)) * 10.0 ** rng.uniform(-2, 1.5, (5, 1)):
+            _same_bits(np.array([eval_exponent(triplet, xi)]),
+                       np.array([eval_symbol(model, x, xi)]))
+
+
+def test_atom_exponent_within_two_eps_of_an_fsum_oracle():
+    # 200 random 1-d and 2-d atom measures at 50 frequencies each: within
+    # 2 eps * sum |terms| of sums taken with math.fsum
+    rng = np.random.default_rng(16)
+    eps = np.finfo(float).eps
+    for m in range(200):
+        d = 1 + m % 2
+        k = int(rng.integers(1, 13))
+        measure = DiscreteMeasure(rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-2, 1, (k, 1)),
+                                  10.0 ** rng.uniform(-1, 2, k))
+        cutoff = CutoffFunction(radius=float(rng.uniform(0.3, 3.0)))
+        xis = rng.standard_normal((50, d)) * 10.0 ** rng.uniform(-2, 2, (50, 1))
+        chi = cutoff(measure.jumps)
+        for xi, got in zip(xis, measure.exponent_at(xis, cutoff)):
+            want, scale = atom_exponent_fsum(xi, measure.jumps, measure.rates, chi)
+            assert abs(got - want) <= 2.0 * eps * scale, (m, xi)
 
 
 # ---------------------------------------------------------------------------
