@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -97,18 +98,43 @@ def _vector(text: str, dim: int, flag: str) -> np.ndarray:
     return v
 
 
-def _sim_args(cfg, args):
-    sim = dict(cfg.simulation)
-    x0 = _vector(args.x0, cfg.dim, "--x0") if args.x0 else \
-        np.asarray(sim.get("x0", [0.0] * cfg.dim), dtype=float)
-    dt = args.dt if args.dt is not None else float(sim.get("dt", 0.01))
-    seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
-    n_paths = args.paths if args.paths is not None else int(sim.get("n_paths", 1000))
-    horizon = getattr(args, "horizon", None)
-    horizon = horizon if horizon is not None else float(sim.get("horizon", 1.0))
-    expl = float(sim.get("explosion_threshold", 1e9))
-    cut = sim.get("small_jump_cut")
-    return x0, dt, seed, n_paths, horizon, expl, cut
+@dataclass(frozen=True)
+class _Run:
+    """A command's run settings: each from its flag, else from the model
+    file's ``simulation`` block, else the default."""
+
+    x0: np.ndarray
+    dt: float
+    seed: int
+    n_paths: int
+    horizon: float
+    explosion_threshold: float
+    small_jump_cut: float | None
+
+    @classmethod
+    def of(cls, cfg, args) -> "_Run":
+        sim = cfg.simulation
+        horizon = getattr(args, "horizon", None)
+        return cls(
+            x0=(_vector(args.x0, cfg.dim, "--x0") if args.x0
+                else np.asarray(sim.get("x0", [0.0] * cfg.dim), dtype=float)),
+            dt=args.dt if args.dt is not None else float(sim.get("dt", 0.01)),
+            seed=args.seed if args.seed is not None else int(sim.get("seed", 0)),
+            n_paths=args.paths if args.paths is not None else int(sim.get("n_paths", 1000)),
+            horizon=horizon if horizon is not None else float(sim.get("horizon", 1.0)),
+            explosion_threshold=float(sim.get("explosion_threshold", 1e9)),
+            small_jump_cut=sim.get("small_jump_cut"),
+        )
+
+    def spec(self) -> SimSpec:
+        return SimSpec(x0=self.x0, horizon=self.horizon, dt=self.dt, n_paths=self.n_paths,
+                       rng_seed=self.seed, explosion_threshold=self.explosion_threshold,
+                       small_jump_cut=self.small_jump_cut)
+
+    def sampler(self, model, dt: float | None = None) -> PathSampler:
+        return PathSampler(model=model, dt=self.dt if dt is None else dt, seed=self.seed,
+                           explosion_threshold=self.explosion_threshold,
+                           small_jump_cut=self.small_jump_cut)
 
 
 def _outdir(args) -> FsPath:
@@ -117,9 +143,9 @@ def _outdir(args) -> FsPath:
     return out
 
 
-def _make_spec(x0, dt, seed, n_paths, horizon, expl, cut) -> SimSpec:
-    return SimSpec(x0=x0, horizon=horizon, dt=dt, n_paths=n_paths, rng_seed=seed,
-                   explosion_threshold=expl, small_jump_cut=cut)
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        fh.write(dump_json(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +153,7 @@ def _make_spec(x0, dt, seed, n_paths, horizon, expl, cut) -> SimSpec:
 
 def _cmd_simulate(args) -> int:
     cfg, model = _load(args.model)
-    spec = _make_spec(*_sim_args(cfg, args))
+    spec = _Run.of(cfg, args).spec()
     folder = FsPath(args.out) / "paths"
     sim = simulate(model, spec, {"paths": lambda paths: PathWriter(folder, spec, paths)})
     out = _outdir(args)
@@ -140,8 +166,7 @@ def _cmd_simulate(args) -> int:
         "invalid_count": invalid,
         "bias_notes": sim.bias_notes,
     }
-    with open(out / "manifest.json", "w") as fh:
-        fh.write(dump_json(manifest))
+    _write_json(out / "manifest.json", manifest)
     print(f"wrote {spec.n_paths} paths to {out} (invalid: {invalid})")
     return 0
 
@@ -150,7 +175,7 @@ def _cmd_symbol(args) -> int:
     if args.xi_grid and args.radii:
         raise ValueError("--radii runs the exit-ball check for one --xi, not for --xi-grid")
     cfg, model = _load(args.model)
-    x0, dt, seed, n_paths, _, expl, cut = _sim_args(cfg, args)
+    run = _Run.of(cfg, args)
     x = _vector(args.x, cfg.dim, "--x")
     k_radius = _numbers(args.k_radius, "--k-radius", "finite positive numbers")
     if len(k_radius) > 1:
@@ -158,12 +183,11 @@ def _cmd_symbol(args) -> int:
     settings = ProbeSettings(
         k_radius=k_radius[0],
         t_ladder=tuple(_numbers(args.ladder, "--ladder", "finite positive numbers")),
-        n_samples=n_paths if args.paths is not None else args.samples,
+        n_samples=run.n_paths if args.paths is not None else args.samples,
         extrapolate=not args.no_extrapolate,
         dt=args.dt,
     )
-    sampler = PathSampler(model=model, dt=settings.step, seed=seed,
-                          explosion_threshold=expl, small_jump_cut=cut)
+    sampler = run.sampler(model, settings.step)
     base = settings.k_radius
     failed = False
     if args.xi_grid:
@@ -193,8 +217,7 @@ def _cmd_symbol(args) -> int:
         failed |= _symbol_failed(rep)
         if radii:
             indep = IndependenceReport.from_reports([probes[r][0] for r in radii])
-            with open(out / "independence.json", "w") as fh:
-                fh.write(dump_json(indep.to_json()))
+            _write_json(out / "independence.json", indep.to_json())
             print(f"independence over radii {args.radii}: "
                   f"{'consistent' if indep.consistent else 'INCONSISTENT'}")
             failed |= not indep.consistent
@@ -216,7 +239,6 @@ def _cmd_indices(args) -> int:
         raise ValueError(f"--rmax {args.rmax} must exceed --rmin {args.rmin}")
     cfg, model = _load(args.model)
     x = _vector(args.x, cfg.dim, "--x") if args.x else None
-    direction = {"origin": "origin", "infinity": "infinity"}[args.direction]
     c0 = None
     if args.sector_from_grid:
         xg = _linspace_spec(args.sector_x_grid, "--sector-x-grid").reshape(-1, 1) \
@@ -225,11 +247,11 @@ def _cmd_indices(args) -> int:
             if cfg.dim == 1 else None
         c0 = check_sector(model, xg, kg)
     rep = estimate_indices(model, args.rmin, args.rmax, n_points=args.points,
-                           direction=direction, x=x, c0=c0)
+                           direction=args.direction, x=x, c0=c0)
     out = _outdir(args)
     rep.write_json(out / "index_report.json")
     rep.write_slopes_csv(out / "index_slopes.csv")
-    if direction == "origin":
+    if args.direction == "origin":
         print(f"beta0={rep.beta0}  beta0_lower={rep.beta0_lower}  "
               f"delta0_upper={rep.delta0_upper}  delta0={rep.delta0}")
     else:
@@ -250,8 +272,7 @@ def _cmd_conditions(args) -> int:
     growth = check_growth(model, xg, kg)
     sector = check_sector(model, xg, kg)
     out = _outdir(args)
-    with open(out / "conditions.json", "w") as fh:
-        fh.write(dump_json({"growth": growth.to_json(), "sector": sector.to_json()}))
+    _write_json(out / "conditions.json", {"growth": growth.to_json(), "sector": sector.to_json()})
     print(f"growth constant {growth.constant:.6g}; sector "
           + (f"constant {sector.constant:.6g}" if sector.satisfied else "FAILED"))
     return 0
@@ -259,7 +280,7 @@ def _cmd_conditions(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg, model = _load(args.model)
-    spec = _make_spec(*_sim_args(cfg, args))
+    spec = _Run.of(cfg, args).spec()
     t_grid = _floats(args.t_grid)
     suites = ("killing", "exponential", "canonical") if args.suite == "all" else (args.suite,)
     # every check is set up, and its input checked, before any path is simulated
@@ -289,17 +310,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scaling(args) -> int:
     cfg, model = _load(args.model)
-    x0, dt, seed, n_paths, _, expl, cut = _sim_args(cfg, args)
-    sampler = PathSampler(model=model, dt=dt, seed=seed,
-                          explosion_threshold=expl, small_jump_cut=cut)
-    direction = {"zero": "zero", "infinity": "infinity"}[args.direction]
+    run = _Run.of(cfg, args)
     t_grid = _numbers(args.t_grid, "--t-grid")
     lambdas = _numbers(args.lambdas, "--lambdas", "finite positive numbers")
-    rep = scaling_diagnostic(sampler, x0, lambdas, t_grid,
-                             direction, n_paths=n_paths)
+    rep = scaling_diagnostic(run.sampler(model), run.x0, lambdas, t_grid,
+                             args.direction, n_paths=run.n_paths)
     out = _outdir(args)
-    with open(out / "scaling.json", "w") as fh:
-        fh.write(dump_json(rep.to_json()))
+    _write_json(out / "scaling.json", rep.to_json())
     for lam, cls in rep.classifications.items():
         print(f"lambda={lam}: {cls} (slope {rep.slopes[lam]:.3f})")
     return 0
@@ -307,16 +324,14 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_maximal(args) -> int:
     cfg, model = _load(args.model)
-    x0, dt, seed, n_paths, _, expl, cut = _sim_args(cfg, args)
-    sampler = PathSampler(model=model, dt=dt, seed=seed,
-                          explosion_threshold=expl, small_jump_cut=cut)
-    rep = verify_maximal_inequality(sampler, model, x0, _numbers(args.t_grid, "--t-grid"),
+    run = _Run.of(cfg, args)
+    rep = verify_maximal_inequality(run.sampler(model), model, run.x0,
+                                    _numbers(args.t_grid, "--t-grid"),
                                     _numbers(args.r_grid, "--r-grid",
                                              "finite positive numbers"),
-                                    n_paths)
+                                    run.n_paths)
     out = _outdir(args)
-    with open(out / "maximal_inequality.json", "w") as fh:
-        fh.write(dump_json(rep.to_json()))
+    _write_json(out / "maximal_inequality.json", rep.to_json())
     print(f"sup ratio (upper bound) {rep.sup_ratio_upper:.4g}; "
           f"stability {rep.stability:.2%}; {'stable' if rep.stable else 'UNSTABLE'}")
     return 0 if rep.stable else 1

@@ -16,18 +16,21 @@ place, in buffers of the observer's own chunk: the sums, the increment
 and its norm, the symbol's state-dependent terms and the phase.  The
 frequency u of the exponential check is fixed for the run, so its
 compensator evaluates ``StateModel.symbol_at(u, n)``, whose state-free
-terms are formed once per chunk of n paths.  The coefficients are read from
-the kernel's ``values`` at x, never evaluated again; ``x``, ``status``
-and ``values`` are the kernel's buffers, so an observer copies what it
-keeps.  No observer is part of a reference cycle, which would keep its
+terms are formed once per chunk of n paths.  The coefficients are read
+from the kernel's ``values`` at x, never evaluated again; ``x``,
+``status`` and ``values`` are the kernel's buffers, so an observer
+copies what it keeps.  Every <u, x> is summed row by row
+(``triplet._row_dot``), so a path's phase has the same bits in any
+chunk.  No observer is part of a reference cycle, which would keep its
 chunk's buffers alive until the next full garbage collection.
 
 ``x`` holds every path's last finite state, as the kernel holds it; a
 replay rebuilds that from the stored columns, which hold NaN on
-cemetery states, and evaluates the coefficients there.  Observers see every path, including one that the
-kernel flags invalid only after the observer has seen the state where
-its coefficients fail, so they evaluate coefficients leniently (NaN,
-not an error).  The valid-path mask (not exploded, not invalid) is
+cemetery states, and evaluates the coefficients there.  Observers see
+every path, including one that the kernel flags invalid only after the
+observer has seen the state where its coefficients fail; there the
+coefficient values are NaN, and so are the observer's (``symbol_at``
+keeps NaN rows).  The valid-path mask (not exploded, not invalid) is
 applied when the report is built; a value that is not finite on a valid
 path fails the check closed, naming the grid time and the state.
 Conventions shared by the checks:
@@ -54,7 +57,7 @@ import numpy as np
 from .extended import Path, STATUS_DELTA, STATUS_FINITE
 from .serialize import dump_json
 from .simulate import Ensemble, SimSpec, _norm, simulate
-from .triplet import CoefficientValues, LevyTriplet, StateModel, eval_exponent
+from .triplet import CoefficientValues, LevyTriplet, StateModel, _row_dot, eval_exponent
 
 __all__ = [
     "TruncationDecomposition",
@@ -215,7 +218,7 @@ class _PhaseObserver(_Columns):
 
     def record(self, j, x, status, values):
         if j in self.columns:
-            phase = np.exp(1j * ((x - self.x0) @ self.u))
+            phase = np.exp(1j * _row_dot(x - self.x0, self.u))
             phase[status != STATUS_FINITE] = 0.0
             self.kept[j] = (x.copy(), phase)
 
@@ -229,26 +232,30 @@ class _ExponentialObserver(_Columns):
         super().__init__(columns)
         self.u = u
         # one per chunk: chunks may run on different threads
-        symbol = model.symbol_at(u, n, lenient=True)
+        symbol = model.symbol_at(u, n)
         phase_one = self.phase_one = np.exp(1j * float(u.sum()))
         killing = model.killing
         # e^{i<u, 1>} a, formed once when the rate is constant
         constant_kill = (np.multiply(phase_one, np.full(n, killing.value))
                          if killing.is_constant else None)
-        p, angle, phase = np.empty(n, dtype=complex), np.empty(n), np.empty(n, dtype=complex)
+        p, bracket, phase = (np.empty(n, dtype=complex) for _ in range(3))
+        angle = np.empty(n)
 
         # complex products are not bitwise commutative: the operand
         # order below is the one the reported numbers were fixed with.
+        # The last product writes into a buffer that neither operand
+        # uses: an in-place complex product of one element is rounded
+        # otherwise than the same element in a longer array.
         # The closure holds no reference to the observer: a cycle would
         # keep the chunk's buffers until the next full collection
         def integrand(xs, values, out):
             if constant_kill is None:
-                np.multiply(phase_one, values[killing], out=out)
-                out -= symbol(xs, values, p)
+                np.multiply(phase_one, values[killing], out=bracket)
+                np.subtract(bracket, symbol(xs, values, p), out=bracket)
             else:
-                np.subtract(constant_kill, symbol(xs, values, p), out=out)
-            np.multiply(1j, np.matmul(xs, u, out=angle), out=phase)
-            out *= np.exp(phase, out=phase)
+                np.subtract(constant_kill, symbol(xs, values, p), out=bracket)
+            np.multiply(1j, _row_dot(xs, u, out=angle), out=phase)
+            np.multiply(bracket, np.exp(phase, out=phase), out=out)
 
         self.compensator = _RunningTrapezoid(integrand, dt, dtype=complex)
 
@@ -256,7 +263,7 @@ class _ExponentialObserver(_Columns):
         self.compensator.record(j, x, status, values)
         if j in self.columns:
             h = (np.where(status == STATUS_DELTA, self.phase_one, 1.0)
-                 * np.exp(1j * (x @ self.u)))
+                 * np.exp(1j * _row_dot(x, self.u)))
             self.kept[j] = (x.copy(), h - self.compensator.value)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .serialize import dump_json, write_csv
 from .extended import STATUS_FINITE
 from .simulate import PathSampler
-from .triplet import eval_symbol
+from .triplet import _row_dot, eval_symbol
 
 __all__ = [
     "ProbeSettings",
@@ -190,7 +190,7 @@ def _report(x, xi, analytic: complex, times, values, status,
     # summed from 0 as Python's sum does, which sets the sign of a zero
     per_path = 0
     for rung, (t, k) in enumerate(ladder):
-        phase = np.exp(1j * ((values[k] - x) @ xi))
+        phase = np.exp(1j * _row_dot(values[k] - x, xi))
         phase[status[k] != STATUS_FINITE] = 0.0
         estimates.append(complex(-(phase.mean() - 1.0) / t))
         stderrs.append(_complex_stderr(phase) / t)

@@ -214,15 +214,14 @@ class MeasureFamily:
 
     couples_frequencies = False
 
-    def exponent_at(self, xis: np.ndarray, cutoff: CutoffFunction,
-                    lenient: bool = False):
+    def exponent_at(self, xis: np.ndarray, cutoff: CutoffFunction):
         """I at the (N, d) frequencies xis.  A constant measure returns
         the (N,) values.  A state-dependent family evaluates its
         frequency-only part here, once, and returns a function of the
         ``CoefficientValues`` at N states, which writes the term into a
-        buffer of its own that the next call overwrites.  With
-        ``lenient`` (values evaluated leniently) a state where the
-        family is undefined gives NaN."""
+        buffer of its own that the next call overwrites; a state where
+        the family is undefined (a NaN value, or a stable order outside
+        (0, 2]) gives NaN in its row."""
         raise NotImplementedError
 
     def coefficient_blocks(self) -> list:
@@ -233,9 +232,10 @@ class MeasureFamily:
                      small_jump_cut: float | None) -> JumpSampler:
         raise NotImplementedError
 
-    def box_violation(self, pts: np.ndarray) -> str | None:
+    def box_violation(self, values: "CoefficientValues", pts: np.ndarray) -> str | None:
         """The first invariant the family breaks at the (m, d) probe
-        points, as a message, or None."""
+        points, whose coefficient values are ``values``, as a message
+        naming the point, or None."""
         return None
 
 
@@ -251,7 +251,7 @@ class LevyMeasure(MeasureFamily):
 
 @dataclass(frozen=True)
 class ZeroMeasure(LevyMeasure):
-    def exponent_at(self, xis, cutoff, lenient=False):
+    def exponent_at(self, xis, cutoff):
         return np.zeros(len(xis), dtype=complex)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
@@ -282,7 +282,7 @@ class DiscreteMeasure(LevyMeasure):
         if np.any(np.linalg.norm(self.jumps, axis=1) == 0):
             raise ValueError("atoms at the origin are not allowed")
 
-    def exponent_at(self, xis, cutoff, lenient=False):
+    def exponent_at(self, xis, cutoff):
         return np.sum(_atom_block(xis, self.jumps, cutoff(self.jumps)) * self.rates, axis=1)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
@@ -329,14 +329,14 @@ class StableMeasure(LevyMeasure):
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
-    def exponent_at(self, xis, cutoff, lenient=False):
+    def exponent_at(self, xis, cutoff):
         if xis.shape[1] != 1:
             raise ValueError("stable measures are one-dimensional")
         return (-self.scale * np.abs(xis[:, 0]) ** self.alpha).astype(complex)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """Per step, (n,) uniforms u and then (n,) uniforms w from the
-        ``stable`` stream (``_stable_standard``), scaled by
+        ``stable`` stream (``_StableDraw``), scaled by
         (scale dt)^(1/alpha).  The symmetric measure has no compensator."""
 
         def chunk(n):
@@ -358,14 +358,6 @@ class StableMeasure(LevyMeasure):
     def validate(self, dim):
         if dim != 1:
             raise ValueError("stable measures are one-dimensional")
-
-
-def _stable_standard(alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One symmetric stable variate with characteristic function
-    exp(-|xi|^alpha) per entry of alpha (``_StableDraw``)."""
-    draw = _StableDraw(alpha.shape[0])
-    draw.orders(alpha)
-    return draw.draw(rng)
 
 
 class _StableDraw:
@@ -493,19 +485,15 @@ class DensityMeasure(LevyMeasure):
         vals = self.levels(np.concatenate([-probes, probes]))
         if np.any(~np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("density must be finite and non-negative on its support")
-        total = (self._band(self.eps, 1.0, lambda y: y * y, "(1 ^ y^2) integral").sum()
-                 + self._band(1.0, self.y_max, lambda y: 1.0, "(1 ^ y^2) integral").sum())
-        self.second_moment_check = float(total)
+        # _band raises unless (1 ^ y^2) level(y) integrates
+        self._band(self.eps, 1.0, lambda y: y * y, "(1 ^ y^2) integral")
+        self._band(1.0, self.y_max, lambda y: 1.0, "(1 ^ y^2) integral")
 
     def _build_tables(self):
         n = 2048
         grid = np.geomspace(self.eps, self.y_max, n)
         levels = self.levels(np.concatenate([grid, -grid]))
         pos, neg = levels[:n], levels[n:]
-        self._grid = grid
-        total_pos = np.trapezoid(pos, grid)
-        total_neg = np.trapezoid(neg, grid)
-        self.total_rate = total_pos + total_neg
         # signed support laid out [-y_max .. -eps] ++ [eps .. y_max]
         ys = np.concatenate([-grid[::-1], grid])
         dens = np.concatenate([neg[::-1], pos])
@@ -533,12 +521,6 @@ class DensityMeasure(LevyMeasure):
             self.small_mass_second_moment = c_hat * self.eps ** (2.0 - alpha_hat) / (2.0 - alpha_hat)
         else:
             self.small_mass_second_moment = math.inf
-
-    def truncation_bias_bound(self, xi) -> float:
-        """Bound on |exponent error| from the mass discarded below the
-        support truncation, 0.5 |xi|^2 * (extrapolated second moment)."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return 0.5 * float(xi[0] ** 2) * self.small_mass_second_moment
 
     def _band(self, lo: float, hi: float, weight, what: str) -> np.ndarray:
         """integral of weight(y) (level(y), level(-y)) over
@@ -636,7 +618,7 @@ class DensityMeasure(LevyMeasure):
             "discarded_second_moment_bound": self.small_mass_second_moment,
         })
 
-    def exponent_at(self, xis, cutoff, lenient=False):
+    def exponent_at(self, xis, cutoff):
         if xis.shape[1] != 1:
             raise ValueError("density measures are one-dimensional")
         # I(-xi) is the conjugate of I(xi): integrate each distinct |xi| once
@@ -765,7 +747,8 @@ def _require_converged(achieved: np.ndarray, what: str, at: np.ndarray | None = 
 # coefficient functions (constant or expression-backed)
 
 class Coefficient:
-    """Scalar coefficient of the state, broadcasting over (n, d) batches."""
+    """Scalar coefficient of the state: a constant ``value`` or an
+    Expression ``expr``, read through ``CoefficientValues``."""
 
     def __init__(self, spec, dim: int):
         self.dim = dim
@@ -780,40 +763,18 @@ class Coefficient:
     def is_constant(self) -> bool:
         return self.expr is None
 
-    def __call__(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The values at the (n, d) states, written into the (n,) array
-        ``out`` if given; an undefined expression raises."""
-        return self._values(xs, out, strict=True)
-
-    def lenient(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """As a call, but NaN where the expression is undefined."""
-        return self._values(xs, out, strict=False)
-
-    def _values(self, xs, out, strict: bool) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.is_constant:
-            values = self.value
-        elif strict:
-            values = np.asarray(self.expr.evaluate(xs), dtype=float)
-        else:
-            values = np.asarray(self.expr.evaluate_lenient(xs), dtype=float)
-        if out is None:
-            return np.broadcast_to(values, (xs.shape[0],)).copy()
-        np.copyto(out, values)
-        return out
-
 
 class CoefficientValues:
     """The values of a model's coefficients at one batch of n states.
 
     ``blocks`` lists (key, coefficients, shape) triples: ``values[key]``
     is the (n, *shape) array whose [:, k] entries, in C order, are the
-    k-th coefficient's values, laid out as ``np.stack`` lays out the
-    coefficients' own arrays.  A block whose coefficients are all
+    k-th coefficient's values.  A block whose coefficients are all
     constant is filled once, when it is first read; ``evaluate(xs)``
-    writes the others' values at the (n, d) states xs, one evaluation
-    per coefficient, and ``carry(other, where)`` copies another batch's
-    values on the rows where ``where`` holds.  The arrays are buffers
+    writes the others' values at the (n, d) states xs, one lenient
+    Expression evaluation per coefficient, so NaN where a coefficient is
+    undefined; ``carry(other, where)`` copies another batch's values on
+    the rows where ``where`` holds.  The arrays are buffers
     that the next ``evaluate`` or ``carry`` overwrites: a reader copies
     what it keeps and never writes into them."""
 
@@ -840,11 +801,9 @@ class CoefficientValues:
         block = self.arrays.get(key)
         return self._make(key) if block is None else block
 
-    def evaluate(self, xs: np.ndarray, lenient: bool = True) -> "CoefficientValues":
-        """Evaluate every state-dependent coefficient at the (n, d)
-        states xs; with ``lenient`` a failure gives NaN, else it raises."""
+    def evaluate(self, xs: np.ndarray) -> "CoefficientValues":
         for c, out in self.varying:
-            (c.lenient if lenient else c)(xs, out=out)
+            np.copyto(out, c.expr.evaluate_lenient(xs))
         return self
 
     def carry(self, other: "CoefficientValues", where: np.ndarray) -> None:
@@ -866,10 +825,6 @@ class VectorCoefficient:
     def constant_value(self) -> np.ndarray:
         return np.array([p.value for p in self.parts])
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.stack([p(xs) for p in self.parts], axis=-1)
-
 
 class MatrixCoefficient:
     def __init__(self, specs: Sequence[Sequence], dim: int):
@@ -884,11 +839,6 @@ class MatrixCoefficient:
 
     def constant_value(self) -> np.ndarray:
         return np.array([[c.value for c in row] for row in self.rows])
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        cols = [np.stack([c(xs) for c in row], axis=-1) for row in self.rows]
-        return np.stack(cols, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +857,7 @@ class DiscreteMeasureFamily(MeasureFamily):
         """The (n, K) rates, keyed by the family."""
         return [(self, self.rate_coeffs, (len(self.rate_coeffs),))]
 
-    def exponent_at(self, xis, cutoff, lenient=False):
+    def exponent_at(self, xis, cutoff):
         vals = _atom_block(xis, self.jumps, cutoff(self.jumps))
         terms, out = np.empty(vals.shape, dtype=complex), np.empty(len(vals), dtype=complex)
         return lambda values: np.sum(np.multiply(vals, values[self], out=terms), axis=1, out=out)
@@ -945,11 +895,10 @@ class DiscreteMeasureFamily(MeasureFamily):
 
         return JumpSampler(chunk)
 
-    def box_violation(self, pts):
-        bad = np.any([c(pts) < 0 for c in self.rate_coeffs], axis=0)
-        if np.any(bad):
-            return f"atom rate negative at x={pts[int(np.argmax(bad))].tolist()}"
-        return None
+    def box_violation(self, values, pts):
+        rates = values[self]
+        return (_violation("atom rate not finite", ~np.isfinite(rates), pts)
+                or _violation("atom rate negative", rates < 0, pts))
 
 
 class StableMeasureFamily(MeasureFamily):
@@ -963,9 +912,9 @@ class StableMeasureFamily(MeasureFamily):
         return [(self.alpha_coeff, [self.alpha_coeff], ()),
                 (self.scale_coeff, [self.scale_coeff], ())]
 
-    def exponent_at(self, xis, cutoff, lenient=False):
-        """-scale |xi|^alpha, 0 at xi = 0; with ``lenient`` an order
-        outside (0, 2] gives NaN, else it raises."""
+    def exponent_at(self, xis, cutoff):
+        """-scale |xi|^alpha, 0 at xi = 0; NaN where the order is
+        outside (0, 2]."""
         absxi = np.abs(xis[:, 0])
         zero = ~(absxi > 0)
         n = len(xis)
@@ -974,17 +923,13 @@ class StableMeasureFamily(MeasureFamily):
 
         def term(values):
             alpha, scale = values[self.alpha_coeff], values[self.scale_coeff]
-            if lenient:
-                # np.where((alpha > 0) & (alpha <= 2), alpha, nan)
-                np.greater(alpha, 0, out=in_range)
-                np.logical_and(in_range, np.less_equal(alpha, 2, out=below), out=in_range)
-                np.copyto(alpha_ok, np.nan)
-                np.copyto(alpha_ok, alpha, where=in_range)
-                alpha = alpha_ok
-            elif np.any(alpha <= 0) or np.any(alpha > 2):
-                raise ValueError("stable order must stay in (0, 2] on the evaluation set")
+            # np.where((alpha > 0) & (alpha <= 2), alpha, nan)
+            np.greater(alpha, 0, out=in_range)
+            np.logical_and(in_range, np.less_equal(alpha, 2, out=below), out=in_range)
+            np.copyto(alpha_ok, np.nan)
+            np.copyto(alpha_ok, alpha, where=in_range)
             with np.errstate(divide="ignore"):
-                np.multiply(scale, np.power(absxi, alpha, out=power), out=power)
+                np.multiply(scale, np.power(absxi, alpha_ok, out=power), out=power)
             np.copyto(power, 0.0, where=zero)
             return np.negative(power, out=out)
 
@@ -1010,15 +955,19 @@ class StableMeasureFamily(MeasureFamily):
 
         return JumpSampler(chunk)
 
-    def box_violation(self, pts):
-        alpha = self.alpha_coeff(pts)
-        bad = (alpha <= 0) | (alpha > 2)
-        if np.any(bad):
-            return f"stable order outside (0,2] at x={pts[int(np.argmax(bad))].tolist()}"
-        bad = self.scale_coeff(pts) < 0
-        if np.any(bad):
-            return f"stable scale negative at x={pts[int(np.argmax(bad))].tolist()}"
-        return None
+    def box_violation(self, values, pts):
+        alpha, scale = values[self.alpha_coeff], values[self.scale_coeff]
+        return (_violation("stable order not finite", ~np.isfinite(alpha), pts)
+                or _violation("stable order outside (0,2]", (alpha <= 0) | (alpha > 2), pts)
+                or _violation("stable scale not finite", ~np.isfinite(scale), pts)
+                or _violation("stable scale negative", scale < 0, pts))
+
+
+def _violation(what: str, bad: np.ndarray, pts: np.ndarray) -> str | None:
+    """The message "<what> at x=<point>" for the first of the probe
+    points pts whose row of ``bad`` holds, or None."""
+    rows = bad.reshape(len(pts), -1).any(axis=1)
+    return f"{what} at x={pts[int(np.argmax(rows))].tolist()}" if rows.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1005,7 @@ class LevyTriplet:
         """The exponent at the (N, d) frequencies xis: the symbol of the
         triplet's constant model, which reads no state."""
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        return StateModel.from_triplet(self)._symbol_rows(xis, False)(None)
+        return StateModel.from_triplet(self)._symbol_rows(xis)(None)
 
 
 @dataclass(frozen=True)
@@ -1145,48 +1094,54 @@ class StateModel:
                 (self.covariance, [c for row in self.covariance.rows for c in row], (d, d)),
                 *self.measures.coefficient_blocks()]
 
-    def coefficient_values(self, xs: np.ndarray, lenient: bool = False) -> CoefficientValues:
-        """The coefficients' values at the (N, d) states xs; with
-        ``lenient`` a coefficient that cannot be evaluated gives NaN
-        instead of raising."""
+    def coefficient_values(self, xs: np.ndarray) -> CoefficientValues:
+        """The coefficients' values at the (N, d) states xs, NaN where a
+        coefficient is undefined."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return CoefficientValues(self.coefficient_blocks(), xs.shape[0]).evaluate(xs, lenient)
+        return CoefficientValues(self.coefficient_blocks(), xs.shape[0]).evaluate(xs)
 
-    def symbol_many(self, xs: np.ndarray, xis: np.ndarray,
-                    lenient: bool = False) -> np.ndarray:
+    def symbol_many(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
         """Frozen-coefficient symbol p(x, xi) over batched inputs
-        (both (N, d)); includes the killing rate.  With ``lenient`` a
-        coefficient that cannot be evaluated gives NaN in its row
-        instead of raising; the other rows keep their bits."""
+        (both (N, d)); includes the killing rate.  Raises ValueError
+        naming the first (x, xi) whose value is not finite, e.g. where a
+        coefficient is undefined."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
         # a constant model's symbol reads no coefficient values
-        values = None if self.is_constant else self.coefficient_values(xs, lenient)
-        return self._symbol_rows(xis, lenient)(values)
+        values = None if self.is_constant else self.coefficient_values(xs)
+        out = self._symbol_rows(xis)(values)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"symbol {out[k]} not finite at x={xs[k].tolist()}, "
+                             f"xi={xis[k].tolist()}")
+        return out
 
-    def symbol_at(self, u, n: int, lenient: bool = False) -> Callable[..., np.ndarray]:
+    def symbol_at(self, u, n: int) -> Callable[..., np.ndarray]:
         """p(., u) at one fixed frequency u for batches of n states:
         ``symbol_at(u, n)(xs)`` equals ``symbol_many`` on xs and n copies
-        of u bit for bit.  The returned ``symbol(xs, values=None, out=None)``
-        reads the coefficients from ``values`` (``coefficient_values(xs,
-        lenient)``, evaluated if not given) and writes into the complex
-        (n,) array ``out`` if given.  The terms that do not depend on the
-        state are formed once, here, from u broadcast to the n rows, and
-        so are scratch buffers for the others, which make one ``symbol``
-        unsafe to share between threads."""
+        of u bit for bit, except that a row whose value is not finite
+        (NaN where a coefficient is undefined) is kept, not raised.  The
+        returned ``symbol(xs, values=None, out=None)`` reads the
+        coefficients from ``values`` (``coefficient_values(xs)``,
+        evaluated if not given) and writes into the complex (n,) array
+        ``out`` if given.  The terms that do not depend on the state are
+        formed once, here, from u broadcast to the n rows, and so are
+        scratch buffers for the others, which make one ``symbol`` unsafe
+        to share between threads."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        rows = self._symbol_rows(np.broadcast_to(u, (n, len(u))), lenient)
+        rows = self._symbol_rows(np.broadcast_to(u, (n, len(u))))
 
         def symbol(xs, values=None, out=None):
             if values is None:
-                values = self.coefficient_values(xs, lenient)
+                values = self.coefficient_values(xs)
             return rows(values, out)
 
         return symbol
 
-    def _symbol_rows(self, xis: np.ndarray, lenient: bool) -> Callable[..., np.ndarray]:
+    def _symbol_rows(self, xis: np.ndarray) -> Callable[..., np.ndarray]:
         """p(., xi) at the (N, d) frequencies xis as a function
-        ``symbol(values, out=None)`` of the coefficient values at N states
-        (evaluated leniently if ``lenient``),
+        ``symbol(values, out=None)`` of the coefficient values at N states,
 
             ((a - i <l, xi>) + <xi, Q xi> / 2) - jump part,
 
@@ -1234,7 +1189,7 @@ class StateModel:
         rest = [
             (np.subtract, drift),
             (np.add, covariance),
-            (np.subtract, self.measures.exponent_at(xis, self.cutoff, lenient)),
+            (np.subtract, self.measures.exponent_at(xis, self.cutoff)),
         ]
         while len(rest) > 1 and not callable(first) and not callable(rest[0][1]):
             op, value = rest.pop(0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ class TestLoadModel:
 
     def test_bundled_stable_like_valid(self):
         model = load_model(bundled_model_path("stable_like"))
-        alpha = model.measures.alpha_coeff(np.array([[0.0]]))[0]
+        alpha = model.coefficient_values(np.array([[0.0]]))[model.measures.alpha_coeff][0]
         assert alpha == pytest.approx(0.7)
 
     def test_negative_killing_rate_reports_point(self, tmp_path):
@@ -121,6 +122,35 @@ class TestLoadModel:
                               "covariance": [[0.0]]})
         with pytest.raises(ModelInvariantError, match="stable order"):
             load_model(f)
+
+    @pytest.mark.parametrize("body, field", [
+        ({"killing_rate": "log(x1)"}, "killing_rate"),
+        ({"drift": ["log(x1)"]}, "drift"),
+        ({"covariance": [["x1^0.5"]]}, "covariance"),
+        ({"levy_measure": {"kind": "discrete", "atoms": [{"jump": [1.0], "rate": "x1^0.5"}]}},
+         "atom rate"),
+        ({"covariance": [[0.0]], "levy_measure": {"kind": "alpha_stable",
+                                                  "alpha": "1 + x1^0.5", "scale": 1.0}},
+         "stable order"),
+        ({"covariance": [[0.0]], "levy_measure": {"kind": "alpha_stable",
+                                                  "alpha": 1.5, "scale": "x1^0.5"}},
+         "stable scale"),
+        ({"mode": "sde", "covariance": [[0.0]],
+          "sde": {"coefficient": "log(x1)", "driver": {"covariance": [[1.0]]}}},
+         "sde coefficient"),
+    ])
+    def test_undefined_coefficient_reports_field_and_point(self, tmp_path, capsys, body, field):
+        # log(x1) and x1^0.5 are undefined on half of the box [-1, 1]: the
+        # first probe point, -1, is named with the field, and the CLI exits 2
+        f = _write(tmp_path, {**BASE, "mode": "autonomous", "domain_box": [[-1.0, 1.0]],
+                              **body})
+        message = f"{field} not finite at x=[-1.0]"
+        with pytest.raises(ModelInvariantError, match=re.escape(message)):
+            load_model(f)
+        rc = main(["conditions", "--model", str(f), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_resolve_prefers_filesystem(self, tmp_path):
         f = _write(tmp_path, BASE)

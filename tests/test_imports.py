@@ -1,0 +1,44 @@
+"""Every name a symbolkit module imports is used in that module.
+
+An import marked ``# noqa: F401`` is exempt (cli.py keeps one for
+perfbench's tracer).  ``__init__.py`` re-exports, so it is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import symbolkit
+
+MODULES = sorted(p for p in Path(symbolkit.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda i: i[1])
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_found():
+    source = ("import math\nimport numpy as np\nfrom os import path, sep\n"
+              "from sys import argv  # noqa: F401\nx = np.pi + len(sep)\n")
+    assert _unused_imports(source) == ["line 1: math", "line 3: path"]

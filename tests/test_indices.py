@@ -275,9 +275,9 @@ def _symbol_calls(monkeypatch, model, *args, **kwargs) -> list[int]:
     calls = []
     symbol_many = StateModel.symbol_many
 
-    def counting(self, xs, xis, lenient=False):
+    def counting(self, xs, xis):
         calls.append(len(xs))
-        return symbol_many(self, xs, xis, lenient)
+        return symbol_many(self, xs, xis)
 
     monkeypatch.setattr(StateModel, "symbol_many", counting)
     estimate_indices(model, *args, **kwargs)

@@ -412,19 +412,50 @@ def test_verify_evaluates_each_coefficient_once_per_step(monkeypatch, tmp_path, 
     # start and once per step, at the proposal; the jump sampler, the
     # hazard and the observers read those values
     from symbolkit.cli import main
-    from symbolkit.triplet import Coefficient
+    from symbolkit.config import CONTINUITY_GRID
+    from symbolkit.expr import Expression
 
     calls = {}
-    lenient = Coefficient.lenient
+    lenient = Expression.evaluate_lenient
 
-    def counted(self, xs, *args, **kwargs):
-        if not self.is_constant:
-            text = self.expr.to_text()
-            calls[text] = calls.get(text, 0) + 1
-        return lenient(self, xs, *args, **kwargs)
+    def counted(self, xs):
+        key = (self.to_text(), len(xs))
+        calls[key] = calls.get(key, 0) + 1
+        return lenient(self, xs)
 
-    monkeypatch.setattr(Coefficient, "lenient", counted)
+    monkeypatch.setattr(Expression, "evaluate_lenient", counted)
     rc = main(["verify", "--model", name, "--suite", "all", "--paths", "10000",
                "--seed", "1", "--out", str(tmp_path)])
     assert rc in (0, 1)
-    assert calls == {expression: steps + 1}
+    # loading the model checks it once on its probe grid
+    assert calls == {(expression, CONTINUITY_GRID): 1, (expression, 10000): steps + 1}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_phase_of_a_path_does_not_depend_on_its_chunk(d):
+    # <u, x> is summed row by row: each of 300 paths recorded alone keeps
+    # the bits it has inside one chunk of 300 (a BLAS product need not)
+    from symbolkit.martingale import _ExponentialObserver, _PhaseObserver
+
+    rng = np.random.default_rng(40 + d)
+    n = 300
+    x0, u = rng.standard_normal(d), 3.0 * rng.standard_normal(d)
+    steps = [5.0 * rng.standard_normal((n, d)) for _ in range(3)]
+    model = _model(parse_expression("0.1 + 0.05*x1^2", dim=d), [0.1] * d,
+                   (0.5 * np.eye(d)).tolist(), box=((-10.0, 10.0),) * d)
+    observers = {
+        "phase": lambda n: _PhaseObserver(x0, u, {2}),
+        "exponential": lambda n: _ExponentialObserver(model, u, 0.01, {2}, n),
+    }
+
+    def recorded(make, rows):
+        observer = make(len(rows[0]))
+        status = np.zeros(len(rows[0]), dtype=np.int8)
+        for j, x in enumerate(rows):
+            observer.record(j, x, status, model.coefficient_values(x))
+        return observer.per_path()[2][1]
+
+    for name, make in observers.items():
+        chunk = recorded(make, steps)
+        alone = np.concatenate([recorded(make, [x[k:k + 1] for x in steps]) for k in range(n)])
+        assert chunk.tobytes() == alone.tobytes(), name

@@ -13,6 +13,7 @@ from symbolkit.expr import parse_expression
 from symbolkit.simulate import make_sde_model
 from symbolkit.triplet import (
     Coefficient,
+    CoefficientValues,
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
@@ -24,7 +25,7 @@ from symbolkit.triplet import (
     StateModel,
     VectorCoefficient,
     ZeroMeasure,
-    _stable_standard,
+    _StableDraw,
     check_growth,
     check_sector,
     eval_exponent,
@@ -99,7 +100,6 @@ def test_density_truncation_bias_bound():
     # extrapolated second moment below eps: 2 eps^(2-alpha)/(2-alpha)
     expected = 2.0 * (1e-3) ** (2 - alpha) / (2 - alpha)
     assert m.small_mass_second_moment == pytest.approx(expected, rel=0.1)
-    assert m.truncation_bias_bound([2.0]) == pytest.approx(0.5 * 4 * m.small_mass_second_moment)
 
 
 def test_psd_validation():
@@ -218,18 +218,25 @@ def _same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+# the two readers of the coefficients: "strict" lets symbol_at evaluate
+# them, as symbol_many (which fails closed) does; "lenient" hands it one
+# CoefficientValues buffer per batch size, evaluated afresh for each
+# batch, as the simulation kernel hands its values to the observers
 @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
 @pytest.mark.parametrize("name", SYMBOL_AT_MODELS)
 def test_symbol_at_matches_symbol_many_bit_for_bit(name, lenient):
     model = _symbol_at_model(name)
     rng = np.random.default_rng(7)
+    sizes = (1, 5, 300, 2000)
+    buffers = {n: CoefficientValues(model.coefficient_blocks(), n) for n in sizes}
     for u in _frequencies(model.dim):
-        at = {n: model.symbol_at(u, n, lenient=lenient) for n in (1, 5, 300, 2000)}
+        at = {n: model.symbol_at(u, n) for n in sizes}
         # batch sizes that take different BLAS kernels, each twice so the
         # second call reuses the terms and buffers the first one used
         for n in (1, 5, 300, 2000, 5, 2000):
             xs = _states(model, n, rng)
-            _same_bits(at[n](xs), model.symbol_many(xs, np.tile(u, (n, 1)), lenient=lenient))
+            got = at[n](xs, buffers[n].evaluate(xs)) if lenient else at[n](xs)
+            _same_bits(got, model.symbol_many(xs, np.tile(u, (n, 1))))
 
 
 def _failing(term):
@@ -257,17 +264,17 @@ def test_symbol_at_failing_rows(term):
     bad = xs[:, 0] < 0
     for u in ([1.3], [-0.7]):
         tiled = np.tile(u, (len(xs), 1))
-        # lenient: NaN on the failing rows only, the others keep their bits
-        got = model.symbol_at(u, len(xs), lenient=True)(xs)
-        _same_bits(got, model.symbol_many(xs, tiled, lenient=True))
+        # symbol_at: NaN on the failing rows only, the others keep
+        # symbol_many's bits
+        got = model.symbol_at(u, len(xs))(xs)
         assert np.array_equal(np.isnan(got), bad)
-        # strict: the same error as symbol_many's
-        with pytest.raises(ValueError) as want:
+        want = model.symbol_many(xs[~bad], tiled[~bad])
+        _same_bits(got[~bad], want)
+        _same_bits(model.symbol_at(u, len(xs[~bad]))(xs[~bad]), want)
+        # symbol_many fails closed at the first failing row, naming it
+        with pytest.raises(ValueError, match=re.escape(f"not finite at x={xs[1].tolist()}, "
+                                                       f"xi={u}")):
             model.symbol_many(xs, tiled)
-        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            model.symbol_at(u, len(xs))(xs)
-        _same_bits(model.symbol_at(u, len(xs[~bad]))(xs[~bad]),
-                   model.symbol_many(xs[~bad], tiled[~bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +600,7 @@ _DENSITIES = {
 def test_sample_sizes_skip_the_gap(kind):
     m = DensityMeasure(_DENSITIES[kind], 1e-3, 20.0)
     assert np.all(np.diff(m._cdf) >= 0.0)
-    plateau = m._cdf[len(m._grid)]
+    plateau = m._cdf[len(m._cdf_ys) // 2]
     u = np.concatenate([[plateau, np.nextafter(plateau, 0.0), np.nextafter(plateau, 1.0), 0.0],
                         np.linspace(0.0, 1.0, 2001)[:-1]])
     y = m.sample_sizes(u.size, _FixedDraws(u))
@@ -634,7 +641,9 @@ def test_stable_standard_matches_both_branch_reference(case):
     # of the formula that evaluates both and picks with np.where
     alpha = _STABLE_ORDERS[case]
     rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
-    got = _stable_standard(alpha, rng)
+    draw = _StableDraw(len(alpha))
+    draw.orders(alpha)
+    got = draw.draw(rng)
     want = stable_standard_reference(alpha, ref_rng)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
