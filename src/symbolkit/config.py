@@ -23,7 +23,6 @@ from .triplet import (
     DiscreteMeasure,
     DiscreteMeasureFamily,
     MatrixCoefficient,
-    SdeBlock,
     StableMeasure,
     StableMeasureFamily,
     StateModel,
@@ -174,6 +173,19 @@ def parse_config(raw: dict, name: str = "model") -> ModelConfig:
         _check_keys(sde_raw, {"coefficient", "driver"}, "sde")
         if dim != 1:
             raise ModelConfigError("dim", "sde mode is one-dimensional")
+        # the characteristics are the driver's: the top-level ones must
+        # be absent or at their defaults
+        at_default = {
+            "killing_rate": _is_zero(raw.get("killing_rate", 0.0)),
+            "drift": all(map(_is_zero, drift_raw)),
+            "covariance": all(_is_zero(v) for row in cov_raw for v in row),
+            "levy_measure": kind == "zero",
+            "cutoff": cutoff == CutoffFunction(),
+        }
+        for key, ok in at_default.items():
+            if not ok:
+                raise ModelConfigError(key, "sde mode takes its characteristics from "
+                                       "sde.driver; omit this field or give its default")
     elif sde_raw is not None:
         raise ModelConfigError("sde", "sde block only valid in sde mode")
 
@@ -187,6 +199,11 @@ def parse_config(raw: dict, name: str = "model") -> ModelConfig:
         cutoff=cutoff, domain_box=box, sde=sde_raw, simulation=sim_raw,
         name=raw.get("name", name),
     )
+
+
+def _is_zero(raw) -> bool:
+    """A number (not a boolean) equal to 0."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool) and raw == 0
 
 
 def _build_measure_family(measure_raw: dict, dim: int, constant: bool):
@@ -234,19 +251,8 @@ def _build_measure_family(measure_raw: dict, dim: int, constant: bool):
 
 
 def compile_model(cfg: ModelConfig) -> StateModel:
-    dim = cfg.dim
-    # a levy model's characteristics do not depend on the state
-    constant = cfg.mode == "levy"
-    kill = Coefficient(_coeff_spec(cfg.killing_rate, dim, "killing_rate", constant), dim)
-    drift = VectorCoefficient(
-        [_coeff_spec(v, dim, f"drift[{i}]", constant) for i, v in enumerate(cfg.drift)], dim)
-    cov = MatrixCoefficient(
-        [[_coeff_spec(v, dim, f"covariance[{i}][{j}]", constant) for j, v in enumerate(row)]
-         for i, row in enumerate(cfg.covariance)], dim)
-    measures = _build_measure_family(cfg.levy_measure, dim, constant)
-
-    sde_block = None
     if cfg.mode == "sde":
+        # the driver's own characteristics, scaled by f
         driver_raw = cfg.sde.get("driver")
         if not isinstance(driver_raw, dict):
             raise ModelConfigError("sde.driver", "expected a driver triplet object")
@@ -258,12 +264,22 @@ def compile_model(cfg: ModelConfig) -> StateModel:
             driver = compile_model(driver_cfg).constant_triplet()
         except ValueError as err:
             raise ModelConfigError("sde.driver", f"driver must be constant: {err}") from err
-        f_spec = _coeff_spec(cfg.sde["coefficient"], 1, "sde.coefficient")
-        sde_block = SdeBlock(Coefficient(f_spec, 1), driver)
-
-    model = StateModel(dim=dim, kill=kill, drift=drift, covariance=cov,
-                       measures=measures, cutoff=cfg.cutoff,
-                       domain_box=cfg.domain_box, sde=sde_block, name=cfg.name)
+        f = Coefficient(_coeff_spec(cfg.sde.get("coefficient"), 1, "sde.coefficient"), 1)
+        model = StateModel.from_triplet(driver, cfg.domain_box, cfg.name, sde=f)
+    else:
+        dim = cfg.dim
+        # a levy model's characteristics do not depend on the state
+        constant = cfg.mode == "levy"
+        kill = Coefficient(_coeff_spec(cfg.killing_rate, dim, "killing_rate", constant), dim)
+        drift = VectorCoefficient(
+            [_coeff_spec(v, dim, f"drift[{i}]", constant) for i, v in enumerate(cfg.drift)], dim)
+        cov = MatrixCoefficient(
+            [[_coeff_spec(v, dim, f"covariance[{i}][{j}]", constant) for j, v in enumerate(row)]
+             for i, row in enumerate(cfg.covariance)], dim)
+        measures = _build_measure_family(cfg.levy_measure, dim, constant)
+        model = StateModel(dim=dim, kill=kill, drift=drift, covariance=cov,
+                           measures=measures, cutoff=cfg.cutoff,
+                           domain_box=cfg.domain_box, name=cfg.name)
     _validate_on_box(model)
     return model
 
@@ -277,17 +293,12 @@ def _probe_grid(box: np.ndarray, per_dim: int) -> np.ndarray:
 def _validate_on_box(model: StateModel) -> None:
     """Spot-check the coefficients on a grid over the domain box: finite
     values (an undefined coefficient reads NaN), no wild oscillation,
-    killing rate non-negative, covariance positive semidefinite, and the
-    measure family's own invariants (``box_violation``).  Each failure
-    names the field and the probe point."""
+    killing rate non-negative, covariance positive semidefinite, the
+    measure family's own invariants (``box_violation``); an SDE's f is
+    checked as the other coefficients are.  Each failure names the field and the probe point."""
     per_dim = CONTINUITY_GRID if model.dim == 1 else 9
     pts = _probe_grid(model.domain_box, per_dim)
     values = model.coefficient_values(pts)
-    if model.sde is not None:
-        f = values[model.sde.coefficient]
-        _fail(_violation("sde coefficient not finite", ~np.isfinite(f), pts))
-        return
-
     a = values[model.kill]
     _finite_and_tame(a, pts, "killing_rate")
     _fail(_violation("killing_rate negative", a < 0, pts))
@@ -297,6 +308,8 @@ def _validate_on_box(model: StateModel) -> None:
     eigs = np.linalg.eigvalsh(0.5 * (q + np.swapaxes(q, -1, -2)))
     _fail(_violation("covariance not positive semidefinite", eigs.min(axis=-1) < -1e-12, pts))
     _fail(model.measures.box_violation(values, pts))
+    if model.sde is not None:
+        _finite_and_tame(values[model.sde], pts, "sde coefficient")
 
 
 def _fail(message: str | None) -> None:

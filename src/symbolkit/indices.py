@@ -123,14 +123,6 @@ def _y_grid(model: StateModel, R: float, x=None) -> np.ndarray:
 GRID_PAIRS_PER_CALL = 1 << 17
 
 
-def _couples_frequencies(model: StateModel) -> bool:
-    """Whether the model's jump part at one frequency depends on the
-    other frequencies of a symbol_many call (density quadrature)."""
-    if model.sde is not None:
-        return model.sde.driver.measure.couples_frequencies
-    return model.measures.couples_frequencies
-
-
 def _radius_grid(model: StateModel, R, c0=None, x=None) -> np.ndarray:
     """H at each radius of the grid R, or h when a sector constant c0
     (a number or a ConditionEstimate) is given.
@@ -156,7 +148,7 @@ def _radius_grid(model: StateModel, R, c0=None, x=None) -> np.ndarray:
     n_e = eps_grid.shape[0]
     ys = [_y_grid(model, r, x=x) for r in R]
     pairs = np.array([y.shape[0] * n_e for y in ys])
-    budget = 0 if _couples_frequencies(model) else GRID_PAIRS_PER_CALL
+    budget = 0 if model.measures.couples_frequencies else GRID_PAIRS_PER_CALL
     out = np.empty(len(R))
     start = 0
     while start < len(R):
@@ -353,9 +345,6 @@ def _symbol_known_real(model: StateModel) -> bool:
     real symbol, making c0 = 0 valid without a grid estimate.  A
     density that fails to evaluate at a symmetry probe proves nothing."""
     try:
-        if model.sde is not None:
-            drv = model.sde.driver
-            return bool(np.all(drv.drift == 0.0)) and drv.measure.is_symmetric()
         if not model.drift.is_constant:
             return False
         if np.any(model.drift.constant_value() != 0.0):

@@ -198,9 +198,8 @@ class _KillingObserver(_Columns):
 
     def __init__(self, model: StateModel, dt: float, columns):
         super().__init__(columns)
-        killing = model.killing
         self.hazard = _RunningTrapezoid(
-            lambda x, values, out: np.copyto(out, values[killing]), dt)
+            lambda x, values, out: np.copyto(out, values[model.kill]), dt)
 
     def record(self, j, x, status, values):
         self.hazard.record(j, x, status, values)
@@ -234,7 +233,7 @@ class _ExponentialObserver(_Columns):
         # one per chunk: chunks may run on different threads
         symbol = model.symbol_at(u, n)
         phase_one = self.phase_one = np.exp(1j * float(u.sum()))
-        killing = model.killing
+        killing = model.kill
         # e^{i<u, 1>} a, formed once when the rate is constant
         constant_kill = (np.multiply(phase_one, np.full(n, killing.value))
                          if killing.is_constant else None)

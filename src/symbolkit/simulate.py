@@ -65,11 +65,14 @@ The entry points build the model; the dynamics follow from it:
 * ``sample_autonomous`` -- Euler scheme freezing the state-dependent
   triplet at the left endpoint of each step, with absorption at the
   explosion threshold;
-* ``sample_sde`` -- Euler scheme dX = f(X) dZ against a constant driver.
+* ``sample_sde`` -- Euler scheme dX = f(X-) dZ against a constant
+  driver: the model is the driver's own (``StateModel.sde`` is f), so
+  each increment is formed as for a constant model and multiplied by
+  f at the left endpoint.
 
-One killing rule, decided by ``_Dynamics`` from the rate that kills
-(``StateModel.killing``; an SDE's sits on its constant driver): an
-exact exponential clock (the ``clock`` stream, one draw per path) when
+One killing rule, decided by ``_Dynamics`` from the killing rate
+``StateModel.kill`` (an SDE's is its driver's): an exact exponential
+clock (the ``clock`` stream, one draw per path) when
 the rate is constant, and hazard killing (probability 1 - exp(-abar dt)
 per step from the ``hazard`` stream, abar the endpoint average of the
 rate) when it depends on the state.  Every entry point and command
@@ -110,7 +113,7 @@ from .extended import (
     STATUS_FINITE,
     STATUS_INFINITY,
 )
-from .triplet import Coefficient, CoefficientValues, LevyTriplet, SdeBlock, StateModel
+from .triplet import Coefficient, CoefficientValues, LevyTriplet, StateModel
 from .expr import Expression
 
 __all__ = [
@@ -253,7 +256,8 @@ class Ensemble:
 class _Dynamics:
     """Precompiled per-step drift, Gaussian part and killing of one run,
     shared by the chunk workers; the jumps come from the measure
-    family's JumpSampler.  Buffers live in each chunk's ``scratch(n)``,
+    family's JumpSampler, and an SDE model's increments are multiplied
+    by its coefficient f.  Buffers live in each chunk's ``scratch(n)``,
     never here."""
 
     def __init__(self, model: StateModel, dt: float, small_jump_cut: float | None):
@@ -263,16 +267,7 @@ class _Dynamics:
         self.blocks = model.coefficient_blocks()
         # the killing rule: the exact clock for a constant rate (None
         # selects hazard killing)
-        killing = model.killing
-        self.kill_const = killing.value if killing.is_constant else None
-        if model.sde is not None:
-            driver_model = StateModel.from_triplet(model.sde.driver)
-            self.driver = _Dynamics(driver_model, dt, small_jump_cut)
-            self.f_coeff = model.sde.coefficient
-            self.bias_notes = self.driver.bias_notes
-            return
-        self.driver = None
-
+        self.kill_const = model.kill.value if model.kill.is_constant else None
         # covariance; only an exactly zero matrix has no Gaussian part
         if model.covariance.is_constant:
             q = model.covariance.constant_value()
@@ -303,8 +298,6 @@ class _Dynamics:
 
     def scratch(self, n: int) -> dict:
         """The buffers of one chunk of n paths that ``increments`` uses."""
-        if self.driver is not None:
-            return {"driver": self.driver.scratch(n)}
         scratch = {"jumps": self.jumps.for_chunk(n)}
         if self.has_gauss:
             scratch["z"], scratch["gauss"] = np.empty((n, self.dim)), np.empty((n, self.dim))
@@ -317,12 +310,6 @@ class _Dynamics:
         ``values``, written into the (n, d) array out; NaN rows flag
         evaluation failure."""
         dt = self.dt
-        if self.driver is not None:
-            # the driver is constant: it reads no coefficient values
-            self.driver.increments(values, rngs, out, scratch["driver"])
-            np.multiply(values[self.f_coeff][:, None], out, out=out)
-            return
-
         if self.drift_step is not None:
             np.copyto(out, self.drift_step)
         else:
@@ -346,6 +333,8 @@ class _Dynamics:
                 gauss[bad_q] = np.nan
                 out += gauss
         scratch["jumps"](out, values, dt, rngs)
+        if self.model.sde is not None:
+            np.multiply(values[self.model.sde][:, None], out, out=out)
 
     def hazard_prob(self, a0: np.ndarray, a1: np.ndarray, out: np.ndarray,
                     finite: np.ndarray) -> None:
@@ -553,7 +542,7 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
     # at the step's proposal
     at_x, at_prop = (CoefficientValues(dyn.blocks, n) for _ in range(2))
     at_x.evaluate(x)
-    killing = dyn.model.killing
+    killing = dyn.model.kill
 
     stopping = math.isfinite(stop_radius)
 
@@ -697,12 +686,7 @@ def make_sde_model(f, driver: LevyTriplet) -> StateModel:
         coeff = Coefficient(f, 1)
     else:
         raise TypeError("f must be an Expression, number or Coefficient")
-    base = StateModel.from_triplet(driver)
-    return StateModel(
-        dim=1, kill=base.kill, drift=base.drift, covariance=base.covariance,
-        measures=base.measures, cutoff=driver.cutoff, domain_box=base.domain_box,
-        sde=SdeBlock(coeff, driver), name="sde",
-    )
+    return StateModel.from_triplet(driver, name="sde", sde=coeff)
 
 
 def _sample(model: StateModel, spec: SimSpec) -> Ensemble:
@@ -767,9 +751,8 @@ class PathSampler:
     explosion_threshold: float = 1e9
     small_jump_cut: float | None = None
 
-    def snapshots(self, x0, times, n, dt=None, radii=(math.inf,)):
-        return snapshot_run(self.model, x0, times, n, self.dt if dt is None else dt,
-                            self.seed, radii=radii,
+    def snapshots(self, x0, times, n, radii=(math.inf,)):
+        return snapshot_run(self.model, x0, times, n, self.dt, self.seed, radii=radii,
                             explosion_threshold=self.explosion_threshold,
                             small_jump_cut=self.small_jump_cut)
 

@@ -142,6 +142,7 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
     exit-ball radius in ``radii`` (distinct; ``math.inf`` never stops)
     from one simulation.  Returns {radius: [report per frequency]} in the
     given orders; each report carries ``settings`` with its own radius.
+    The sampler must step at ``settings.step`` (ValueError otherwise).
 
     Raises ProbeImmediateExitError when the exit ball of some radius
     loses essentially all paths within the first step.  A report whose
@@ -157,9 +158,12 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
     xis = [_point("xi", xi, model.dim) for xi in xis]
     if not xis:
         raise ValueError("xis holds no frequency")
+    if sampler.dt != settings.step:
+        raise ValueError(f"the sampler steps at dt = {sampler.dt}, the probe settings at "
+                         f"{settings.step}; build the sampler at settings.step")
     n = settings.n_samples
     actual, values, status, frozen_first = sampler.snapshots(
-        x, sorted(settings.t_ladder), n, dt=settings.step, radii=radii)
+        x, sorted(settings.t_ladder), n, radii=radii)
     for s, frozen in zip(per_radius, frozen_first):
         if frozen >= EXIT_FRACTION_LIMIT * n:
             raise ProbeImmediateExitError(

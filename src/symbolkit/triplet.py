@@ -53,7 +53,6 @@ __all__ = [
     "StableMeasureFamily",
     "LevyTriplet",
     "StateModel",
-    "SdeBlock",
     "ConditionEstimate",
     "Coefficient",
     "CoefficientValues",
@@ -1008,26 +1007,24 @@ class LevyTriplet:
         return StateModel.from_triplet(self)._symbol_rows(xis)(None)
 
 
-@dataclass(frozen=True)
-class SdeBlock:
-    """One-dimensional state coefficient applied to a driving process."""
-
-    coefficient: Coefficient
-    driver: LevyTriplet
-
-
 class StateModel:
     """State-dependent characteristic data over a rectangular domain box.
 
     Evaluating at a point of the box yields a valid LevyTriplet; the
     vectorised ``symbol_many`` evaluates the frozen-coefficient symbol
     over batches of (state, frequency) pairs.
+
+    ``sde`` is None, or the coefficient f of an SDE dX = f(X-) dZ with
+    a one-dimensional Levy driver Z.  Such a model holds the driver's
+    constant triplet as its own characteristics (``from_triplet(driver,
+    sde=f)``): its symbol is the driver's exponent at f(x) xi, and its
+    increments are the driver's, scaled by f.
     """
 
     def __init__(self, dim: int, kill: Coefficient, drift: VectorCoefficient,
                  covariance: MatrixCoefficient, measures: MeasureFamily,
                  cutoff: CutoffFunction, domain_box: np.ndarray,
-                 sde: SdeBlock | None = None, name: str = "model"):
+                 sde: Coefficient | None = None, name: str = "model"):
         self.dim = dim
         self.kill = kill
         self.drift = drift
@@ -1037,13 +1034,12 @@ class StateModel:
         self.domain_box = np.atleast_2d(np.asarray(domain_box, dtype=float))
         self.sde = sde
         self.name = name
-        # the rate that kills the process: an SDE's sits on its driver
-        self.killing = kill if sde is None else Coefficient(sde.driver.killing_rate, dim)
         if self.domain_box.shape != (dim, 2):
             raise ValueError("domain box must be (d, 2)")
 
     @staticmethod
-    def from_triplet(triplet: LevyTriplet, domain_box=None, name: str = "levy") -> "StateModel":
+    def from_triplet(triplet: LevyTriplet, domain_box=None, name: str = "levy",
+                     sde: Coefficient | None = None) -> "StateModel":
         d = triplet.dim
         if domain_box is None:
             domain_box = [[-10.0, 10.0]] * d
@@ -1055,16 +1051,16 @@ class StateModel:
             measures=triplet.measure,
             cutoff=triplet.cutoff,
             domain_box=domain_box,
+            sde=sde,
             name=name,
         )
 
     @property
     def is_constant(self) -> bool:
-        """Constant coefficients and a ``LevyMeasure``; the other
-        families read coefficient values, even constant ones."""
-        if self.sde is not None:
-            return False
-        return (self.kill.is_constant and self.drift.is_constant
+        """Constant coefficients, a ``LevyMeasure`` and no SDE
+        coefficient; the other families read coefficient values, even
+        constant ones."""
+        return (self.sde is None and self.kill.is_constant and self.drift.is_constant
                 and self.covariance.is_constant
                 and isinstance(self.measures, LevyMeasure))
 
@@ -1082,17 +1078,14 @@ class StateModel:
     def coefficient_blocks(self) -> list:
         """The coefficients that the simulation and the symbol read, as
         ``CoefficientValues`` blocks keyed by their holders: the killing
-        rate (``killing``), the (n, d) drift, the (n, d, d) covariance and
-        the measure family's coefficients, or for an SDE the killing rate
-        and f."""
-        if self.sde is not None:
-            f = self.sde.coefficient
-            return [(self.killing, [self.killing], ()), (f, [f], ())]
+        rate ``kill``, the (n, d) drift, the (n, d, d) covariance, the
+        measure family's coefficients and the SDE coefficient f."""
         d = self.dim
+        sde = [] if self.sde is None else [(self.sde, [self.sde], ())]
         return [(self.kill, [self.kill], ()),
                 (self.drift, self.drift.parts, (d,)),
                 (self.covariance, [c for row in self.covariance.rows for c in row], (d, d)),
-                *self.measures.coefficient_blocks()]
+                *self.measures.coefficient_blocks(), *sde]
 
     def coefficient_values(self, xs: np.ndarray) -> CoefficientValues:
         """The coefficients' values at the (N, d) states xs, NaN where a
@@ -1141,7 +1134,27 @@ class StateModel:
 
     def _symbol_rows(self, xis: np.ndarray) -> Callable[..., np.ndarray]:
         """p(., xi) at the (N, d) frequencies xis as a function
-        ``symbol(values, out=None)`` of the coefficient values at N states,
+        ``symbol(values, out=None)`` of the coefficient values at N states:
+        the rows of ``_characteristic_rows``, or for an SDE model those
+        rows, all constant, evaluated at f(x) xi when called, NaN where f
+        is not finite."""
+        if self.sde is None:
+            return self._characteristic_rows(xis)
+
+        def sde(values, out=None):
+            f = values[self.sde]
+            ok = np.isfinite(f)
+            if out is None:
+                out = np.empty(len(f), dtype=complex)
+            out[~ok] = np.nan
+            out[ok] = self._characteristic_rows(f[ok, None] * xis[ok])(None)
+            return out
+
+        return sde
+
+    def _characteristic_rows(self, xis: np.ndarray) -> Callable[..., np.ndarray]:
+        """The symbol of the model's own characteristics at the (N, d)
+        frequencies xis, as ``symbol(values, out=None)``,
 
             ((a - i <l, xi>) + <xi, Q xi> / 2) - jump part,
 
@@ -1151,18 +1164,6 @@ class StateModel:
         jump term (``MeasureFamily.exponent_at``); a leading run of
         constant terms is summed here too, all but the last sum.  The
         state-dependent terms are formed in buffers made here."""
-        if self.sde is not None:
-            def sde(values, out=None):
-                # the driver's exponent at f(x) xi, NaN where f is not finite
-                f = values[self.sde.coefficient]
-                ok = np.isfinite(f)
-                if out is None:
-                    out = np.empty(len(f), dtype=complex)
-                out[~ok] = np.nan
-                out[ok] = self.sde.driver.exponent_many(f[ok, None] * xis[ok])
-                return out
-
-            return sde
         n = len(xis)
 
         if self.kill.is_constant:

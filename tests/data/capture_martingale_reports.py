@@ -98,7 +98,7 @@ def _sde_case():
     sde = make_sde_model(_expr("1 + 0.1*x1"), driver)
     sde_spec = spec(n=10_000, dt=0.005, seed=86, x0=(0.5,))
     return Case(sde, sde_spec,
-                lambda: sample_sde(sde.sde.coefficient, driver, sde_spec))
+                lambda: sample_sde(sde.sde, driver, sde_spec))
 
 
 def _bundled_case(name, dt):

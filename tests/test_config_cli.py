@@ -46,6 +46,17 @@ BASE = {
     "domain_box": [[-5.0, 5.0]],
 }
 
+# a top-level characteristic, not at its default, for each field that an
+# sde model takes from its driver instead
+SDE_TOP_LEVEL = {
+    "killing_rate": 0.5,
+    "drift": ["log(x1)"],
+    "covariance": [[1.0]],
+    "levy_measure": {"kind": "density", "density": "exp(-abs(x1))/abs(x1)^1.5",
+                     "eps": 1e-3, "y_max": 20.0},
+    "cutoff": {"kind": "indicator_ball", "radius": 2.0},
+}
+
 
 class TestLoadModel:
     def test_bundled_bm(self):
@@ -109,6 +120,37 @@ class TestLoadModel:
         with pytest.raises(ModelConfigError, match=r"^sde\.driver: .*killing_rate") as err:
             load_model(f)
         assert err.value.field == "sde.driver"
+
+    def test_sde_coefficient_required(self, tmp_path):
+        f = _write(tmp_path, {**BASE, "mode": "sde", "covariance": [[0.0]],
+                              "sde": {"driver": {"covariance": [[1.0]]}}})
+        with pytest.raises(ModelConfigError) as err:
+            load_model(f)
+        assert err.value.field == "sde.coefficient"
+
+    def test_sde_coefficient_oscillation_checked(self, tmp_path):
+        # f is checked as every other coefficient is
+        f = _write(tmp_path, {**BASE, "mode": "sde", "covariance": [[0.0]],
+                              "sde": {"coefficient": "1e7*x1",
+                                      "driver": {"covariance": [[1.0]]}}})
+        with pytest.raises(ModelInvariantError, match="sde coefficient oscillates"):
+            load_model(f)
+
+    @pytest.mark.parametrize("field", sorted(SDE_TOP_LEVEL))
+    def test_sde_mode_rejects_top_level_characteristics(self, tmp_path, capsys, field):
+        # an sde model's characteristics are its driver's: a top-level one
+        # that is not at its default is named, not ignored, and the CLI
+        # exits 2
+        f = _write(tmp_path, {**BASE, "mode": "sde", "covariance": [[0.0]],
+                              field: SDE_TOP_LEVEL[field],
+                              "sde": {"coefficient": "x1",
+                                      "driver": {"covariance": [[1.0]]}}})
+        with pytest.raises(ModelConfigError, match="characteristics from sde.driver") as err:
+            load_model(f)
+        assert err.value.field == field
+        rc = main(["conditions", "--model", str(f), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {field}: sde mode takes" in capsys.readouterr().err
 
     def test_bad_expression_position(self, tmp_path):
         f = _write(tmp_path, {**BASE, "killing_rate": "1 +"})

@@ -1,10 +1,14 @@
-"""Every name a symbolkit module imports is used in that module.
+"""Every name a symbolkit module imports is used in that module, and
+every name in a module's ``__all__`` exists there.
 
 An import marked ``# noqa: F401`` is exempt (cli.py keeps one for
-perfbench's tracer).  ``__init__.py`` re-exports, so it is not checked.
+perfbench's tracer).  ``__init__.py`` re-exports, so its imports are not
+checked; its ``__all__`` is.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,20 @@ def test_an_unused_import_is_found():
     source = ("import math\nimport numpy as np\nfrom os import path, sep\n"
               "from sys import argv  # noqa: F401\nx = np.pi + len(sep)\n")
     assert _unused_imports(source) == ["line 1: math", "line 3: path"]
+
+
+def _unresolved_exports(module) -> list[str]:
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("module", ["symbolkit", *(f"symbolkit.{p.stem}" for p in MODULES
+                                                   if p.stem != "__main__")])
+def test_every_exported_name_resolves(module):
+    assert _unresolved_exports(importlib.import_module(module)) == []
+
+
+def test_a_stale_export_is_found():
+    module = types.ModuleType("stale")
+    module.__all__ = ["present", "removed"]
+    module.present = object()
+    assert _unresolved_exports(module) == ["removed"]

@@ -196,7 +196,7 @@ class TestSdeEnsembles:
     def test_killed_driver_compensator_and_exponential(self):
         driver = LevyTriplet(0.4, [0.0], [[1.0]], ZeroMeasure())
         model = make_sde_model(parse_expression("1 + 0.1*x1"), driver)
-        ens = sample_sde(model.sde.coefficient, driver,
+        ens = sample_sde(model.sde, driver,
                          _spec(n=10_000, dt=0.005, seed=86, x0=(0.5,)))
         rep = killing_compensator_check(ens, model, (0.25, 0.5, 1.0))
         assert rep.passed, rep.rows

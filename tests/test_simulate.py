@@ -11,15 +11,17 @@ import symbolkit
 import symbolkit.simulate as simulate_module
 from symbolkit.cli import main
 from symbolkit.config import compile_model, load_config, resolve_model_path
-from symbolkit.expr import parse_expression
+from symbolkit.expr import Expression, parse_expression
 from symbolkit.extended import STATUS_DELTA, STATUS_FINITE, STATUS_INFINITY
 from symbolkit.simulate import (
     PathSampler,
     SimSpec,
     _norm,
+    make_sde_model,
     sample_autonomous,
     sample_levy,
     sample_sde,
+    snapshot_run,
 )
 from symbolkit.triplet import (
     Coefficient,
@@ -216,6 +218,55 @@ class TestSampleSde:
         assert abs(xT.mean() - 1.0) <= 3.0 * xT.std() / math.sqrt(N_UNIT)
 
 
+def _sde_cauchy_models():
+    """The bundled sde_cauchy model file and the same SDE built in code."""
+    driver = LevyTriplet(0.0, [0.0], [[0.0]], StableMeasure(1.0, 1.0))
+    return (compile_model(load_config(resolve_model_path("sde_cauchy"))),
+            make_sde_model(parse_expression("x1"), driver))
+
+
+def test_sde_model_file_matches_make_sde_model_in_symbol():
+    xs = np.repeat(np.linspace(-10.0, 10.0, 50), 5)[:, None]
+    xis = np.tile([-3.0, -0.5, 0.0, 1.0, 7.5], 50)[:, None]
+    loaded, built = (m.symbol_many(xs, xis) for m in _sde_cauchy_models())
+    assert loaded.tobytes() == built.tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sde_model_file_matches_make_sde_model_in_snapshots(monkeypatch, threads):
+    # several chunks, so that two workers share the run
+    monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 64)
+    monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+    loaded, built = (snapshot_run(m, [1.0], [0.01, 0.02], 200, 0.002, 43, radii=(0.5, math.inf))
+                     for m in _sde_cauchy_models())
+    for a, b in zip(loaded, built, strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_verify_on_sde_evaluates_only_f(monkeypatch, tmp_path):
+    # the driver's characteristics are constants: the expression
+    # evaluator sees f alone, once at the start and once per step, after
+    # the box check of the model file
+    calls = []
+
+    def spy(method):
+        evaluate = getattr(Expression, method)
+
+        def call(self, x):
+            calls.append((method, self.to_text(), np.shape(x)))
+            return evaluate(self, x)
+
+        return call
+
+    for method in ("evaluate", "evaluate_lenient"):
+        monkeypatch.setattr(Expression, method, spy(method))
+    rc = main(["verify", "--model", "sde_cauchy", "--suite", "all", "--paths", "200",
+               "--dt", "0.01", "--seed", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert calls == ([("evaluate_lenient", "x1", (33, 1))]
+                     + [("evaluate_lenient", "x1", (200, 1))] * 101)
+
+
 BUNDLED = sorted(f.stem for f in (FsPath(symbolkit.__file__).parent / "models").glob("*.model"))
 
 
@@ -251,8 +302,6 @@ class TestEnsembleExport:
         spec = SimSpec(**manifest["spec"])
         if cfg.mode == "levy":
             ens = sample_levy(model.constant_triplet(), spec)
-        elif cfg.mode == "sde":
-            ens = sample_sde(model.sde.coefficient, model.sde.driver, spec)
         else:
             ens = sample_autonomous(model, spec)
         assert manifest["model"] == name
@@ -282,12 +331,12 @@ class TestEnsembleExport:
         assert np.allclose(maxima[:, 0], running)
 
     def test_zero_dt_is_not_replaced(self, bm_model):
-        sampler = PathSampler(model=bm_model, dt=0.05, seed=51)
+        # snapshots and running_max step at the sampler's own dt
+        sampler = PathSampler(model=bm_model, dt=0.0, seed=51)
         with pytest.raises(ValueError, match="dt must be finite and positive"):
-            sampler.snapshots([0.0], [0.5], 10, dt=0.0)
-        # running_max steps at the sampler's own dt
+            sampler.snapshots([0.0], [0.5], 10)
         with pytest.raises(ValueError, match="dt must be finite and positive"):
-            PathSampler(model=bm_model, dt=0.0, seed=51).running_max([0.0], [0.5], 10)
+            sampler.running_max([0.0], [0.5], 10)
 
 
 class TestMultiDimensional:

@@ -234,14 +234,27 @@ GRID_MODELS = {
 @pytest.mark.parametrize("name", sorted(GRID_MODELS))
 def test_grid_matches_one_run_per_radius(name, radii):
     build, x, expl, every_radius = GRID_MODELS[name]
-    sampler = PathSampler(model=build(), dt=0.002, seed=41, explosion_threshold=expl)
     settings = ProbeSettings(t_ladder=(0.04, 0.02, 0.01), n_samples=3000)
+    sampler = PathSampler(model=build(), dt=settings.step, seed=41, explosion_threshold=expl)
     xis = [[1.0], [2.0]]
     grid = estimate_symbol_grid(sampler, [x], xis, radii, settings)
     for r in radii if every_radius else [max(radii)]:
         for xi, rep in zip(xis, grid[r]):
             alone = estimate_symbol(sampler, [x], xi, replace(settings, k_radius=r))
             assert CAPTURE.hexed(rep.to_json()) == CAPTURE.hexed(alone.to_json()), (r, xi)
+
+
+def test_sampler_step_must_match_settings():
+    # a probe runs at settings.step; a sampler built at another step is
+    # an error, not silently re-stepped
+    model = StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[1.0]], ZeroMeasure()))
+    sampler = PathSampler(model=model, dt=0.002, seed=41)
+    settings = ProbeSettings(n_samples=100)
+    assert settings.step == 1e-4
+    with pytest.raises(ValueError, match=r"dt = 0\.002, the probe settings at 0\.0001"):
+        estimate_symbol_grid(sampler, [0.0], [[1.0]], [1.0], settings)
+    with pytest.raises(ValueError, match=r"dt = 0\.002"):
+        estimate_symbol(sampler, [0.0], [1.0], settings)
 
 
 def test_grid_validates_start_point_and_frequencies():
