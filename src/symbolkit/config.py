@@ -21,13 +21,12 @@ from .triplet import (
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
-    DiscreteMeasureFamily,
     MatrixCoefficient,
     StableMeasure,
-    StableMeasureFamily,
     StateModel,
     VectorCoefficient,
     ZeroMeasure,
+    _atom_problem,
     _violation,
 )
 
@@ -206,7 +205,7 @@ def _is_zero(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool) and raw == 0
 
 
-def _build_measure_family(measure_raw: dict, dim: int, constant: bool):
+def _build_measure(measure_raw: dict, dim: int, constant: bool):
     kind = measure_raw["kind"]
     if kind == "zero":
         return ZeroMeasure()
@@ -216,19 +215,21 @@ def _build_measure_family(measure_raw: dict, dim: int, constant: bool):
             raise ModelConfigError("levy_measure.atoms", "at least one atom required")
         jumps, rate_specs = [], []
         for i, atom in enumerate(atoms):
-            _check_keys(atom, {"jump", "rate"}, f"levy_measure.atoms[{i}]")
+            where = f"levy_measure.atoms[{i}]"
+            _check_keys(atom, {"jump", "rate"}, where)
             jumps.append(np.atleast_1d(np.asarray(atom["jump"], dtype=float)))
-            rate_specs.append(_coeff_spec(atom["rate"], dim, f"levy_measure.atoms[{i}].rate",
-                                          constant))
-        if all(isinstance(r, float) for r in rate_specs):
-            return DiscreteMeasure(np.stack(jumps), np.array(rate_specs))
-        return DiscreteMeasureFamily(np.stack(jumps), rate_specs, dim)
+            rate_specs.append(_coeff_spec(atom["rate"], dim, f"{where}.rate", constant))
+            problem = _atom_problem(jumps[-1], rate_specs[-1])
+            if problem is not None:
+                raise ModelConfigError(where, problem)
+        return DiscreteMeasure(np.stack(jumps), rate_specs)
     if kind == "alpha_stable":
         alpha = _coeff_spec(measure_raw.get("alpha", 1.0), dim, "levy_measure.alpha", constant)
         scale = _coeff_spec(measure_raw.get("scale", 1.0), dim, "levy_measure.scale", constant)
-        if isinstance(alpha, float) and isinstance(scale, float):
+        try:
             return StableMeasure(alpha, scale)
-        return StableMeasureFamily(alpha, scale, dim)
+        except ValueError as err:
+            raise ModelConfigError("levy_measure", str(err)) from err
     if kind == "density":
         for key in ("density", "eps", "y_max"):
             if key not in measure_raw:
@@ -264,19 +265,19 @@ def compile_model(cfg: ModelConfig) -> StateModel:
             driver = compile_model(driver_cfg).constant_triplet()
         except ValueError as err:
             raise ModelConfigError("sde.driver", f"driver must be constant: {err}") from err
-        f = Coefficient(_coeff_spec(cfg.sde.get("coefficient"), 1, "sde.coefficient"), 1)
+        f = Coefficient(_coeff_spec(cfg.sde.get("coefficient"), 1, "sde.coefficient"))
         model = StateModel.from_triplet(driver, cfg.domain_box, cfg.name, sde=f)
     else:
         dim = cfg.dim
         # a levy model's characteristics do not depend on the state
         constant = cfg.mode == "levy"
-        kill = Coefficient(_coeff_spec(cfg.killing_rate, dim, "killing_rate", constant), dim)
+        kill = Coefficient(_coeff_spec(cfg.killing_rate, dim, "killing_rate", constant))
         drift = VectorCoefficient(
             [_coeff_spec(v, dim, f"drift[{i}]", constant) for i, v in enumerate(cfg.drift)], dim)
         cov = MatrixCoefficient(
             [[_coeff_spec(v, dim, f"covariance[{i}][{j}]", constant) for j, v in enumerate(row)]
              for i, row in enumerate(cfg.covariance)], dim)
-        measures = _build_measure_family(cfg.levy_measure, dim, constant)
+        measures = _build_measure(cfg.levy_measure, dim, constant)
         model = StateModel(dim=dim, kill=kill, drift=drift, covariance=cov,
                            measures=measures, cutoff=cfg.cutoff,
                            domain_box=cfg.domain_box, name=cfg.name)
@@ -294,7 +295,7 @@ def _validate_on_box(model: StateModel) -> None:
     """Spot-check the coefficients on a grid over the domain box: finite
     values (an undefined coefficient reads NaN), no wild oscillation,
     killing rate non-negative, covariance positive semidefinite, the
-    measure family's own invariants (``box_violation``); an SDE's f is
+    measure's own invariants (``box_violation``); an SDE's f is
     checked as the other coefficients are.  Each failure names the field and the probe point."""
     per_dim = CONTINUITY_GRID if model.dim == 1 else 9
     pts = _probe_grid(model.domain_box, per_dim)

@@ -37,9 +37,7 @@ from .serialize import dump_json, write_csv
 from .simulate import PathSampler
 from .triplet import (
     ConditionEstimate,
-    LevyMeasure,
     SectorConditionError,
-    StableMeasureFamily,
     StateModel,
 )
 
@@ -349,10 +347,7 @@ def _symbol_known_real(model: StateModel) -> bool:
             return False
         if np.any(model.drift.constant_value() != 0.0):
             return False
-        if isinstance(model.measures, LevyMeasure):
-            return model.measures.is_symmetric()
-        # state-dependent symmetric families: stable is symmetric
-        return isinstance(model.measures, StableMeasureFamily)
+        return model.measures.is_symmetric()
     except ExpressionDomainError:
         return False
 

@@ -54,9 +54,9 @@ to one run per radius because the kernel draws every stream for every
 path at every step, frozen or not; it tests for an exit only on paths
 that moved; and a frozen path is never killed, exploded or flagged
 invalid afterwards, so a path held at its exit is finite there, as in
-the run stopped at that radius.  The exception is a state-dependent
-atom family: its Poisson counts are drawn at the paths' current rates,
-so the smaller radii get other draws of the same law.
+the run stopped at that radius.  The exception is an atom measure with
+state-dependent rates: its Poisson counts are drawn at the paths'
+current rates, so the smaller radii get other draws of the same law.
 
 The entry points build the model; the dynamics follow from it:
 
@@ -80,7 +80,7 @@ follows it.
 
 The kernel knows no measure kind.  Each step it puts the drift (with
 the constant part of the jump compensator) and the Gaussian part into
-the increment array, then asks the model's measure family for the
+the increment array, then asks the model's measure for the
 jumps: ``measures.jump_sampler(...)`` is built once per run, and the
 step function that its ``for_chunk(n)`` makes adds them in place.  The
 measure owns its random streams (``jump``, ``stable``, ``small``);
@@ -255,9 +255,9 @@ class Ensemble:
 
 class _Dynamics:
     """Precompiled per-step drift, Gaussian part and killing of one run,
-    shared by the chunk workers; the jumps come from the measure
-    family's JumpSampler, and an SDE model's increments are multiplied
-    by its coefficient f.  Buffers live in each chunk's ``scratch(n)``,
+    shared by the chunk workers; the jumps come from the measure's
+    JumpSampler, and an SDE model's increments are multiplied by its
+    coefficient f.  Buffers live in each chunk's ``scratch(n)``,
     never here."""
 
     def __init__(self, model: StateModel, dt: float, small_jump_cut: float | None):
@@ -683,7 +683,7 @@ def make_sde_model(f, driver: LevyTriplet) -> StateModel:
     if isinstance(f, Coefficient):
         coeff = f
     elif isinstance(f, (Expression, int, float)):
-        coeff = Coefficient(f, 1)
+        coeff = Coefficient(f)
     else:
         raise TypeError("f must be an Expression, number or Coefficient")
     return StateModel.from_triplet(driver, name="sde", sde=coeff)

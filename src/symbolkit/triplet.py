@@ -22,12 +22,17 @@ the same value in any batch.  ``_row_dot``, ``_row_quad`` and
 where BLAS or einsum may sum in an order that depends on the batch.
 Only density measures couple the frequencies of a call.
 
-Every measure and measure family also owns its simulation draws
-(``jump_sampler``); each docstring records the streams drawn per step.
-State-dependent coefficients are read through ``CoefficientValues``, the
-values of a model's coefficients at one batch of states: the simulation
-kernel evaluates them once per step and hands the same values to the
-jump samplers and to the symbol.
+One class per measure kind: an atom or stable measure holds its rates,
+or its order and scale, as Coefficients, each a number or an Expression
+of the state.  A measure whose coefficients are all numbers is constant
+(``MeasureFamily.is_constant``), a Levy measure: it returns exponent
+values, reads no coefficient values and puts its compensator into the
+drift.  Every measure owns its simulation draws (``jump_sampler``); each
+docstring records the streams drawn per step.  State-dependent
+coefficients are read through ``CoefficientValues``, the values of a
+model's coefficients at one batch of states: the simulation kernel
+evaluates them once per step and hands the same values to the jump
+samplers and to the symbol.
 """
 
 from __future__ import annotations
@@ -42,15 +47,12 @@ from .expr import Expression
 
 __all__ = [
     "CutoffFunction",
-    "LevyMeasure",
     "ZeroMeasure",
     "DiscreteMeasure",
     "StableMeasure",
     "DensityMeasure",
     "JumpSampler",
     "MeasureFamily",
-    "DiscreteMeasureFamily",
-    "StableMeasureFamily",
     "LevyTriplet",
     "StateModel",
     "ConditionEstimate",
@@ -158,7 +160,7 @@ def _atom_block(xis: np.ndarray, jumps: np.ndarray, chi: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# jump measures and measure families
+# jump measures
 
 def _sin_minus_chi_theta(theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """sin(theta) - chi theta for chi in {0, 1}, without cancellation
@@ -196,7 +198,9 @@ def _no_jumps(inc, values, dt, rngs):
 
 
 class MeasureFamily:
-    """Jump measures N(x, dy), indexed by the state or constant.
+    """A jump measure N(x, dy): constant, or indexed by the state through
+    coefficients that are numbers or Expressions.  A Levy measure is one
+    whose coefficients are all numbers (``is_constant``).
 
     ``exponent_at`` gives the jump part of the symbol, the integral
 
@@ -212,19 +216,21 @@ class MeasureFamily:
     """
 
     couples_frequencies = False
+    is_constant = True
 
     def exponent_at(self, xis: np.ndarray, cutoff: CutoffFunction):
         """I at the (N, d) frequencies xis.  A constant measure returns
-        the (N,) values.  A state-dependent family evaluates its
+        the (N,) values.  Otherwise the measure evaluates its
         frequency-only part here, once, and returns a function of the
         ``CoefficientValues`` at N states, which writes the term into a
         buffer of its own that the next call overwrites; a state where
-        the family is undefined (a NaN value, or a stable order outside
+        the measure is undefined (a NaN value, or a stable order outside
         (0, 2]) gives NaN in its row."""
         raise NotImplementedError
 
     def coefficient_blocks(self) -> list:
-        """The family's coefficients as ``CoefficientValues`` blocks."""
+        """The coefficients as ``CoefficientValues`` blocks; none for a
+        constant measure, which reads no coefficient values."""
         return []
 
     def jump_sampler(self, cutoff: CutoffFunction, q_trace: float,
@@ -232,24 +238,22 @@ class MeasureFamily:
         raise NotImplementedError
 
     def box_violation(self, values: "CoefficientValues", pts: np.ndarray) -> str | None:
-        """The first invariant the family breaks at the (m, d) probe
+        """The first invariant the measure breaks at the (m, d) probe
         points, whose coefficient values are ``values``, as a message
         naming the point, or None."""
         return None
 
-
-class LevyMeasure(MeasureFamily):
-    """A jump measure that does not depend on the state."""
-
     def is_symmetric(self) -> bool:
+        """N(x, dy) = N(x, -dy) at every state."""
         raise NotImplementedError
 
     def validate(self, dim: int) -> None:
+        """Raise ValueError unless the measure lives in dimension dim."""
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class ZeroMeasure(LevyMeasure):
+class ZeroMeasure(MeasureFamily):
     def exponent_at(self, xis, cutoff):
         return np.zeros(len(xis), dtype=complex)
 
@@ -264,45 +268,105 @@ class ZeroMeasure(LevyMeasure):
         pass
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure(LevyMeasure):
-    """Finitely many atoms (jump vector, rate)."""
+def _atom_problem(jump: np.ndarray, rate) -> str | None:
+    """What is wrong with one atom, a jump vector and a rate (a number or
+    an Expression): an atom at the origin or a number rate that is not
+    positive; None if nothing is."""
+    if np.linalg.norm(jump) == 0:
+        return "atoms at the origin are not allowed"
+    if not isinstance(rate, Expression) and float(rate) <= 0:
+        return "atom rates must be positive"
+    return None
 
-    jumps: np.ndarray  # (K, d)
-    rates: np.ndarray  # (K,)
 
-    def __post_init__(self):
-        object.__setattr__(self, "jumps", np.atleast_2d(np.asarray(self.jumps, dtype=float)))
-        object.__setattr__(self, "rates", np.atleast_1d(np.asarray(self.rates, dtype=float)))
-        if self.jumps.shape[0] != self.rates.shape[0]:
+class DiscreteMeasure(MeasureFamily):
+    """Finitely many atoms: the (K, d) jump vectors ``jumps`` and one rate
+    per atom, a number or an Expression of the state (``rates``, as
+    Coefficients).  No atom sits at the origin and a number rate is
+    positive; a state-dependent rate is checked on a model's domain box
+    (``box_violation``)."""
+
+    def __init__(self, jumps, rates: Sequence):
+        self.jumps = np.atleast_2d(np.asarray(jumps, dtype=float))
+        if self.jumps.shape[0] != len(rates):
             raise ValueError("one rate per atom required")
-        if np.any(self.rates <= 0):
-            raise ValueError("atom rates must be positive")
-        if np.any(np.linalg.norm(self.jumps, axis=1) == 0):
-            raise ValueError("atoms at the origin are not allowed")
+        for k, (jump, rate) in enumerate(zip(self.jumps, rates)):
+            problem = _atom_problem(jump, rate)
+            if problem is not None:
+                raise ValueError(f"atom {k}: {problem}")
+        self.rates = [Coefficient(r) for r in rates]
+        self.is_constant = all(c.is_constant for c in self.rates)
+
+    def coefficient_blocks(self):
+        """The (n, K) rates, keyed by the measure, unless constant."""
+        return [] if self.is_constant else [(self, self.rates, (len(self.rates),))]
 
     def exponent_at(self, xis, cutoff):
-        return np.sum(_atom_block(xis, self.jumps, cutoff(self.jumps)) * self.rates, axis=1)
+        vals = _atom_block(xis, self.jumps, cutoff(self.jumps))
+        if self.is_constant:
+            return np.sum(vals * np.array([c.value for c in self.rates]), axis=1)
+        terms, out = np.empty(vals.shape, dtype=complex), np.empty(len(vals), dtype=complex)
+        return lambda values: np.sum(np.multiply(vals, values[self], out=terms), axis=1, out=out)
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """Per step, Poisson counts of shape (n, K), one column per atom,
-        from the ``jump`` stream.  The compensator -sum rate chi(y) y is
-        the constant drift."""
+        from the ``jump`` stream, at the paths' current rates.  Constant
+        rates are compensated by the constant drift -sum rate chi(y) y.
+        State-dependent rates are compensated within the step; a rate
+        that is NaN, infinite or negative draws at rate 0 and makes its
+        path's row NaN."""
+        chi = cutoff(self.jumps)
+        k, d = self.jumps.shape
+        constant = np.array([c.value for c in self.rates]) if self.is_constant else None
 
         def chunk(n):
-            jumps = np.empty((n, self.jumps.shape[1]))
+            r, work, jumps = np.empty((n, k)), np.empty((n, k)), np.empty((n, d))
+            if constant is not None:
+                # the full (n, K) rates draw the counts that the (K,)
+                # rates broadcast to (n, K) draw
+                r[:] = constant
+            else:
+                ok, rate_ok = np.empty((n, k), dtype=bool), np.empty((n, k), dtype=bool)
+                failed, compensator = np.empty(n, dtype=bool), np.empty((n, d))
 
             def add(inc, values, dt, rngs):
-                counts = rngs["jump"].poisson(self.rates * dt, size=(n, len(self.rates)))
-                inc += np.matmul(counts, self.jumps, out=jumps)
+                if constant is None:
+                    rates = values[self]
+                    # r = rates where finite and non-negative, else 0
+                    np.greater_equal(rates, 0, out=rate_ok)
+                    np.logical_and(np.isfinite(rates, out=ok), rate_ok, out=ok)
+                    np.copyto(r, 0.0)
+                    np.copyto(r, rates, where=ok)
+                counts = rngs["jump"].poisson(np.multiply(r, dt, out=work))
+                np.matmul(counts, self.jumps, out=jumps)
+                if constant is not None:
+                    inc += jumps
+                    return
+                np.matmul(np.multiply(r, chi, out=work), self.jumps, out=compensator)
+                np.multiply(compensator, dt, out=compensator)
+                inc += np.subtract(jumps, compensator, out=jumps)
+                np.logical_not(np.logical_and.reduce(ok, axis=1, out=failed), out=failed)
+                np.copyto(inc, np.nan, where=failed[:, None])
 
             return add
 
-        return JumpSampler(chunk, -(self.rates * cutoff(self.jumps)) @ self.jumps)
+        if constant is None:
+            return JumpSampler(chunk)
+        return JumpSampler(chunk, -(constant * chi) @ self.jumps)
+
+    def box_violation(self, values, pts):
+        if self.is_constant:
+            return None
+        rates = values[self]
+        return (_violation("atom rate not finite", ~np.isfinite(rates), pts)
+                or _violation("atom rate negative", rates < 0, pts))
 
     def is_symmetric(self):
-        # symmetric iff atoms come in (+y, -y) pairs with equal rates
-        items = {tuple(np.round(j, 12)): r for j, r in zip(self.jumps, self.rates)}
+        """Atoms in (+y, -y) pairs with equal constant rates; never for
+        state-dependent rates."""
+        if not self.is_constant:
+            return False
+        items = {tuple(np.round(j, 12)): c.value for j, c in zip(self.jumps, self.rates)}
         for j, r in items.items():
             neg = tuple(-v for v in j)
             if neg not in items or not math.isclose(items[neg], r, rel_tol=1e-12):
@@ -314,42 +378,92 @@ class DiscreteMeasure(LevyMeasure):
             raise ValueError("atom dimension mismatch")
 
 
-@dataclass(frozen=True)
-class StableMeasure(LevyMeasure):
-    """Symmetric one-dimensional stable jump component with closed-form
-    exponent contribution c |xi|^alpha (alpha in (0, 2], c > 0)."""
+class StableMeasure(MeasureFamily):
+    """Symmetric one-dimensional stable jump component with exponent
+    contribution scale |xi|^alpha.  The order alpha and the scale are
+    each a number or an Expression of the state (Coefficients); a number
+    order lies in (0, 2] and a number scale is positive, and a
+    state-dependent one is checked on a model's domain box
+    (``box_violation``)."""
 
-    alpha: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
+    def __init__(self, alpha, scale=1.0):
+        self.alpha, self.scale = Coefficient(alpha), Coefficient(scale)
+        if self.alpha.is_constant and not (0.0 < self.alpha.value <= 2.0):
             raise ValueError("alpha must lie in (0, 2]")
-        if not self.scale > 0:
+        if self.scale.is_constant and not self.scale.value > 0:
             raise ValueError("scale must be positive")
+        self.is_constant = self.alpha.is_constant and self.scale.is_constant
+
+    def coefficient_blocks(self):
+        if self.is_constant:
+            return []
+        return [(self.alpha, [self.alpha], ()), (self.scale, [self.scale], ())]
 
     def exponent_at(self, xis, cutoff):
+        """-scale |xi|^alpha, 0 at xi = 0; NaN where a state-dependent
+        order is outside (0, 2]."""
         if xis.shape[1] != 1:
             raise ValueError("stable measures are one-dimensional")
-        return (-self.scale * np.abs(xis[:, 0]) ** self.alpha).astype(complex)
+        if self.is_constant:
+            return (-self.scale.value * np.abs(xis[:, 0]) ** self.alpha.value).astype(complex)
+        absxi = np.abs(xis[:, 0])
+        zero = ~(absxi > 0)
+        n = len(xis)
+        alpha_ok, power, out = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
+        in_range, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+
+        def term(values):
+            alpha, scale = values[self.alpha], values[self.scale]
+            # np.where((alpha > 0) & (alpha <= 2), alpha, nan)
+            np.greater(alpha, 0, out=in_range)
+            np.logical_and(in_range, np.less_equal(alpha, 2, out=below), out=in_range)
+            np.copyto(alpha_ok, np.nan)
+            np.copyto(alpha_ok, alpha, where=in_range)
+            with np.errstate(divide="ignore"):
+                np.multiply(scale, np.power(absxi, alpha_ok, out=power), out=power)
+            np.copyto(power, 0.0, where=zero)
+            return np.negative(power, out=out)
+
+        return term
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
         """Per step, (n,) uniforms u and then (n,) uniforms w from the
-        ``stable`` stream (``_StableDraw``), scaled by
-        (scale dt)^(1/alpha).  The symmetric measure has no compensator."""
+        ``stable`` stream (``_StableDraw``), scaled by (scale dt)^(1/alpha)
+        at each path's order (clipped to [1e-6, 2]) and scale (floored at
+        0).  The symmetric measure has no compensator."""
 
         def chunk(n):
             draw = _StableDraw(n)
-            draw.orders(np.full(n, self.alpha))
+            if self.is_constant:
+                draw.orders(np.full(n, self.alpha.value))
+            else:
+                alpha, scale_dt = np.empty(n), np.empty(n)
 
             def add(inc, values, dt, rngs):
+                if self.is_constant:
+                    # a Python float power: np.power differs from it by an
+                    # ulp on some inputs
+                    jump = (self.scale.value * dt) ** (1.0 / self.alpha.value)
+                else:
+                    draw.orders(np.clip(values[self.alpha], 1e-6, 2.0, out=alpha))
+                    np.maximum(values[self.scale], 0.0, out=scale_dt)
+                    np.multiply(scale_dt, dt, out=scale_dt)
+                    jump = np.power(scale_dt, draw.inv, out=scale_dt)
                 s = draw.draw(rngs["stable"])
-                np.multiply((self.scale * dt) ** (1.0 / self.alpha), s, out=s)
-                inc[:, 0] += s
+                inc[:, 0] += np.multiply(jump, s, out=s)
 
             return add
 
         return JumpSampler(chunk)
+
+    def box_violation(self, values, pts):
+        if self.is_constant:
+            return None
+        alpha, scale = values[self.alpha], values[self.scale]
+        return (_violation("stable order not finite", ~np.isfinite(alpha), pts)
+                or _violation("stable order outside (0,2]", (alpha <= 0) | (alpha > 2), pts)
+                or _violation("stable scale not finite", ~np.isfinite(scale), pts)
+                or _violation("stable scale negative", scale < 0, pts))
 
     def is_symmetric(self):
         return True
@@ -451,7 +565,7 @@ QUAD_MAX_PANELS = 1 << 16    # cap on the panels of one integral
 QUAD_WORK_ITEMS = 1 << 17    # integrand values per work block (2 MB complex)
 
 
-class DensityMeasure(LevyMeasure):
+class DensityMeasure(MeasureFamily):
     """One-dimensional measure with density level(y) on the truncated
     support eps <= |y| <= y_max.
 
@@ -749,8 +863,7 @@ class Coefficient:
     """Scalar coefficient of the state: a constant ``value`` or an
     Expression ``expr``, read through ``CoefficientValues``."""
 
-    def __init__(self, spec, dim: int):
-        self.dim = dim
+    def __init__(self, spec):
         if isinstance(spec, Expression):
             self.expr: Expression | None = spec
             self.value = None
@@ -812,8 +925,7 @@ class CoefficientValues:
 
 class VectorCoefficient:
     def __init__(self, specs: Sequence, dim: int):
-        self.parts = [Coefficient(s, dim) for s in specs]
-        self.dim = dim
+        self.parts = [Coefficient(s) for s in specs]
         if len(self.parts) != dim:
             raise ValueError("drift needs one entry per coordinate")
 
@@ -827,8 +939,7 @@ class VectorCoefficient:
 
 class MatrixCoefficient:
     def __init__(self, specs: Sequence[Sequence], dim: int):
-        self.rows = [[Coefficient(s, dim) for s in row] for row in specs]
-        self.dim = dim
+        self.rows = [[Coefficient(s) for s in row] for row in specs]
         if len(self.rows) != dim or any(len(r) != dim for r in self.rows):
             raise ValueError("covariance must be d x d")
 
@@ -838,128 +949,6 @@ class MatrixCoefficient:
 
     def constant_value(self) -> np.ndarray:
         return np.array([[c.value for c in row] for row in self.rows])
-
-
-# ---------------------------------------------------------------------------
-# state-dependent measure families
-
-class DiscreteMeasureFamily(MeasureFamily):
-    """Fixed atom locations with state-dependent rates."""
-
-    def __init__(self, jumps, rate_specs: Sequence, dim: int):
-        self.jumps = np.atleast_2d(np.asarray(jumps, dtype=float))
-        self.rate_coeffs = [Coefficient(s, dim) for s in rate_specs]
-        if self.jumps.shape[0] != len(self.rate_coeffs):
-            raise ValueError("one rate per atom required")
-
-    def coefficient_blocks(self):
-        """The (n, K) rates, keyed by the family."""
-        return [(self, self.rate_coeffs, (len(self.rate_coeffs),))]
-
-    def exponent_at(self, xis, cutoff):
-        vals = _atom_block(xis, self.jumps, cutoff(self.jumps))
-        terms, out = np.empty(vals.shape, dtype=complex), np.empty(len(vals), dtype=complex)
-        return lambda values: np.sum(np.multiply(vals, values[self], out=terms), axis=1, out=out)
-
-    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
-        """Per step, Poisson counts of shape (n, K) from the ``jump``
-        stream at the paths' current rates, compensated within the step.
-        A rate that is NaN, infinite or negative draws at rate 0 and
-        makes its path's row NaN."""
-        chi = cutoff(self.jumps)
-        k, d = self.jumps.shape
-
-        def chunk(n):
-            r, work = np.empty((n, k)), np.empty((n, k))
-            ok, rate_ok = np.empty((n, k), dtype=bool), np.empty((n, k), dtype=bool)
-            failed = np.empty(n, dtype=bool)
-            jumps, compensator = np.empty((n, d)), np.empty((n, d))
-
-            def add(inc, values, dt, rngs):
-                rates = values[self]
-                # r = rates where finite and non-negative, else 0
-                np.greater_equal(rates, 0, out=rate_ok)
-                np.logical_and(np.isfinite(rates, out=ok), rate_ok, out=ok)
-                np.copyto(r, 0.0)
-                np.copyto(r, rates, where=ok)
-                counts = rngs["jump"].poisson(np.multiply(r, dt, out=work))
-                np.matmul(counts, self.jumps, out=jumps)
-                np.matmul(np.multiply(r, chi, out=work), self.jumps, out=compensator)
-                np.multiply(compensator, dt, out=compensator)
-                inc += np.subtract(jumps, compensator, out=jumps)
-                np.logical_not(np.logical_and.reduce(ok, axis=1, out=failed), out=failed)
-                np.copyto(inc, np.nan, where=failed[:, None])
-
-            return add
-
-        return JumpSampler(chunk)
-
-    def box_violation(self, values, pts):
-        rates = values[self]
-        return (_violation("atom rate not finite", ~np.isfinite(rates), pts)
-                or _violation("atom rate negative", rates < 0, pts))
-
-
-class StableMeasureFamily(MeasureFamily):
-    """Symmetric 1-d stable component with state-dependent order/scale."""
-
-    def __init__(self, alpha_spec, scale_spec, dim: int):
-        self.alpha_coeff = Coefficient(alpha_spec, dim)
-        self.scale_coeff = Coefficient(scale_spec, dim)
-
-    def coefficient_blocks(self):
-        return [(self.alpha_coeff, [self.alpha_coeff], ()),
-                (self.scale_coeff, [self.scale_coeff], ())]
-
-    def exponent_at(self, xis, cutoff):
-        """-scale |xi|^alpha, 0 at xi = 0; NaN where the order is
-        outside (0, 2]."""
-        absxi = np.abs(xis[:, 0])
-        zero = ~(absxi > 0)
-        n = len(xis)
-        alpha_ok, power, out = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
-        in_range, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-
-        def term(values):
-            alpha, scale = values[self.alpha_coeff], values[self.scale_coeff]
-            # np.where((alpha > 0) & (alpha <= 2), alpha, nan)
-            np.greater(alpha, 0, out=in_range)
-            np.logical_and(in_range, np.less_equal(alpha, 2, out=below), out=in_range)
-            np.copyto(alpha_ok, np.nan)
-            np.copyto(alpha_ok, alpha, where=in_range)
-            with np.errstate(divide="ignore"):
-                np.multiply(scale, np.power(absxi, alpha_ok, out=power), out=power)
-            np.copyto(power, 0.0, where=zero)
-            return np.negative(power, out=out)
-
-        return term
-
-    def jump_sampler(self, cutoff, q_trace, small_jump_cut):
-        """As StableMeasure's, at each path's order (clipped to
-        [1e-6, 2]) and scale (floored at 0)."""
-
-        def chunk(n):
-            draw = _StableDraw(n)
-            alpha, jump = np.empty(n), np.empty(n)
-
-            def add(inc, values, dt, rngs):
-                draw.orders(np.clip(values[self.alpha_coeff], 1e-6, 2.0, out=alpha))
-                # (scale dt)^(1/alpha) * the standard variate
-                np.maximum(values[self.scale_coeff], 0.0, out=jump)
-                np.multiply(jump, dt, out=jump)
-                np.power(jump, draw.inv, out=jump)
-                inc[:, 0] += np.multiply(jump, draw.draw(rngs["stable"]), out=jump)
-
-            return add
-
-        return JumpSampler(chunk)
-
-    def box_violation(self, values, pts):
-        alpha, scale = values[self.alpha_coeff], values[self.scale_coeff]
-        return (_violation("stable order not finite", ~np.isfinite(alpha), pts)
-                or _violation("stable order outside (0,2]", (alpha <= 0) | (alpha > 2), pts)
-                or _violation("stable scale not finite", ~np.isfinite(scale), pts)
-                or _violation("stable scale negative", scale < 0, pts))
 
 
 def _violation(what: str, bad: np.ndarray, pts: np.ndarray) -> str | None:
@@ -979,7 +968,7 @@ class LevyTriplet:
     killing_rate: float
     drift: np.ndarray
     covariance: np.ndarray
-    measure: LevyMeasure = field(default_factory=ZeroMeasure)
+    measure: MeasureFamily = field(default_factory=ZeroMeasure)
     cutoff: CutoffFunction = field(default_factory=CutoffFunction)
 
     def __post_init__(self):
@@ -994,6 +983,9 @@ class LevyTriplet:
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(q).min() < PSD_EIGENVALUE_FLOOR:
             raise ValueError("covariance must be positive semidefinite")
+        if not self.measure.is_constant:
+            raise ValueError(f"a Levy triplet needs a constant measure, got a "
+                             f"{type(self.measure).__name__} with state-dependent coefficients")
         self.measure.validate(self.dim)
 
     @property
@@ -1045,7 +1037,7 @@ class StateModel:
             domain_box = [[-10.0, 10.0]] * d
         return StateModel(
             dim=d,
-            kill=Coefficient(triplet.killing_rate, d),
+            kill=Coefficient(triplet.killing_rate),
             drift=VectorCoefficient(list(triplet.drift), d),
             covariance=MatrixCoefficient(triplet.covariance.tolist(), d),
             measures=triplet.measure,
@@ -1057,12 +1049,10 @@ class StateModel:
 
     @property
     def is_constant(self) -> bool:
-        """Constant coefficients, a ``LevyMeasure`` and no SDE
-        coefficient; the other families read coefficient values, even
-        constant ones."""
+        """Constant coefficients, a constant measure and no SDE
+        coefficient."""
         return (self.sde is None and self.kill.is_constant and self.drift.is_constant
-                and self.covariance.is_constant
-                and isinstance(self.measures, LevyMeasure))
+                and self.covariance.is_constant and self.measures.is_constant)
 
     def constant_triplet(self) -> LevyTriplet:
         if not self.is_constant:
@@ -1079,7 +1069,7 @@ class StateModel:
         """The coefficients that the simulation and the symbol read, as
         ``CoefficientValues`` blocks keyed by their holders: the killing
         rate ``kill``, the (n, d) drift, the (n, d, d) covariance, the
-        measure family's coefficients and the SDE coefficient f."""
+        measure's coefficients and the SDE coefficient f."""
         d = self.dim
         sde = [] if self.sde is None else [(self.sde, [self.sde], ())]
         return [(self.kill, [self.kill], ()),

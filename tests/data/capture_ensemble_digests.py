@@ -38,11 +38,9 @@ from symbolkit.triplet import (
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
-    DiscreteMeasureFamily,
     LevyTriplet,
     MatrixCoefficient,
     StableMeasure,
-    StableMeasureFamily,
     StateModel,
     VectorCoefficient,
     ZeroMeasure,
@@ -58,7 +56,7 @@ def _expr(text, dim=1):
 
 def _model(kill, drift, cov, measures, box=((-10.0, 10.0),), cutoff=None):
     d = len(drift)
-    return StateModel(dim=d, kill=Coefficient(kill, d), drift=VectorCoefficient(drift, d),
+    return StateModel(dim=d, kill=Coefficient(kill), drift=VectorCoefficient(drift, d),
                       covariance=MatrixCoefficient(cov, d),
                       measures=measures, cutoff=cutoff or CutoffFunction(),
                       domain_box=np.asarray(box))
@@ -103,18 +101,18 @@ ENSEMBLES = {
         LevyTriplet(0.2, [0.1], [[0.4]], _density()), _spec(2000, 16, small_jump_cut=0.05)),
     "atom_family_hazard": lambda: sample_autonomous(
         _model(_expr("0.5 + 0.1*x1^2"), [0.2], [[_expr("0.5 + 0.1*sin(x1)")]],
-               DiscreteMeasureFamily([[0.3], [-0.3], [2.0]],
-                                     [_expr("1 + x1^2"), 2.0, _expr("0.5*abs(x1)")], 1)),
+               DiscreteMeasure([[0.3], [-0.3], [2.0]],
+                               [_expr("1 + x1^2"), 2.0, _expr("0.5*abs(x1)")])),
         _spec(3000, 17)),
     "stable_family": lambda: sample_autonomous(
         _model(0.0, [_expr("-x1")], [[0.0]],
-               StableMeasureFamily(_expr("0.8 + 0.7/(1+x1^2)"), _expr("1 + 0.2*x1^2"), 1)),
+               StableMeasure(_expr("0.8 + 0.7/(1+x1^2)"), _expr("1 + 0.2*x1^2"))),
         _spec(3000, 18)),
     # order min(1, 0.5 + x1^2): the first step draws at orders below 1
     # only, later steps at both 1 exactly and below 1
     "stable_family_mixed_order": lambda: sample_autonomous(
         _model(0.0, [0.0], [[0.5]],
-               StableMeasureFamily(_expr("min(1, 0.5 + x1^2)"), 1.0, 1)),
+               StableMeasure(_expr("min(1, 0.5 + x1^2)"), 1.0)),
         _spec(3000, 27, x0=(0.5,))),
     "sde_killed_cauchy_driver": lambda: sample_sde(
         _expr("x1"), LevyTriplet(0.3, [0.0], [[0.0]], StableMeasure(1.0, 1.0)),
@@ -149,7 +147,7 @@ ARRAYS = {
         dt=0.01, seed=25).running_max([0.0], _SNAP_TIMES, 3000),
     "running_max_stable_family_two_chunks": lambda: PathSampler(
         _model(0.0, [0.0], [[0.0]],
-               StableMeasureFamily(_expr("0.3 + 0.4/(1+x1^2)"), 1.0, 1),
+               StableMeasure(_expr("0.3 + 0.4/(1+x1^2)"), 1.0),
                box=((-15.0, 15.0),)),
         dt=0.005, seed=26).running_max([0.0], (0.05, 0.1), 17_000),
 }

@@ -42,11 +42,9 @@ from symbolkit.triplet import (
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
-    DiscreteMeasureFamily,
     LevyTriplet,
     MatrixCoefficient,
     StableMeasure,
-    StableMeasureFamily,
     StateModel,
     VectorCoefficient,
     ZeroMeasure,
@@ -63,7 +61,7 @@ def spec(n=N, dt=0.005, horizon=1.0, seed=71, x0=(0.0,)):
 def model(kill, drift, cov, measures=None, box=((-10.0, 10.0),)):
     d = len(drift)
     return StateModel(
-        dim=d, kill=Coefficient(kill, d),
+        dim=d, kill=Coefficient(kill),
         drift=VectorCoefficient(drift, d),
         covariance=MatrixCoefficient(cov, d),
         measures=measures or ZeroMeasure(),
@@ -118,8 +116,8 @@ def _model_2d():
     # state-dependent killing, drift and atom rates in two dimensions
     return model(_expr("0.1 + 0.1*x2^2", 2), [_expr("-0.5*x1", 2), 0.2],
                  [[1.0, 0.3], [0.3, 0.5]],
-                 DiscreteMeasureFamily([[0.5, 0.0], [0.0, -0.8]],
-                                       [_expr("1 + 0.5*sin(x1)", 2), 0.5], 2),
+                 DiscreteMeasure([[0.5, 0.0], [0.0, -0.8]],
+                                 [_expr("1 + 0.5*sin(x1)", 2), 0.5]),
                  box=((-10.0, 10.0), (-10.0, 10.0)))
 
 
@@ -193,8 +191,8 @@ CASES = {
     "atom_family": (
         lambda: _autonomous_case(
             model(0.2, [0.0], [[0.25]],
-                  DiscreteMeasureFamily([[0.3], [-0.3], [2.0]],
-                                        [_expr("1 + x1^2"), 2.0, 0.5], 1)),
+                  DiscreteMeasure([[0.3], [-0.3], [2.0]],
+                                  [_expr("1 + x1^2"), 2.0, 0.5])),
             spec(n=4000, dt=0.01, seed=90)),
         [1.0], T3),
     "state_dependent_covariance": (
@@ -213,7 +211,7 @@ CASES = {
     "stable_family_scale": (
         lambda: _autonomous_case(
             model(0.1, [0.0], [[0.0]],
-                  StableMeasureFamily(1.5, _expr("1 + 0.5*sin(x1)"), 1)),
+                  StableMeasure(1.5, _expr("1 + 0.5*sin(x1)"))),
             spec(n=4000, dt=0.01, seed=94)),
         [1.0], T3),
     "u_zero_component": (lambda: _autonomous_case(_model_2d(),

@@ -38,7 +38,6 @@ from symbolkit.triplet import (
     LevyTriplet,
     MatrixCoefficient,
     StableMeasure,
-    StableMeasureFamily,
     StateModel,
     VectorCoefficient,
     ZeroMeasure,
@@ -72,7 +71,7 @@ def _levy_fixtures():
 
 def _scalar_model(kill, drift, cov, measures=None, box=((-10.0, 10.0),)):
     return StateModel(
-        dim=1, kill=Coefficient(kill, 1),
+        dim=1, kill=Coefficient(kill),
         drift=VectorCoefficient([drift], 1),
         covariance=MatrixCoefficient([[cov]], 1),
         measures=measures or ZeroMeasure(),
@@ -202,9 +201,9 @@ def test_criterion_05_index_recovery():
         ok &= all(abs(v - alpha) <= 0.05 for v in vals)
         details.append(f"alpha={alpha}: beta0={rep.beta0:.3f}")
     stable_like = StateModel(
-        dim=1, kill=Coefficient(0.0, 1), drift=VectorCoefficient([0.0], 1),
+        dim=1, kill=Coefficient(0.0), drift=VectorCoefficient([0.0], 1),
         covariance=MatrixCoefficient([[0.0]], 1),
-        measures=StableMeasureFamily(parse_expression("0.3 + 0.4/(1+x1^2)"), 1.0, 1),
+        measures=StableMeasure(parse_expression("0.3 + 0.4/(1+x1^2)"), 1.0),
         cutoff=CutoffFunction(), domain_box=[[-15.0, 15.0]])
     rep = estimate_indices(stable_like, 1e2, 1e6, 16, "origin")
     ok &= abs(rep.beta0 - 0.3) <= 0.05

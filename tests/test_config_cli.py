@@ -66,7 +66,7 @@ class TestLoadModel:
 
     def test_bundled_stable_like_valid(self):
         model = load_model(bundled_model_path("stable_like"))
-        alpha = model.coefficient_values(np.array([[0.0]]))[model.measures.alpha_coeff][0]
+        alpha = model.coefficient_values(np.array([[0.0]]))[model.measures.alpha][0]
         assert alpha == pytest.approx(0.7)
 
     def test_negative_killing_rate_reports_point(self, tmp_path):
@@ -156,6 +156,20 @@ class TestLoadModel:
         f = _write(tmp_path, {**BASE, "killing_rate": "1 +"})
         with pytest.raises(ModelConfigError, match="bad expression"):
             load_model(f)
+
+    @pytest.mark.parametrize("atoms, index, reason", [
+        ([{"jump": [1.0], "rate": "1 + x1^2"}, {"jump": [0.0], "rate": 1.0}], 1, "origin"),
+        ([{"jump": [0.0], "rate": "1 + x1^2"}], 0, "origin"),
+        ([{"jump": [1.0], "rate": "1 + x1^2"}, {"jump": [-1.0], "rate": 0.0}], 1, "positive"),
+    ], ids=["number_rate_at_origin", "expression_rate_at_origin", "zero_rate"])
+    def test_atoms_checked_whatever_their_rates(self, tmp_path, atoms, index, reason):
+        # the atoms of a state-dependent measure obey the rules of
+        # constant ones: none at the origin, every number rate positive
+        f = _write(tmp_path, {**BASE, "mode": "autonomous",
+                              "levy_measure": {"kind": "discrete", "atoms": atoms}})
+        with pytest.raises(ModelConfigError, match=reason) as err:
+            load_model(f)
+        assert err.value.field == f"levy_measure.atoms[{index}]"
 
     def test_stable_order_range_checked(self, tmp_path):
         f = _write(tmp_path, {**BASE, "mode": "autonomous",

@@ -305,7 +305,7 @@ def test_grid_over_budget_runs_one_radius_per_call(monkeypatch):
     # 41 x 41 states times 513 frequencies exceed the budget at each
     # radius; the drift makes the symbol complex, so h is skipped
     model = StateModel(
-        dim=2, kill=Coefficient(parse_expression("0.1*x1^2 + x2^2", dim=2), 2),
+        dim=2, kill=Coefficient(parse_expression("0.1*x1^2 + x2^2", dim=2)),
         drift=VectorCoefficient([0.5, 0.0], 2),
         covariance=MatrixCoefficient([[1.0, 0.0], [0.0, 1.0]], 2),
         measures=ZeroMeasure(), cutoff=CutoffFunction(),

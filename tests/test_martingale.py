@@ -28,7 +28,6 @@ from symbolkit.simulate import (
 from symbolkit.triplet import (
     CutoffFunction,
     DiscreteMeasure,
-    DiscreteMeasureFamily,
     LevyTriplet,
     StableMeasure,
     StateModel,
@@ -297,8 +296,8 @@ def test_streamed_two_chunks_match_ensemble_checks(monkeypatch):
     # joined in chunk order, so the reports match at any worker count
     model = _model(parse_expression("0.5 + 0.2*x1^2"), [parse_expression("-x1")],
                    [[parse_expression("0.5 + 0.1*sin(x1)")]],
-                   DiscreteMeasureFamily([[0.3], [-0.3], [2.0]],
-                                         [parse_expression("1 + x1^2"), 2.0, 0.5], 1))
+                   DiscreteMeasure([[0.3], [-0.3], [2.0]],
+                                   [parse_expression("1 + x1^2"), 2.0, 0.5]))
     spec = _spec(n=20_000, dt=0.01, horizon=0.5, seed=88)
     t_grid = (0.1, 0.25, 0.5)
     monkeypatch.setenv("SYMBOLKIT_THREADS", "1")

@@ -28,11 +28,9 @@ from symbolkit.triplet import (
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
-    DiscreteMeasureFamily,
     LevyTriplet,
     MatrixCoefficient,
     StableMeasure,
-    StableMeasureFamily,
     StateModel,
     VectorCoefficient,
     ZeroMeasure,
@@ -55,7 +53,7 @@ def _model(kill, drift, cov, measures=None, box=((-10.0, 10.0),)):
     d = len(drift)
     return StateModel(
         dim=d,
-        kill=Coefficient(kill, d),
+        kill=Coefficient(kill),
         drift=VectorCoefficient(drift, d),
         covariance=MatrixCoefficient(cov, d),
         measures=measures or ZeroMeasure(),
@@ -205,7 +203,7 @@ class TestSampleAutonomous:
 
 class TestSampleSde:
     def test_identity_coefficient_reproduces_driver(self, cauchy_triplet):
-        f1 = Coefficient(1.0, 1)
+        f1 = Coefficient(1.0)
         a = sample_sde(f1, cauchy_triplet, _spec(n=2000, seed=41))
         b = sample_levy(cauchy_triplet, _spec(n=2000, seed=41))
         assert np.allclose(a.values, b.values, equal_nan=True)
@@ -240,6 +238,27 @@ def test_sde_model_file_matches_make_sde_model_in_snapshots(monkeypatch, threads
     loaded, built = (snapshot_run(m, [1.0], [0.01, 0.02], 200, 0.002, 43, radii=(0.5, math.inf))
                      for m in _sde_cauchy_models())
     for a, b in zip(loaded, built, strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kind", ["atoms", "stable"])
+def test_hand_built_constant_model_matches_its_triplet_in_snapshots(monkeypatch, kind,
+                                                                    threads):
+    # a measure whose coefficients are numbers is constant whoever builds
+    # the model: its compensator joins the drift and its draws are the
+    # triplet's, bit for bit; several chunks, so that two workers share
+    # the run
+    monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 64)
+    monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+    measure = {"atoms": lambda: DiscreteMeasure([[0.4], [-1.5]], [1.0, 2.5]),
+               "stable": lambda: StableMeasure(1.5, 0.8)}[kind]
+    hand_built = _model(0.3, [0.2], [[0.5]], measure())
+    assert hand_built.is_constant
+    from_triplet = StateModel.from_triplet(LevyTriplet(0.3, [0.2], [[0.5]], measure()))
+    runs = (snapshot_run(m, [0.0], [0.01, 0.05], 200, 0.005, 44, radii=(1.0, math.inf))
+            for m in (hand_built, from_triplet))
+    for a, b in zip(*runs, strict=True):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
@@ -369,10 +388,10 @@ def _threaded_runs(bm_triplet):
     spec = SimSpec(x0=[0.0], horizon=0.2, dt=0.01, n_paths=40_000, rng_seed=93)
     expr = parse_expression
     stable_family = _model(0.0, [expr("-x1")], [[0.0]],
-                           StableMeasureFamily(expr("0.8 + 0.7/(1+x1^2)"),
-                                               expr("1 + 0.2*x1^2"), 1))
+                           StableMeasure(expr("0.8 + 0.7/(1+x1^2)"),
+                                         expr("1 + 0.2*x1^2")))
     atom_family = _model(expr("0.5 + x1^2"), [0.1], [[0.2]],
-                         DiscreteMeasureFamily([[0.3], [-0.5]], [expr("1 + x1^2"), 2.0], 1))
+                         DiscreteMeasure([[0.3], [-0.5]], [expr("1 + x1^2"), 2.0]))
     hazard = _model(expr("x1^2"), [expr("-x1")], [[expr("0.5 + 0.1*sin(x1)")]])
     density = DensityMeasure(expr("exp(-abs(x1))/abs(x1)^1.5"), 1e-3, 20.0)
     cauchy = StateModel.from_triplet(LevyTriplet(0.3, [0.0], [[0.0]], StableMeasure(1.0, 1.0)))

@@ -19,7 +19,7 @@ from symbolkit.symbol import (
 from symbolkit.triplet import (
     Coefficient,
     CutoffFunction,
-    DiscreteMeasureFamily,
+    DiscreteMeasure,
     LevyTriplet,
     MatrixCoefficient,
     StableMeasure,
@@ -199,17 +199,17 @@ def test_reports_bit_identical(case, tmp_path):
 
 def _atoms_model():
     return StateModel(
-        dim=1, kill=Coefficient(0.0, 1), drift=VectorCoefficient([0.0], 1),
+        dim=1, kill=Coefficient(0.0), drift=VectorCoefficient([0.0], 1),
         covariance=MatrixCoefficient([[0.5]], 1),
-        measures=DiscreteMeasureFamily([[0.3], [-0.3]],
-                                       [parse_expression("1 + x1^2"), 2.0], 1),
+        measures=DiscreteMeasure([[0.3], [-0.3]],
+                                 [parse_expression("1 + x1^2"), 2.0]),
         cutoff=CutoffFunction(), domain_box=[[-10.0, 10.0]])
 
 
 def _exploding_model():
     # dx = x^3 dt + noise from x = 4 reaches |x| = 10 near t = 0.026
     return StateModel(
-        dim=1, kill=Coefficient(1.0, 1),
+        dim=1, kill=Coefficient(1.0),
         drift=VectorCoefficient([parse_expression("x1^3")], 1),
         covariance=MatrixCoefficient([[0.1]], 1),
         measures=ZeroMeasure(),

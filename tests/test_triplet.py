@@ -17,11 +17,9 @@ from symbolkit.triplet import (
     CutoffFunction,
     DensityMeasure,
     DiscreteMeasure,
-    DiscreteMeasureFamily,
     LevyTriplet,
     MatrixCoefficient,
     StableMeasure,
-    StableMeasureFamily,
     StateModel,
     VectorCoefficient,
     ZeroMeasure,
@@ -110,12 +108,26 @@ def test_psd_validation():
 
 
 def test_invalid_measures():
-    with pytest.raises(ValueError):
-        StableMeasure(2.5, 1.0)
-    with pytest.raises(ValueError):
-        DiscreteMeasure([[0.0]], [1.0])
-    with pytest.raises(ValueError):
-        DiscreteMeasure([[1.0]], [-1.0])
+    # a number coefficient obeys the same rule beside an expression one
+    rate = parse_expression("1 + x1^2")
+    for make in (lambda: StableMeasure(2.5, 1.0), lambda: StableMeasure(2.5, rate),
+                 lambda: StableMeasure(rate, 0.0), lambda: DiscreteMeasure([[0.0]], [1.0]),
+                 lambda: DiscreteMeasure([[0.0]], [rate]),
+                 lambda: DiscreteMeasure([[1.0], [2.0]], [rate, -1.0])):
+        with pytest.raises(ValueError):
+            make()
+
+
+@pytest.mark.parametrize("name, measure", [
+    ("DiscreteMeasure", lambda: DiscreteMeasure([[0.5], [-0.5]],
+                                                [1.0, parse_expression("1 + x1^2")])),
+    ("StableMeasure", lambda: StableMeasure(parse_expression("1 + 0.5/(1+x1^2)"), 1.0)),
+    ("StableMeasure", lambda: StableMeasure(1.5, parse_expression("1 + x1^2"))),
+], ids=["atom_rate", "stable_order", "stable_scale"])
+def test_levy_triplet_rejects_a_state_dependent_measure(name, measure):
+    # a Levy triplet's measure does not depend on the state
+    with pytest.raises(ValueError, match=f"{name} with state-dependent coefficients"):
+        LevyTriplet(0.0, [0.0], [[1.0]], measure())
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +136,10 @@ def test_invalid_measures():
 def _stable_like_model():
     return StateModel(
         dim=1,
-        kill=Coefficient(0.0, 1),
+        kill=Coefficient(0.0),
         drift=VectorCoefficient([0.0], 1),
         covariance=MatrixCoefficient([[0.0]], 1),
-        measures=StableMeasureFamily(parse_expression("0.3 + 0.4/(1+x1^2)"), 1.0, 1),
+        measures=StableMeasure(parse_expression("0.3 + 0.4/(1+x1^2)"), 1.0),
         cutoff=CutoffFunction(),
         domain_box=[[-15.0, 15.0]],
     )
@@ -142,7 +154,7 @@ def test_symbol_constant_model_x_independent(bm_model):
 def test_symbol_state_dependent_killing():
     model = StateModel(
         dim=1,
-        kill=Coefficient(parse_expression("1 + x1^2"), 1),
+        kill=Coefficient(parse_expression("1 + x1^2")),
         drift=VectorCoefficient([0.0], 1),
         covariance=MatrixCoefficient([[0.0]], 1),
         measures=ZeroMeasure(),
@@ -153,18 +165,17 @@ def test_symbol_state_dependent_killing():
 
 
 def test_symbol_of_a_family_with_constant_coefficients():
-    # an atom or stable family reads its coefficient values even when
-    # they are constant, so the model is not a constant one
-    families = {
-        "atoms": (DiscreteMeasureFamily([[0.3], [-0.5]], [1.0, 2.0], 1),
-                  DiscreteMeasure([[0.3], [-0.5]], [1.0, 2.0])),
-        "stable": (StableMeasureFamily(1.5, 0.8, 1), StableMeasure(1.5, 0.8)),
+    # an atom or stable measure whose coefficients are all numbers is
+    # constant, so the model is a constant one
+    measures = {
+        "atoms": DiscreteMeasure([[0.3], [-0.5]], [1.0, 2.0]),
+        "stable": StableMeasure(1.5, 0.8),
     }
-    for name, (family, measure) in families.items():
-        model = StateModel(dim=1, kill=Coefficient(0.2, 1), drift=VectorCoefficient([0.1], 1),
-                           covariance=MatrixCoefficient([[0.5]], 1), measures=family,
+    for name, measure in measures.items():
+        model = StateModel(dim=1, kill=Coefficient(0.2), drift=VectorCoefficient([0.1], 1),
+                           covariance=MatrixCoefficient([[0.5]], 1), measures=measure,
                            cutoff=CutoffFunction(), domain_box=[[-5.0, 5.0]])
-        assert not model.is_constant, name
+        assert model.is_constant, name
         tri = LevyTriplet(0.2, [0.1], [[0.5]], measure)
         for xi in (-2.0, 0.7):
             assert eval_symbol(model, [1.0], [xi]) == pytest.approx(eval_exponent(tri, [xi]),
@@ -243,9 +254,9 @@ def _failing(term):
     """A 1-d model whose ``term`` is undefined at x1 < 0."""
     bad = parse_expression("x1^0.5")
     families = {
-        "atoms": DiscreteMeasureFamily([[0.3], [-1.5]], [bad, 2.0], 1),
-        "stable_order": StableMeasureFamily(parse_expression("1 + 0.5*x1^0.5"), 1.0, 1),
-        "stable_scale": StableMeasureFamily(1.5, bad, 1),
+        "atoms": DiscreteMeasure([[0.3], [-1.5]], [bad, 2.0]),
+        "stable_order": StableMeasure(parse_expression("1 + 0.5*x1^0.5"), 1.0),
+        "stable_scale": StableMeasure(1.5, bad),
     }
     if term == "sde":
         return make_sde_model(parse_expression("log(x1)"),
@@ -296,7 +307,7 @@ def _random_constant(rng, d, atoms=True, covariance=True):
 
 def _state_model(d, kill, drift, covariance, measures=None):
     coeff = lambda v: parse_expression(v) if isinstance(v, str) else v
-    return StateModel(dim=d, kill=Coefficient(coeff(kill), d),
+    return StateModel(dim=d, kill=Coefficient(coeff(kill)),
                       drift=VectorCoefficient([coeff(v) for v in drift], d),
                       covariance=MatrixCoefficient([[coeff(v) for v in row] for row in covariance], d),
                       measures=measures or ZeroMeasure(), cutoff=CutoffFunction(),
@@ -311,9 +322,9 @@ ROW_LOCAL_MODELS = {
                              for _ in range(3)],
     "atom_family_2d": lambda rng: [_state_model(
         2, "1 + 0.5*sin(x1)", [0.3, "x1 - x2"], [[0.0, 0.0], [0.0, 0.0]],
-        DiscreteMeasureFamily(rng.standard_normal((5, 2)), [
+        DiscreteMeasure(rng.standard_normal((5, 2)), [
             parse_expression("1 + 0.5*sin(x1*x2)"), 0.7, parse_expression("2 + cos(x2)"), 1.3,
-            parse_expression("x1^2")], 2))],
+            parse_expression("x1^2")]))],
     "covariance_2d": lambda rng: [StateModel.from_triplet(_random_constant(rng, 2, atoms=False))
                                   for _ in range(3)],
     "covariance_3d": lambda rng: [StateModel.from_triplet(_random_constant(rng, 3, atoms=False))
@@ -377,7 +388,8 @@ def test_atom_exponent_within_two_eps_of_an_fsum_oracle():
         xis = rng.standard_normal((50, d)) * 10.0 ** rng.uniform(-2, 2, (50, 1))
         chi = cutoff(measure.jumps)
         for xi, got in zip(xis, measure.exponent_at(xis, cutoff)):
-            want, scale = atom_exponent_fsum(xi, measure.jumps, measure.rates, chi)
+            want, scale = atom_exponent_fsum(xi, measure.jumps,
+                                             [c.value for c in measure.rates], chi)
             assert abs(got - want) <= 2.0 * eps * scale, (m, xi)
 
 
