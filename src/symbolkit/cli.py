@@ -185,9 +185,8 @@ def _cmd_symbol(args) -> int:
         t_ladder=tuple(_numbers(args.ladder, "--ladder", "finite positive numbers")),
         n_samples=run.n_paths if args.paths is not None else args.samples,
         extrapolate=not args.no_extrapolate,
-        dt=args.dt,
     )
-    sampler = run.sampler(model, settings.step)
+    sampler = run.sampler(model, args.dt if args.dt is not None else settings.default_dt)
     base = settings.k_radius
     failed = False
     if args.xi_grid:

@@ -218,6 +218,9 @@ def _build_measure(measure_raw: dict, dim: int, constant: bool):
             where = f"levy_measure.atoms[{i}]"
             _check_keys(atom, {"jump", "rate"}, where)
             jumps.append(np.atleast_1d(np.asarray(atom["jump"], dtype=float)))
+            if jumps[-1].shape != (dim,):
+                raise ModelConfigError(where, f"jump {atom['jump']!r} has {jumps[-1].size} "
+                                       f"components; the model is {dim}-dimensional")
             rate_specs.append(_coeff_spec(atom["rate"], dim, f"{where}.rate", constant))
             problem = _atom_problem(jumps[-1], rate_specs[-1])
             if problem is not None:
@@ -278,9 +281,12 @@ def compile_model(cfg: ModelConfig) -> StateModel:
             [[_coeff_spec(v, dim, f"covariance[{i}][{j}]", constant) for j, v in enumerate(row)]
              for i, row in enumerate(cfg.covariance)], dim)
         measures = _build_measure(cfg.levy_measure, dim, constant)
-        model = StateModel(dim=dim, kill=kill, drift=drift, covariance=cov,
-                           measures=measures, cutoff=cfg.cutoff,
-                           domain_box=cfg.domain_box, name=cfg.name)
+        try:
+            model = StateModel(dim=dim, kill=kill, drift=drift, covariance=cov,
+                               measures=measures, cutoff=cfg.cutoff,
+                               domain_box=cfg.domain_box, name=cfg.name)
+        except ValueError as err:  # the measure's dimension; the box is checked
+            raise ModelConfigError("levy_measure", str(err)) from err
     _validate_on_box(model)
     return model
 

@@ -16,12 +16,12 @@ hold the last finite state.  The kernel can freeze each path at its
 first grid exit from a ball around the start point.
 
 Buffers.  Each chunk makes its step arrays once (the increment, the
-proposal, the norms, the masks, the hazard uniforms) and draws into
-them in place (``standard_normal(out=...)`` and ``random(out=...)``
-consume a stream exactly as the sized calls do).  Per step, only the
-expression evaluator's temporaries, Poisson counts (``poisson`` takes
-no ``out``) and the state-dependent covariance's factorisation are new
-arrays.  ``x``, ``status`` and ``values``
+proposal, the norms, the masks, the cumulative hazard and its step)
+and draws into them in place (``standard_normal(out=...)`` and
+``random(out=...)`` consume a stream exactly as the sized calls do).
+Per step, only the expression evaluator's temporaries, Poisson counts
+(``poisson`` takes no ``out``) and the state-dependent covariance's
+factorisation are new arrays.  ``x``, ``status`` and ``values``
 handed to a recorder are these buffers: the next step overwrites them,
 so a recorder copies whatever it keeps and writes into none of them.
 The jump samplers (``JumpSampler.for_chunk``), the Gaussian part
@@ -34,9 +34,9 @@ One evaluation per coefficient per step.  The kernel evaluates each
 state-dependent coefficient (killing rate, drift, covariance, atom
 rates, stable order and scale, the SDE coefficient f) once per step, at
 the proposal, and carries the values to the new x where the path moves;
-the jump samplers, the hazard and the observers read them.  The values
-are those an evaluation at x would give, because a coefficient is
-evaluated entry by entry.
+the jump samplers, the hazard step and the observers read them.  The
+values are those an evaluation at x would give, because a coefficient
+is evaluated entry by entry.
 
 The observers: the full trajectory (``_FullRecorder``, behind
 ``sample_levy``, ``sample_autonomous`` and ``sample_sde``, which return
@@ -70,13 +70,16 @@ The entry points build the model; the dynamics follow from it:
   each increment is formed as for a constant model and multiplied by
   f at the left endpoint.
 
-One killing rule, decided by ``_Dynamics`` from the killing rate
-``StateModel.kill`` (an SDE's is its driver's): an exact exponential
-clock (the ``clock`` stream, one draw per path) when
-the rate is constant, and hazard killing (probability 1 - exp(-abar dt)
-per step from the ``hazard`` stream, abar the endpoint average of the
-rate) when it depends on the state.  Every entry point and command
-follows it.
+One killing construction, for every killing rate ``StateModel.kill``
+(an SDE's is its driver's): a path dies at zeta = inf{t : Lambda_t >=
+E}, E = -log u an exponential level drawn once per path from the
+``clock`` stream and Lambda the cumulative hazard, which each step
+raises by max(abar, 0) dt, abar the average of the rate at the step's
+start and proposal (the start's where the proposal's is not finite).
+Given both, the step kills with probability 1 - exp(-abar dt).  A
+constant rate's Lambda is one number for all paths, so it costs one
+comparison per path-step.  A NaN hazard step flags the path invalid;
+an infinite one kills it.
 
 The kernel knows no measure kind.  Each step it puts the drift (with
 the constant part of the jump compensator) and the Gaussian part into
@@ -131,16 +134,9 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 14
 
-# stream purposes
-_P_GAUSS, _P_JUMP, _P_STABLE, _P_HAZARD, _P_CLOCK, _P_SMALL = range(1, 7)
-_PURPOSES = {
-    "gauss": _P_GAUSS,
-    "jump": _P_JUMP,
-    "stable": _P_STABLE,
-    "hazard": _P_HAZARD,
-    "clock": _P_CLOCK,
-    "small": _P_SMALL,
-}
+# stream purposes and their seed codes; code 4 is retired, so that no
+# other stream moves
+_PURPOSES = {"gauss": 1, "jump": 2, "stable": 3, "clock": 5, "small": 6}
 
 
 def _worker_count() -> int:
@@ -265,9 +261,12 @@ class _Dynamics:
         self.dt = dt
         self.dim = model.dim
         self.blocks = model.coefficient_blocks()
-        # the killing rule: the exact clock for a constant rate (None
-        # selects hazard killing)
-        self.kill_const = model.kill.value if model.kill.is_constant else None
+        # a constant rate's hazard step, shared by every path; None when
+        # the rate depends on the state
+        self.hazard_const = None
+        if model.kill.is_constant:
+            a = model.kill.value
+            self.hazard_const = max((a + a) * 0.5, 0.0) * dt
         # covariance; only an exactly zero matrix has no Gaussian part
         if model.covariance.is_constant:
             q = model.covariance.constant_value()
@@ -287,14 +286,6 @@ class _Dynamics:
             self.drift_step = (model.drift.constant_value() + self.jumps.drift) * dt + 0.0
 
     # -- per-step pieces ----------------------------------------------------
-
-    def clock_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        a = self.kill_const
-        u = rng.random(n)
-        if a <= 0.0:
-            return np.full(n, np.inf)
-        with np.errstate(divide="ignore"):
-            return -np.log(u) / a
 
     def scratch(self, n: int) -> dict:
         """The buffers of one chunk of n paths that ``increments`` uses."""
@@ -336,23 +327,19 @@ class _Dynamics:
         if self.model.sde is not None:
             np.multiply(values[self.model.sde][:, None], out, out=out)
 
-    def hazard_prob(self, a0: np.ndarray, a1: np.ndarray, out: np.ndarray,
+    def hazard_step(self, a0: np.ndarray, a1: np.ndarray, out: np.ndarray,
                     finite: np.ndarray) -> None:
-        """Per-step killing probability 1 - exp(-abar dt) of n paths,
+        """The cumulative hazard's increment max(abar, 0) dt of n paths,
         abar the average of the state-dependent killing rates a0 and a1
-        at the step endpoints (second order), written into out; finite
-        is an (n,) bool buffer."""
-        # -expm1(-max(0.5 * (a0 + a1'), 0) * dt), a1' = a1 where finite
-        # else a0, formed in out
+        at the step endpoints (a1 replaced by a0 where it is not finite),
+        written into out; finite is an (n,) bool buffer.  The arithmetic
+        is that of ``hazard_const``."""
         np.copyto(out, a0)
         np.copyto(out, a1, where=np.isfinite(a1, out=finite))
         np.add(a0, out, out=out)
         out *= 0.5
         np.maximum(out, 0.0, out=out)
-        np.negative(out, out=out)
         out *= self.dt
-        np.expm1(out, out=out)
-        np.negative(out, out=out)
 
 
 def _batched_cholesky(q: np.ndarray) -> np.ndarray:
@@ -515,9 +502,8 @@ def _norm(a: np.ndarray, out: np.ndarray | None = None,
     return np.sqrt(np.add.reduce(sq, axis=1, out=out), out=out)
 
 
-def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
-               seed: int, chunk_id: int, expl: float, recorder,
-               stop_radius: float = math.inf):
+def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, seed: int,
+               chunk_id: int, expl: float, recorder, stop_radius: float = math.inf):
     """Run one chunk of n paths.  Every step array is made here, once;
     the recorder is handed the state x, the status and the coefficient
     values at x, which the next step overwrites."""
@@ -532,11 +518,12 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
     active = np.ones(n, dtype=bool)
     invalid = np.zeros(n, dtype=bool)
     move, explode, stay, ring, ok, flag = (np.empty(n, dtype=bool) for _ in range(6))
-    use_clock = dyn.kill_const is not None
-    if use_clock:
-        t_kill = dyn.clock_times(n, rngs["clock"])
-    else:
-        u_haz, q = np.empty(n), np.empty(n)
+    # killing: each path's exponential level E against its cumulative
+    # hazard Lambda, one number for all paths when the rate is constant
+    with np.errstate(divide="ignore"):
+        level = -np.log(rngs["clock"].random(n))
+    varying = dyn.hazard_const is None
+    hazard, d_hazard = (np.zeros(n), np.empty(n)) if varying else (0.0, dyn.hazard_const)
 
     # the coefficient values at x, carried from the step that set x, and
     # at the step's proposal
@@ -548,19 +535,19 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
 
     recorder.record(0, x, status, at_x)
     for i in range(n_steps):
-        t_next = (i + 1) * dt
         dyn.increments(at_x, rngs, inc, scratch)
         np.add(x, inc, out=prop)
         # proposals of rows that do not move may overflow; the masks drop them
         with np.errstate(over="ignore", invalid="ignore"):
             at_prop.evaluate(prop)
         # paths whose coefficients failed to evaluate freeze in place:
-        # move = active & the increment (and the hazard) finite
+        # move = active & the increment finite & the hazard step not NaN
+        # (an infinite step kills)
         np.logical_and.reduce(np.isfinite(inc, out=inc_finite), axis=1, out=move)
-        if not use_clock:
-            dyn.hazard_prob(at_x[killing], at_prop[killing], q, flag)
-            rngs["hazard"].random(out=u_haz)
-            move &= np.isfinite(q, out=flag)
+        if varying:
+            dyn.hazard_step(at_x[killing], at_prop[killing], d_hazard, flag)
+            move &= np.logical_not(np.isnan(d_hazard, out=flag), out=flag)
+        hazard += d_hazard
         invalid |= np.logical_and(active, np.logical_not(move, out=flag), out=flag)
         move &= active
         # the norms also see rows that do not move, whose proposals may
@@ -569,10 +556,7 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, dt: float,
             np.greater_equal(_norm(prop, out=norm, sq=sq), expl, out=explode)
             explode &= move
             np.logical_and(move, np.logical_not(explode, out=stay), out=stay)
-            if use_clock:
-                np.less_equal(t_kill, t_next + 1e-15, out=ring)
-            else:
-                np.less(u_haz, q, out=ring)
+            np.less_equal(level, hazard, out=ring)
             ring &= stay
             np.logical_and(stay, np.logical_not(ring, out=ok), out=ok)
             if stopping:
@@ -625,9 +609,9 @@ def simulate(model: StateModel, spec: SimSpec, observers: dict,
     the chunk's path indices; every chunk gets a fresh set, fed
     ``record(j, x, status, values)`` after the start and after each step,
     and the ``per_path()`` state of each observer that has one is joined
-    in chunk order.  The model's killing rate picks the killing (see the
-    module docstring); each path freezes at its first grid exit from the
-    ball of radius ``stop_radius`` around x0."""
+    in chunk order.  Killing follows the module docstring; each path
+    freezes at its first grid exit from the ball of radius
+    ``stop_radius`` around x0."""
     if spec.x0.shape[0] != model.dim:
         raise ValueError("x0 dimension mismatch")
     dyn = _Dynamics(model, spec.dt, spec.small_jump_cut)
@@ -638,8 +622,8 @@ def simulate(model: StateModel, spec: SimSpec, observers: dict,
     def work(cid):
         paths = chunks[cid]
         tee = _Tee({name: make(paths) for name, make in observers.items()})
-        return _run_chunk(dyn, spec.x0, paths.stop - paths.start, n_steps, spec.dt, seed,
-                          cid, spec.explosion_threshold, tee, stop_radius)
+        return _run_chunk(dyn, spec.x0, paths.stop - paths.start, n_steps, seed, cid,
+                          spec.explosion_threshold, tee, stop_radius)
 
     workers = _worker_count()
     if workers > 1 and len(chunks) > 1:

@@ -61,7 +61,6 @@ class ProbeSettings:
     t_ladder: tuple[float, ...] = (0.04, 0.02, 0.01, 0.005)
     n_samples: int = 10_000
     extrapolate: bool = True
-    dt: float | None = None  # default: min(t_ladder) / 50
 
     def __post_init__(self):
         tl = tuple(float(t) for t in self.t_ladder)
@@ -71,13 +70,12 @@ class ProbeSettings:
             raise ValueError("k_radius must be positive")
         if not self.n_samples >= 2:
             raise ValueError(f"n_samples must be at least 2, got {self.n_samples}")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "t_ladder", tl)
 
     @property
-    def step(self) -> float:
-        return self.dt if self.dt is not None else min(self.t_ladder) / 50.0
+    def default_dt(self) -> float:
+        """The step to build a probe's sampler at when none is chosen."""
+        return min(self.t_ladder) / 50.0
 
 
 @dataclass
@@ -94,6 +92,7 @@ class SymbolReport:
     rel_error: float | None = None
     low_confidence: bool = False
     settings: ProbeSettings | None = None
+    dt: float | None = None  # the sampler's step
 
     def to_json(self) -> dict:
         return {
@@ -114,7 +113,7 @@ class SymbolReport:
                 "t_ladder": list(self.settings.t_ladder),
                 "n_samples": self.settings.n_samples,
                 "extrapolate": self.settings.extrapolate,
-                "dt": self.settings.step,
+                "dt": self.dt,
             },
         }
 
@@ -141,8 +140,8 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
     """Estimate p(x, xi) for every frequency in ``xis`` and every
     exit-ball radius in ``radii`` (distinct; ``math.inf`` never stops)
     from one simulation.  Returns {radius: [report per frequency]} in the
-    given orders; each report carries ``settings`` with its own radius.
-    The sampler must step at ``settings.step`` (ValueError otherwise).
+    given orders; each report carries ``settings`` with its own radius
+    and the sampler's step ``dt``.
 
     Raises ProbeImmediateExitError when the exit ball of some radius
     loses essentially all paths within the first step.  A report whose
@@ -158,9 +157,6 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
     xis = [_point("xi", xi, model.dim) for xi in xis]
     if not xis:
         raise ValueError("xis holds no frequency")
-    if sampler.dt != settings.step:
-        raise ValueError(f"the sampler steps at dt = {sampler.dt}, the probe settings at "
-                         f"{settings.step}; build the sampler at settings.step")
     n = settings.n_samples
     actual, values, status, frozen_first = sampler.snapshots(
         x, sorted(settings.t_ladder), n, radii=radii)
@@ -171,13 +167,14 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
                 "first step; increase k_radius or shrink dt")
 
     analytic = [complex(eval_symbol(model, x, xi)) for xi in xis]
-    return {s.k_radius: [_report(x, xi, a, actual, values[:, :, r], status[:, :, r], s)
+    return {s.k_radius: [_report(x, xi, a, actual, values[:, :, r], status[:, :, r], s,
+                                 sampler.dt)
                          for xi, a in zip(xis, analytic)]
             for r, s in enumerate(per_radius)}
 
 
 def _report(x, xi, analytic: complex, times, values, status,
-            settings: ProbeSettings) -> SymbolReport:
+            settings: ProbeSettings, dt: float) -> SymbolReport:
     """One (xi, K) report from the stopped snapshots ``values`` (T, n, d)
     and ``status`` (T, n) at the ascending ``times``, one rung at a time:
     its phase, estimate, stderr and term of the intercept."""
@@ -216,7 +213,7 @@ def _report(x, xi, analytic: complex, times, values, status,
         extrapolated=extrapolated, extrapolated_stderr=ex_stderr,
         abs_error=abs_err, rel_error=rel_err,
         low_confidence=ex_stderr > abs(extrapolated),
-        settings=settings,
+        settings=settings, dt=dt,
     )
 
 

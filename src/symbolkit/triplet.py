@@ -375,7 +375,8 @@ class DiscreteMeasure(MeasureFamily):
 
     def validate(self, dim):
         if self.jumps.shape[1] != dim:
-            raise ValueError("atom dimension mismatch")
+            raise ValueError(f"atoms have {self.jumps.shape[1]} components; "
+                             f"the model is {dim}-dimensional")
 
 
 class StableMeasure(MeasureFamily):
@@ -1028,6 +1029,7 @@ class StateModel:
         self.name = name
         if self.domain_box.shape != (dim, 2):
             raise ValueError("domain box must be (d, 2)")
+        measures.validate(dim)
 
     @staticmethod
     def from_triplet(triplet: LevyTriplet, domain_box=None, name: str = "levy",

@@ -121,8 +121,9 @@ def hexed(value):
 def setup(case: dict):
     """(sampler, base settings) of a probe case."""
     settings = ProbeSettings(k_radius=case["radii"][0], t_ladder=case["ladder"],
-                             n_samples=case["n"], dt=case["dt"])
-    sampler = PathSampler(model=case["model"](), dt=settings.step, seed=case["seed"])
+                             n_samples=case["n"])
+    dt = settings.default_dt if case["dt"] is None else case["dt"]
+    sampler = PathSampler(model=case["model"](), dt=dt, seed=case["seed"])
     return sampler, settings
 
 
@@ -132,8 +133,7 @@ def capture(case: dict) -> list[list]:
     sampler, settings = setup(case)
     return [[hexed(estimate_symbol(sampler, case["x"], xi,
                                    ProbeSettings(k_radius=r, t_ladder=settings.t_ladder,
-                                                 n_samples=settings.n_samples,
-                                                 dt=settings.dt)).to_json())
+                                                 n_samples=settings.n_samples)).to_json())
              for xi in case["xis"]]
             for r in case["radii"]]
 

@@ -147,7 +147,7 @@ def test_criterion_03_symbol_probe_vs_analytic():
     for m_i, (name, model) in enumerate(_probe_models().items()):
         for x_i, x in enumerate(x_grid):
             settings = ProbeSettings(k_radius=1.0, n_samples=N_BIG)
-            sampler = PathSampler(model=model, dt=settings.step,
+            sampler = PathSampler(model=model, dt=settings.default_dt,
                                   seed=1000 + 31 * m_i + x_i)
             # one simulation serves every frequency of the sampler
             grid = estimate_symbol_grid(sampler, [x], [[xi] for xi in xi_grid],
@@ -177,7 +177,7 @@ def test_criterion_04_sde_symbol_identity():
     for i, x in enumerate((0.5, 1.0, 2.0)):
         settings = ProbeSettings(k_radius=x / 2.0, n_samples=200_000,
                                  t_ladder=(0.08, 0.04, 0.02, 0.01))
-        sampler = PathSampler(model=model, dt=settings.step, seed=3000 + i)
+        sampler = PathSampler(model=model, dt=settings.default_dt, seed=3000 + i)
         grid = estimate_symbol_grid(sampler, [x], [[0.5], [1.0], [2.0]],
                                     [settings.k_radius], settings)
         for rep in grid[settings.k_radius]:

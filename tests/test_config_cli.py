@@ -171,6 +171,30 @@ class TestLoadModel:
             load_model(f)
         assert err.value.field == f"levy_measure.atoms[{index}]"
 
+    @pytest.mark.parametrize("dim, atoms, index", [
+        (1, [{"jump": [1.0, 2.0], "rate": 1.0}], 0),
+        (1, [{"jump": [1.0], "rate": 1.0}, {"jump": [1.0, 2.0], "rate": "1 + x1^2"}], 1),
+        (2, [{"jump": [1.0, 0.0], "rate": 1.0}, {"jump": [1.0], "rate": 1.0}], 1),
+    ], ids=["too_long", "unequal_lengths", "too_short"])
+    def test_atom_dimension_checked(self, tmp_path, dim, atoms, index):
+        # an atom of another dimension is named at load, not mixed into
+        # the symbol or left to np.stack
+        body = {**BASE, "mode": "autonomous", "dim": dim, "drift": [0.0] * dim,
+                "covariance": np.eye(dim).tolist(), "domain_box": [[-3.0, 3.0]] * dim,
+                "levy_measure": {"kind": "discrete", "atoms": atoms}}
+        with pytest.raises(ModelConfigError, match=f"the model is {dim}-dimensional") as err:
+            load_model(_write(tmp_path, body))
+        assert err.value.field == f"levy_measure.atoms[{index}]"
+
+    @pytest.mark.parametrize("mode", ["levy", "autonomous"])
+    def test_stable_measure_dimension_checked(self, tmp_path, mode):
+        body = {**BASE, "mode": mode, "dim": 2, "drift": [0.0, 0.0],
+                "covariance": [[0.0, 0.0], [0.0, 0.0]], "domain_box": [[-3.0, 3.0]] * 2,
+                "levy_measure": {"kind": "alpha_stable", "alpha": 1.5, "scale": 1.0}}
+        with pytest.raises(ModelConfigError, match="one-dimensional") as err:
+            load_model(_write(tmp_path, body))
+        assert err.value.field == "levy_measure"
+
     def test_stable_order_range_checked(self, tmp_path):
         f = _write(tmp_path, {**BASE, "mode": "autonomous",
                               "levy_measure": {"kind": "alpha_stable",
@@ -526,7 +550,8 @@ def test_grid_and_frequency_input_exit_code(tmp_path, capsys, args, message):
 
 def test_verify_kills_by_the_rate_not_the_model_kind(tmp_path):
     # one constant-rate model, written as a levy and as an autonomous
-    # model file, is killed by the same clock and gives the same reports
+    # model file, is killed at the same exponential levels and gives the
+    # same reports
     body = {**BASE, "killing_rate": 0.8, "drift": [0.3],
             "simulation": {"n_paths": 2000, "seed": 5}}
     outs, codes = [], []

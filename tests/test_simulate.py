@@ -137,6 +137,19 @@ class TestDensitySimulation:
             assert abs(e.mean() - target) <= tol, xi
 
 
+class _KillStep:
+    """The step at which each path of a chunk is killed, 0 if never."""
+
+    def __init__(self, paths):
+        self.steps = np.zeros(paths.stop - paths.start, dtype=int)
+
+    def record(self, j, x, status, values):
+        np.copyto(self.steps, j, where=(status == STATUS_DELTA) & (self.steps == 0))
+
+    def per_path(self):
+        return self.steps
+
+
 class TestSampleAutonomous:
     def test_constant_model_matches_levy_in_law(self, bm_triplet, bm_model):
         a = sample_levy(bm_triplet, _spec(n=5000, seed=31))
@@ -183,8 +196,8 @@ class TestSampleAutonomous:
         # raising the rate pointwise with shared streams never delays a kill
         lo = _model(parse_expression("0.2 + 0*x1"), [0.0], [[1.0]])
         hi = _model(parse_expression("0.7 + 0*x1"), [0.0], [[1.0]])
-        # state-dependent path so both run in hazard mode with one
-        # hazard uniform per step
+        # both rates are expressions, so each path's hazard is an array;
+        # the two runs share every path's exponential level
         e_lo = sample_autonomous(lo, _spec(n=4000, seed=35))
         e_hi = sample_autonomous(hi, _spec(n=4000, seed=35))
         k_lo = np.where((e_lo.status == STATUS_DELTA).any(axis=1),
@@ -192,6 +205,52 @@ class TestSampleAutonomous:
         k_hi = np.where((e_hi.status == STATUS_DELTA).any(axis=1),
                         (e_hi.status == STATUS_DELTA).argmax(axis=1), 1 << 30)
         assert np.all(k_hi <= k_lo)
+
+    def test_grid_law_of_the_killing_time(self):
+        # killed_autonomous: X_t = t until the kill, rate x^2, so the kill
+        # step follows P(zeta <= t_k) = 1 - exp(-dt sum_{j<k} abar_j),
+        # abar_j = (t_j^2 + t_{j+1}^2) / 2, exactly: chi-square over the
+        # grid cells (the first ones pooled to 5 expected) and survival
+        model = compile_model(load_config(resolve_model_path("killed_autonomous")))
+        n, dt = 100_000, 0.01
+        spec = _spec(n=n, dt=dt, seed=37)
+        sim = simulate_module.simulate(model, spec, {"kill": _KillStep})
+        steps = sim.observed["kill"]
+        t = spec.times
+        hazard = np.concatenate([[0.0], np.cumsum(dt * 0.5 * (t[:-1] ** 2 + t[1:] ** 2))])
+        p = np.append(np.diff(-np.expm1(-hazard)), np.exp(-hazard[-1]))
+        counts = np.bincount(np.where(steps > 0, steps - 1, spec.n_steps),
+                             minlength=spec.n_steps + 1)
+        assert counts.sum() == n and not sim.invalid.any()
+        first = int(np.argmax(np.cumsum(p) * n >= 5.0)) + 1
+        observed = np.concatenate([[counts[:first].sum()], counts[first:]])
+        expected = n * np.concatenate([[p[:first].sum()], p[first:]])
+        assert len(observed) > 90
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+        # the survival cell alone: a rate off by 5 % is about 7 se away
+        survival = np.exp(-hazard[-1])
+        assert abs(counts[-1] / n - survival) <= 4.0 * math.sqrt(survival * (1 - survival) / n)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_killing_construction_for_both_rate_kinds(self, monkeypatch, threads):
+        # a number rate and the same rate as an expression share each
+        # path's exponential level and add the same hazard step
+        monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+        spec = _spec(n=N_UNIT, seed=38)
+        number = sample_autonomous(_model(0.5, [0.1], [[1.0]]), spec)
+        expr = sample_autonomous(_model(parse_expression("0.5 + 0*x1"), [0.1], [[1.0]]), spec)
+        assert 0.3 < (number.status[:, -1] == STATUS_DELTA).mean() < 0.5
+        for a, b in ((number.values, expr.values), (number.status, expr.status),
+                     (number.invalid, expr.invalid)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_infinite_rate_kills_at_once(self):
+        # an infinite hazard step reaches every exponential level: the
+        # path is killed in its first step, not flagged invalid
+        model = _model(parse_expression("exp(x1^4)"), [0.0], [[0.0]])
+        ens = sample_autonomous(model, _spec(n=64, x0=[30.0], seed=39))
+        assert np.all(ens.status[:, 1] == STATUS_DELTA) and not ens.invalid.any()
 
     def test_invalid_paths_flagged(self):
         model = _model(0.0, [parse_expression("log(x1)")], [[0.0]], box=((0.1, 3.0),))
@@ -415,6 +474,29 @@ def _arrays(result):
     if isinstance(result, tuple):
         return [np.asarray(a) for a in result]
     return [result.values, result.status, result.invalid]
+
+
+def test_seed_ledger_names_every_stream(monkeypatch):
+    # each chunk's ledger names its streams and their seed codes, and the
+    # chunk's Gaussian steps and exponential levels come from the streams
+    # it names (one step of length 1: X_1 = z, killed iff -log u <= 0.5)
+    monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 16)
+    tri = LevyTriplet(0.5, [0.0], [[1.0]], ZeroMeasure())
+    ens = sample_levy(tri, _spec(n=40, dt=1.0, seed=39))
+    assert [c["chunk"] for c in ens.seed_ledger] == [0, 1, 2]
+    assert (ens.status[:, 1] == STATUS_DELTA).any() and (ens.status[:, 1] == STATUS_FINITE).any()
+    for c in ens.seed_ledger:
+        cid = c["chunk"]
+        assert c["streams"] == {"gauss": [39, 1, cid], "jump": [39, 2, cid],
+                                "stable": [39, 3, cid], "clock": [39, 5, cid],
+                                "small": [39, 6, cid]}
+        start, stop = c["paths"]
+        rng = {name: np.random.default_rng(np.random.SeedSequence(seeds))
+               for name, seeds in c["streams"].items()}
+        z = rng["gauss"].standard_normal(stop - start)
+        killed = -np.log(rng["clock"].random(stop - start)) <= 0.5
+        assert np.array_equal(ens.status[start:stop, 1] == STATUS_DELTA, killed)
+        assert ens.values[start:stop, 1, 0][~killed].tobytes() == z[~killed].tobytes()
 
 
 def test_worker_count_does_not_change_results(monkeypatch, bm_triplet):

@@ -128,7 +128,7 @@ def test_immediate_exit_error():
     s = PathSampler(model=model, dt=1e-3, seed=10)
     with pytest.raises(ProbeImmediateExitError):
         estimate_symbol(s, [0.0], [1.0],
-                        ProbeSettings(k_radius=1e-6, n_samples=1000, dt=1e-3))
+                        ProbeSettings(k_radius=1e-6, n_samples=1000))
 
 
 def test_sde_probe_matches_driver_composition():
@@ -146,9 +146,12 @@ def test_settings_validation():
         ProbeSettings(t_ladder=(0.01, 0.02))
     with pytest.raises(ValueError):
         ProbeSettings(k_radius=0.0)
+    # the probe's step is its sampler's
+    bm = StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[1.0]], ZeroMeasure()))
     for dt in (0.0, -0.01, math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be finite and positive"):
-            ProbeSettings(dt=dt)
+            estimate_symbol(PathSampler(model=bm, dt=dt), [0.0], [1.0],
+                            ProbeSettings(n_samples=100))
     with pytest.raises(ValueError, match="n_samples must be at least 2"):
         ProbeSettings(n_samples=1)
     with pytest.raises(ValueError):
@@ -235,7 +238,8 @@ GRID_MODELS = {
 def test_grid_matches_one_run_per_radius(name, radii):
     build, x, expl, every_radius = GRID_MODELS[name]
     settings = ProbeSettings(t_ladder=(0.04, 0.02, 0.01), n_samples=3000)
-    sampler = PathSampler(model=build(), dt=settings.step, seed=41, explosion_threshold=expl)
+    sampler = PathSampler(model=build(), dt=settings.default_dt, seed=41,
+                          explosion_threshold=expl)
     xis = [[1.0], [2.0]]
     grid = estimate_symbol_grid(sampler, [x], xis, radii, settings)
     for r in radii if every_radius else [max(radii)]:
@@ -244,17 +248,18 @@ def test_grid_matches_one_run_per_radius(name, radii):
             assert CAPTURE.hexed(rep.to_json()) == CAPTURE.hexed(alone.to_json()), (r, xi)
 
 
-def test_sampler_step_must_match_settings():
-    # a probe runs at settings.step; a sampler built at another step is
-    # an error, not silently re-stepped
+def test_report_records_the_sampler_step():
+    # the probe steps at its sampler's dt, the one step field, and the
+    # report's settings say so; default_dt is only a suggestion
     model = StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[1.0]], ZeroMeasure()))
-    sampler = PathSampler(model=model, dt=0.002, seed=41)
     settings = ProbeSettings(n_samples=100)
-    assert settings.step == 1e-4
-    with pytest.raises(ValueError, match=r"dt = 0\.002, the probe settings at 0\.0001"):
-        estimate_symbol_grid(sampler, [0.0], [[1.0]], [1.0], settings)
-    with pytest.raises(ValueError, match=r"dt = 0\.002"):
-        estimate_symbol(sampler, [0.0], [1.0], settings)
+    assert settings.default_dt == 1e-4
+    for dt in (0.002, settings.default_dt):
+        sampler = PathSampler(model=model, dt=dt, seed=41)
+        rep = estimate_symbol(sampler, [0.0], [1.0], settings)
+        assert rep.dt == dt and rep.to_json()["settings"]["dt"] == dt
+        grid = estimate_symbol_grid(sampler, [0.0], [[1.0]], [1.0], settings)
+        assert CAPTURE.hexed(grid[1.0][0].to_json()) == CAPTURE.hexed(rep.to_json())
 
 
 def test_grid_validates_start_point_and_frequencies():

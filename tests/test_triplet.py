@@ -130,6 +130,22 @@ def test_levy_triplet_rejects_a_state_dependent_measure(name, measure):
         LevyTriplet(0.0, [0.0], [[1.0]], measure())
 
 
+@pytest.mark.parametrize("dim, measure, message", [
+    (1, lambda: DiscreteMeasure([[1.0, 2.0]], [parse_expression("1 + x1^2")]),
+     "atoms have 2 components; the model is 1-dimensional"),
+    (2, lambda: DiscreteMeasure([[1.0]], [1.0]),
+     "atoms have 1 components; the model is 2-dimensional"),
+    (2, lambda: StableMeasure(parse_expression("1 + 0.5/(1+x1^2)"), 1.0),
+     "stable measures are one-dimensional"),
+], ids=["atoms_too_long", "atoms_too_short", "stable"])
+def test_state_model_checks_its_measure_dimension(dim, measure, message):
+    with pytest.raises(ValueError, match=message):
+        StateModel(dim=dim, kill=Coefficient(0.0), drift=VectorCoefficient([0.0] * dim, dim),
+                   covariance=MatrixCoefficient(np.eye(dim).tolist(), dim),
+                   measures=measure(), cutoff=CutoffFunction(),
+                   domain_box=[[-1.0, 1.0]] * dim)
+
+
 # ---------------------------------------------------------------------------
 # symbol of state models
 
