@@ -6,9 +6,10 @@ Every fixture is simulated at SYMBOLKIT_THREADS=1 and 2.  An ensemble
 fixture records a sha256 of its ``values``, ``status`` and ``invalid``
 arrays (dtype and shape included) and its ``bias_notes``; a
 ``snapshot_run`` or ``PathSampler.running_max`` fixture records a sha256
-of each returned array.  The fixtures cover every measure kind, both
-killing modes, an SDE driver, explosion, invalid paths and a run of
-more than one 16,384-path chunk.  Run from the repository root:
+of each returned array.  The fixtures cover every measure kind,
+constant and state-dependent killing rates, an SDE driver, explosion,
+invalid paths, runs of more than one 16,384-path chunk and a chunk of
+a single row.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/data/capture_ensemble_digests.py
 """
@@ -124,6 +125,9 @@ ENSEMBLES = {
         _model(1.0, [_expr("x1^3")], [[0.1]], ZeroMeasure(),
                box=((-20.0, 20.0),)),
         _spec(2000, 21, x0=(4.0,), dt=0.002, horizon=0.1, explosion_threshold=10.0)),
+    # 16,385 paths: a full chunk and a chunk of one row
+    "bm_one_row_chunk": lambda: sample_levy(
+        LevyTriplet(0.0, [0.3], [[1.0]], ZeroMeasure()), _spec(16_385, 28, horizon=0.2)),
     "invalid_paths": lambda: sample_autonomous(
         _model(0.0, [_expr("log(x1)")], [[0.01]], ZeroMeasure(),
                box=((0.1, 3.0),)),
