@@ -397,6 +397,9 @@ def verify_maximal_inequality(sampler: PathSampler, model: StateModel, x,
     that the ratios against t*H(x,R) (and 1/(t h(x,R)) when the sector
     condition holds) stay bounded and stable under halving the sample.
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths = {n_paths}: the stability check halves the sample, "
+                         "so at least 2 paths are needed")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     R_grid = tuple(float(r) for r in R_grid)
     t_actual, maxima = sampler.running_max(x, t_grid, n_paths)   # (n, T)

@@ -42,14 +42,16 @@ The observers: the full trajectory (``_FullRecorder``, behind
 ``sample_levy``, ``sample_autonomous`` and ``sample_sde``, which return
 an ``Ensemble``); the per-path CSV files of ``simulate --out``
 (``PathWriter``, which holds one chunk's trajectory at a time); stopped
-snapshots at chosen times (``snapshot_run``); the running maximum
-(``PathSampler.running_max``); and the martingale checks' accumulators
-(``martingale.run_checks``).  Only the first holds a (paths x steps)
-array.  No other code drives the kernel.
+snapshots at chosen times (``_SnapshotRecorder``, behind
+``snapshot_run``); the symbol probe's per-chunk phase statistics
+(``symbol.estimate_symbol_grid``, which holds one chunk's snapshots at a
+time); the running maximum (``PathSampler.running_max``); and the
+martingale checks' accumulators (``martingale.run_checks``).  Only the
+first holds a (paths x steps) array.  No other code drives the kernel.
 
-One snapshot run serves every stopping radius of a probe.  The kernel
-freezes paths at the largest radius; the snapshot recorder holds each
-path at its first exit from every smaller ball.  This is bit-identical
+One run serves every stopping radius of a probe.  The kernel freezes
+paths at the largest radius; the snapshot recorder holds each path at
+its first exit from every smaller ball.  This is bit-identical
 to one run per radius because the kernel draws every stream for every
 path at every step, frozen or not; it tests for an exit only on paths
 that moved; and a frozen path is never killed, exploded or flagged
@@ -313,7 +315,12 @@ class _Dynamics:
             z = rngs["gauss"].standard_normal(out=scratch["z"])
             if self.chol_const is not None:
                 np.multiply(math.sqrt(dt), z, out=z)
-                out += np.matmul(z, self.chol_const.T, out=scratch["gauss"])
+                if self.dim == 1:
+                    # z c, the one product of the (n, 1) @ (1, 1) matmul;
+                    # out is never -0.0 here, so a zero's sign is moot
+                    out += np.multiply(z, self.chol_const[0, 0], out=scratch["gauss"])
+                else:
+                    out += np.matmul(z, self.chol_const.T, out=scratch["gauss"])
             else:
                 q = np.nan_to_num(values[self.model.covariance], nan=np.nan,
                                   posinf=np.nan, neginf=np.nan)
@@ -497,7 +504,10 @@ def _norm(a: np.ndarray, out: np.ndarray | None = None,
           sq: np.ndarray | None = None) -> np.ndarray:
     """Row norms of a real (n, d) array: np.linalg.norm(a, axis=1)'s
     arithmetic without its dispatch.  ``out`` (n,) and ``sq`` (n, d),
-    which may be a itself, are buffers to write into."""
+    which may be a itself, are buffers to write into; a column is
+    squared into ``out``, the one term of its sum."""
+    if a.shape[1] == 1:
+        return np.sqrt(np.multiply(a[:, 0], a[:, 0], out=out), out=out)
     sq = np.multiply(a, a, out=sq)
     return np.sqrt(np.add.reduce(sq, axis=1, out=out), out=out)
 
@@ -511,7 +521,7 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, seed: int,
     scratch = dyn.scratch(n)
     x = np.tile(x0, (n, 1))
     inc, prop, sq = (np.empty_like(x) for _ in range(3))
-    inc_finite = np.empty(x.shape, dtype=bool)
+    inc_finite = None if x.shape[1] == 1 else np.empty(x.shape, dtype=bool)
     norm = np.empty(n)
     status = np.zeros(n, dtype=np.int8)
     # finite, not frozen at the stopping radius, not invalid
@@ -543,7 +553,10 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, seed: int,
         # paths whose coefficients failed to evaluate freeze in place:
         # move = active & the increment finite & the hazard step not NaN
         # (an infinite step kills)
-        np.logical_and.reduce(np.isfinite(inc, out=inc_finite), axis=1, out=move)
+        if inc_finite is None:
+            np.isfinite(inc[:, 0], out=move)
+        else:
+            np.logical_and.reduce(np.isfinite(inc, out=inc_finite), axis=1, out=move)
         if varying:
             dyn.hazard_step(at_x[killing], at_prop[killing], d_hazard, flag)
             move &= np.logical_not(np.isnan(d_hazard, out=flag), out=flag)
@@ -709,9 +722,9 @@ def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed:
     radii = tuple(float(r) for r in radii)
     if not radii or not all(r > 0 for r in radii):
         raise ValueError(f"stopping radii must be positive, got {list(radii)}")
-    snap_idx, actual = snap_times(snap_times_req, dt)
-    spec = SimSpec(x0=x0, horizon=max(snap_idx) * dt, dt=dt, n_paths=n, rng_seed=seed,
-                   explosion_threshold=explosion_threshold, small_jump_cut=small_jump_cut)
+    snap_idx, actual, spec = PathSampler(
+        model, dt, seed, explosion_threshold, small_jump_cut).snapshot_spec(
+        x0, snap_times_req, n)
     # every chunk writes its paths' slice of the output
     values = np.full((len(snap_idx), n, len(radii), model.dim), np.nan)
     status = np.zeros((len(snap_idx), n, len(radii)), dtype=np.int8)
@@ -735,20 +748,21 @@ class PathSampler:
     explosion_threshold: float = 1e9
     small_jump_cut: float | None = None
 
-    def snapshots(self, x0, times, n, radii=(math.inf,)):
-        return snapshot_run(self.model, x0, times, n, self.dt, self.seed, radii=radii,
-                            explosion_threshold=self.explosion_threshold,
-                            small_jump_cut=self.small_jump_cut)
+    def snapshot_spec(self, x0, times, n):
+        """The grid indices and times of the requested ``times`` (snapped
+        to the dt grid; see ``snap_times``) and the spec of n paths from
+        x0 that ends at the last of them."""
+        snap_idx, actual = snap_times(times, self.dt)
+        spec = SimSpec(x0=x0, horizon=max(snap_idx) * self.dt, dt=self.dt, n_paths=n,
+                       rng_seed=self.seed, explosion_threshold=self.explosion_threshold,
+                       small_jump_cut=self.small_jump_cut)
+        return snap_idx, actual, spec
 
     def running_max(self, x0, times, n):
         """Running maximum of |X_s - x0| captured at the requested times
         (snapped to the dt grid); returns (actual_times, (n, T) array).
         Cemetery states count as +inf."""
-        dt = self.dt
-        snap_idx, actual = snap_times(times, dt)
-        spec = SimSpec(x0=x0, horizon=max(snap_idx) * dt, dt=dt, n_paths=n, rng_seed=self.seed,
-                       explosion_threshold=self.explosion_threshold,
-                       small_jump_cut=self.small_jump_cut)
+        snap_idx, actual, spec = self.snapshot_spec(x0, times, n)
         # every chunk writes its paths' slice of the output
         out = np.zeros((len(snap_idx), n))
         simulate(self.model, spec,

@@ -14,9 +14,17 @@ the rung correlation is accounted for exactly.
 
 One ensemble serves every frequency and every radius of a command.  xi
 enters only after the stopped snapshots are taken, and the limit does
-not depend on K, so ``estimate_symbol_grid`` makes one ``snapshot_run``
-that records each path at min(t, its exit from each ball) and builds
-every (xi, K) report from it, one frequency at a time.  The reports are
+not depend on K, so ``estimate_symbol_grid`` makes one ``simulate`` run
+and builds every (xi, K) report from it.  Its observer (``_ProbeChunk``)
+holds each path of its chunk at min(t, its exit from each ball), with
+the recorder of ``snapshot_run``, and at the chunk's last step reduces
+the chunk to statistics (``_Moments``): per (K, xi) and per rung, the
+phases' sum and the sum and centred second moment of their real and
+imaginary parts, and the same of the per-path intercept term.  Then it
+frees the snapshots, so a probe holds one chunk's snapshots per worker.
+A report merges the chunks in chunk order (``_merged``), so any worker
+count gives the same bits, and a run of at most one chunk has the bits
+of ``np.mean`` and ``np.var`` over all its paths.  The reports are
 bit-identical to one simulation per (xi, K) with the same seed: the
 paths are the same ones, each radius sees exactly the snapshots a run
 stopped at that radius would take (see the ``simulate`` docstring for
@@ -29,12 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .serialize import dump_json, write_csv
 from .extended import STATUS_FINITE
-from .simulate import PathSampler
+from .simulate import PathSampler, _SnapshotRecorder, simulate
 from .triplet import _row_dot, eval_symbol
 
 __all__ = [
@@ -122,9 +132,41 @@ class SymbolReport:
             fh.write(dump_json(self.to_json()))
 
 
-def _complex_stderr(samples: np.ndarray) -> float:
-    n = samples.shape[0]
-    return math.sqrt((samples.real.var(ddof=1) + samples.imag.var(ddof=1)) / n)
+@dataclass(frozen=True)
+class _Moments:
+    """One chunk's complex samples reduced to their count, their sum, and
+    the sum and the centred second moment of their real and of their
+    imaginary parts, each formed as ``np.mean`` and ``np.var`` form it."""
+
+    n: np.intp
+    total: np.complex128
+    parts: tuple[tuple[np.float64, np.float64], ...]
+
+    @classmethod
+    def of(cls, samples: np.ndarray) -> "_Moments":
+        n = np.intp(samples.shape[0])
+        parts = []
+        for part in (samples.real, samples.imag):
+            s = np.add.reduce(part)
+            dev = np.subtract(part, s / n)
+            parts.append((s, np.add.reduce(np.square(dev, out=dev))))
+        return cls(n, np.add.reduce(samples), tuple(parts))
+
+
+def _merged(chunks: list[_Moments]) -> tuple[np.complex128, float]:
+    """The mean and its standard error over every chunk's samples, the
+    chunks added left to right in order: the mean from the chunk sums, each
+    part's variance from M2 = sum M2_c + sum n_c (mean_c - mean)^2
+    (Chan, Golub and LeVeque, 1983).  One chunk keeps the bits of
+    ``np.mean`` and ``np.var(ddof=1)`` over its samples."""
+    n = reduce(add, [c.n for c in chunks])
+    var = []
+    for k in range(2):
+        mean = reduce(add, [c.parts[k][0] for c in chunks]) / n
+        spread = [c.n * (c.parts[k][0] / c.n - mean) ** 2 for c in chunks]
+        m2 = reduce(add, [c.parts[k][1] for c in chunks]) + reduce(add, spread)
+        var.append(m2 / (n - 1))
+    return reduce(add, [c.total for c in chunks]) / n, math.sqrt((var[0] + var[1]) / n)
 
 
 def _point(name: str, value, dim: int) -> np.ndarray:
@@ -133,6 +175,48 @@ def _point(name: str, value, dim: int) -> np.ndarray:
         raise ValueError(f"{name} = {v.tolist()} has {v.size} components; "
                          f"the model is {dim}-dimensional")
     return v
+
+
+class _ProbeChunk:
+    """The observer of one chunk of a probe's run.  The snapshot recorder
+    holds the chunk's paths at each rung and stopping radius.  At the
+    last snapshot ``moments[r][i]`` becomes the chunk's statistics for
+    radius r and frequency ``xis[i]``: a ``_Moments`` per rung in
+    ``ladder`` order, and one of the per-path intercept term (None
+    without a fit).  Then the recorder is freed.  ``first_step_exits``
+    counts the paths that left each ball in the first step."""
+
+    def __init__(self, n, snap_idx, x, xis, radii, ladder, w0):
+        t, r, d = len(snap_idx), len(radii), x.shape[0]
+        self.snap = _SnapshotRecorder(np.full((t, n, r, d), np.nan),
+                                      np.zeros((t, n, r), dtype=np.int8),
+                                      snap_idx, x, radii)
+        self.last = max(snap_idx)
+        self.x, self.xis, self.ladder, self.w0 = x, xis, ladder, w0
+
+    def record(self, j, x, status, values):
+        self.snap.record(j, x, status, values)
+        if j == 1:
+            self.first_step_exits = self.snap.first_step_left.sum(axis=0)
+        if j == self.last:
+            self.moments = [[self._moments(r, xi) for xi in self.xis]
+                            for r in range(len(self.snap.radii))]
+            self.snap = None
+
+    def _moments(self, r, xi):
+        """One (radius, xi): each rung's phase and, with the fit's
+        intercept weights w0, the per-path intercept term."""
+        rungs = []
+        # per-path contribution to the intercept captures rung correlation;
+        # summed from 0 as Python's sum does, which sets the sign of a zero
+        per_path = 0
+        for rung, (t, k) in enumerate(self.ladder):
+            phase = np.exp(1j * _row_dot(self.snap.values[k, :, r] - self.x, xi))
+            phase[self.snap.status[k, :, r] != STATUS_FINITE] = 0.0
+            rungs.append(_Moments.of(phase))
+            if self.w0 is not None:
+                per_path = per_path + self.w0[rung] * (-(phase - 1.0) / t)
+        return rungs, None if self.w0 is None else _Moments.of(per_path)
 
 
 def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
@@ -149,6 +233,8 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
     low-confidence.
     """
     radii = tuple(radii)
+    if not radii:
+        raise ValueError("radii holds no radius")
     if len(set(radii)) != len(radii):
         raise ValueError("radii must be distinct")
     per_radius = [replace(settings, k_radius=r) for r in radii]
@@ -158,63 +244,59 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
     if not xis:
         raise ValueError("xis holds no frequency")
     n = settings.n_samples
-    actual, values, status, frozen_first = sampler.snapshots(
-        x, sorted(settings.t_ladder), n, radii=radii)
-    for s, frozen in zip(per_radius, frozen_first):
+    snap_idx, times, spec = sampler.snapshot_spec(x, sorted(settings.t_ladder), n)
+    ladder = sorted((float(t), k) for k, t in enumerate(times))[::-1]
+    w0 = None
+    if settings.extrapolate and len(ladder) >= 2:
+        ts = np.asarray([t for t, _ in ladder])
+        design = np.stack([np.ones_like(ts), ts], axis=1)
+        # intercept weights of the least-squares line fit
+        w0 = (np.linalg.pinv(design.T @ design) @ design.T)[0]
+
+    stops = tuple(float(r) for r in radii)
+    chunks = {}
+
+    def observe(paths):
+        chunks[paths.start] = _ProbeChunk(paths.stop - paths.start, snap_idx, spec.x0, xis,
+                                          stops, ladder, w0)
+        return chunks[paths.start]
+
+    simulate(model, spec, {"probe": observe}, stop_radius=max(stops))
+    # chunk order, not completion order
+    chunks = [chunks[start] for start in sorted(chunks)]
+    for r, s in enumerate(per_radius):
+        frozen = sum(int(c.first_step_exits[r]) for c in chunks)
         if frozen >= EXIT_FRACTION_LIMIT * n:
             raise ProbeImmediateExitError(
                 f"{frozen} of {n} paths left the radius-{s.k_radius} ball in the "
                 "first step; increase k_radius or shrink dt")
 
     analytic = [complex(eval_symbol(model, x, xi)) for xi in xis]
-    return {s.k_radius: [_report(x, xi, a, actual, values[:, :, r], status[:, :, r], s,
-                                 sampler.dt)
-                         for xi, a in zip(xis, analytic)]
-            for r, s in enumerate(per_radius)}
-
-
-def _report(x, xi, analytic: complex, times, values, status,
-            settings: ProbeSettings, dt: float) -> SymbolReport:
-    """One (xi, K) report from the stopped snapshots ``values`` (T, n, d)
-    and ``status`` (T, n) at the ascending ``times``, one rung at a time:
-    its phase, estimate, stderr and term of the intercept."""
-    ladder = sorted((float(t), k) for k, t in enumerate(times))[::-1]
-    fit = settings.extrapolate and len(ladder) >= 2
-    if fit:
-        ts = np.asarray([t for t, _ in ladder])
-        design = np.stack([np.ones_like(ts), ts], axis=1)
-        # intercept weights of the least-squares line fit
-        w0 = (np.linalg.pinv(design.T @ design) @ design.T)[0]
-
-    estimates, stderrs = [], []
-    # per-path contribution to the intercept captures rung correlation;
-    # summed from 0 as Python's sum does, which sets the sign of a zero
-    per_path = 0
-    for rung, (t, k) in enumerate(ladder):
-        phase = np.exp(1j * _row_dot(values[k] - x, xi))
-        phase[status[k] != STATUS_FINITE] = 0.0
-        estimates.append(complex(-(phase.mean() - 1.0) / t))
-        stderrs.append(_complex_stderr(phase) / t)
-        if fit:
-            per_path = per_path + w0[rung] * (-(phase - 1.0) / t)
-
-    if fit:
-        extrapolated = complex(per_path.mean())
-        ex_stderr = _complex_stderr(per_path)
-    else:
-        extrapolated = estimates[-1]
-        ex_stderr = stderrs[-1]
-
-    abs_err = abs(extrapolated - analytic)
-    rel_err = abs_err / abs(analytic) if abs(analytic) > 1e-8 else None
-    return SymbolReport(
-        x=x, xi=xi, analytic=analytic, t_ladder=tuple(t for t, _ in ladder),
-        estimates=estimates, stderrs=stderrs,
-        extrapolated=extrapolated, extrapolated_stderr=ex_stderr,
-        abs_error=abs_err, rel_error=rel_err,
-        low_confidence=ex_stderr > abs(extrapolated),
-        settings=settings, dt=dt,
-    )
+    reports = {}
+    for r, s in enumerate(per_radius):
+        reports[s.k_radius] = []
+        for i, (xi, a) in enumerate(zip(xis, analytic)):
+            estimates, stderrs = [], []
+            for rung, (t, _) in enumerate(ladder):
+                mean, se = _merged([c.moments[r][i][0][rung] for c in chunks])
+                estimates.append(complex(-(mean - 1.0) / t))
+                stderrs.append(se / t)
+            if w0 is not None:
+                mean, extrapolated_stderr = _merged([c.moments[r][i][1] for c in chunks])
+                extrapolated = complex(mean)
+            else:
+                extrapolated, extrapolated_stderr = estimates[-1], stderrs[-1]
+            abs_err = abs(extrapolated - a)
+            reports[s.k_radius].append(SymbolReport(
+                x=x, xi=xi, analytic=a, t_ladder=tuple(t for t, _ in ladder),
+                estimates=estimates, stderrs=stderrs,
+                extrapolated=extrapolated, extrapolated_stderr=extrapolated_stderr,
+                abs_error=abs_err,
+                rel_error=abs_err / abs(a) if abs(a) > 1e-8 else None,
+                low_confidence=extrapolated_stderr > abs(extrapolated),
+                settings=s, dt=sampler.dt,
+            ))
+    return reports
 
 
 def estimate_symbol(sampler: PathSampler, x, xi, settings: ProbeSettings) -> SymbolReport:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,19 @@ def test_maximal_non_positive_time_exit_code(tmp_path, capsys, t_grid, bad):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"snapshot time must be finite and positive, got {bad}" in err
+    assert not (tmp_path / "maximal_inequality.json").exists()
+
+
+def test_maximal_needs_two_paths(tmp_path, capsys):
+    # the stability check compares the sample with its first half, which
+    # one path leaves empty: it used to warn, write NaN and exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["maximal", "--model", "bm", "--paths", "1", "--t-grid", "0.5",
+                   "--r-grid", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert ("--paths 1: the stability check halves the sample, so at least 2 paths "
+            "are needed") in capsys.readouterr().err
     assert not (tmp_path / "maximal_inequality.json").exists()
 
 

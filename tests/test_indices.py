@@ -181,6 +181,11 @@ class TestMaximalInequality:
         assert np.all(rep.exceed_prob == 0.0)
         assert rep.sup_ratio_upper == 0.0
 
+    def test_one_path_is_refused(self, bm_model):
+        sampler = PathSampler(model=bm_model, dt=0.01, seed=62)
+        with pytest.raises(ValueError, match="n_paths = 1: the stability check halves"):
+            verify_maximal_inequality(sampler, bm_model, [0.0], (0.5,), (1.0,), 1)
+
     def test_lower_ratio_skipped_without_sector(self):
         drift = StateModel.from_triplet(LevyTriplet(0.0, [1.0], [[0.0]], ZeroMeasure()))
         sampler = PathSampler(model=drift, dt=0.01, seed=63)

@@ -23,6 +23,7 @@ from symbolkit.simulate import (
     sample_sde,
     snapshot_run,
 )
+from symbolkit.symbol import ProbeSettings, estimate_symbol_grid
 from symbolkit.triplet import (
     Coefficient,
     CutoffFunction,
@@ -400,7 +401,7 @@ class TestEnsembleExport:
         spec = _spec(n=1000, dt=0.05, seed=51)
         full = sample_levy(bm_triplet, spec)
         sampler = PathSampler(model=bm_model, dt=0.05, seed=51)
-        times, vals, status, _ = sampler.snapshots([0.0], [0.5, 1.0], 1000)
+        times, vals, status, _ = snapshot_run(bm_model, [0.0], [0.5, 1.0], 1000, 0.05, 51)
         assert np.allclose(times, [0.5, 1.0])
         j = full.time_index(0.5)
         assert np.allclose(vals[0, :, 0, 0], full.values[:, j, 0])
@@ -409,10 +410,10 @@ class TestEnsembleExport:
         assert np.allclose(maxima[:, 0], running)
 
     def test_zero_dt_is_not_replaced(self, bm_model):
-        # snapshots and running_max step at the sampler's own dt
+        # snapshot_run and running_max step at the given dt
         sampler = PathSampler(model=bm_model, dt=0.0, seed=51)
         with pytest.raises(ValueError, match="dt must be finite and positive"):
-            sampler.snapshots([0.0], [0.5], 10)
+            snapshot_run(bm_model, [0.0], [0.5], 10, 0.0, 51)
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             sampler.running_max([0.0], [0.5], 10)
 
@@ -442,8 +443,9 @@ class TestMultiDimensional:
 def _threaded_runs(bm_triplet):
     """Runs of 40,000 paths, two full chunks and a part, over every kind
     of per-chunk buffer: each sampler kind, the SDE driver, hazard
-    killing with a state-dependent covariance, and the snapshot and
-    running-maximum recorders that write into one shared output."""
+    killing with a state-dependent covariance, the snapshot and
+    running-maximum recorders that write into one shared output, and the
+    symbol probe, whose reports merge per-chunk statistics."""
     spec = SimSpec(x0=[0.0], horizon=0.2, dt=0.01, n_paths=40_000, rng_seed=93)
     expr = parse_expression
     stable_family = _model(0.0, [expr("-x1")], [[0.0]],
@@ -463,14 +465,20 @@ def _threaded_runs(bm_triplet):
         "sde": lambda: sample_sde(expr("1 + 0.5*sin(x1)"),
                                   LevyTriplet(0.2, [0.0], [[0.0]], StableMeasure(1.5, 1.0)),
                                   spec),
-        "snapshots": lambda: PathSampler(cauchy, dt=0.01, seed=93).snapshots(
-            [0.0], (0.05, 0.2), 40_000, radii=(0.5, 2.0)),
+        "snapshots": lambda: snapshot_run(cauchy, [0.0], (0.05, 0.2), 40_000, 0.01, 93,
+                                          radii=(0.5, 2.0)),
         "running_max": lambda: PathSampler(stable_family, dt=0.01, seed=93).running_max(
             [0.0], (0.05, 0.2), 40_000),
+        "probe": lambda: estimate_symbol_grid(
+            PathSampler(cauchy, dt=0.01, seed=93), [0.0], [[1.0], [2.0]], (0.5, 2.0),
+            ProbeSettings(t_ladder=(0.2, 0.1, 0.05), n_samples=40_000)),
     }
 
 
 def _arrays(result):
+    if isinstance(result, dict):
+        # a probe's reports per radius, every field written exactly
+        return [np.array(repr({r: [vars(rep) for rep in reps] for r, reps in result.items()}))]
     if isinstance(result, tuple):
         return [np.asarray(a) for a in result]
     return [result.values, result.status, result.invalid]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path as FsPath
 
@@ -271,3 +272,23 @@ def test_grid_validates_start_point_and_frequencies():
         estimate_symbol_grid(s, [0.0, 0.0], [[1.0]], [1.0], settings)
     with pytest.raises(ValueError, match="no frequency"):
         estimate_symbol_grid(s, [0.0], [], [1.0], settings)
+
+
+def test_probe_memory_is_flat_in_the_sample_count(monkeypatch):
+    # each chunk's snapshots become phase statistics inside the run, so
+    # the traced peak is set by one chunk, not by every path
+    monkeypatch.setenv("SYMBOLKIT_THREADS", "1")
+    cauchy = StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[0.0]], StableMeasure(1.0, 1.0)))
+    sampler = PathSampler(model=cauchy, dt=0.01, seed=14)
+    peaks = []
+    for n in (200_000, 400_000):
+        settings = ProbeSettings(t_ladder=(0.2, 0.1, 0.05), n_samples=n)
+        tracemalloc.start()
+        try:
+            estimate_symbol_grid(sampler, [0.0], [[0.5], [1.0], [2.0]], (0.5, 1.0, 2.0),
+                                 settings)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8.0, peaks
+    assert abs(peaks[1] - peaks[0]) <= 1.0, peaks
