@@ -32,12 +32,13 @@ from .martingale import (
     killing_compensator,
     run_checks,
 )
+from .quadrature import QuadratureError
 from .serialize import dump_json
 from .simulate import PathSampler, PathWriter, SimSpec, simulate
 # perfbench's tracer test checks that it replaces this name here too
 from .simulate import sample_autonomous  # noqa: F401
 from .symbol import IndependenceReport, ProbeSettings, estimate_symbol_grid, write_grid_csv
-from .triplet import QuadratureError, check_growth, check_sector
+from .triplet import check_growth, check_sector
 
 __all__ = ["main"]
 

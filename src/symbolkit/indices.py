@@ -13,10 +13,9 @@ part of every report.
 H and h over a grid of radii come from one symbol evaluation per
 quantity and block of consecutive radii, a block holding at most
 GRID_PAIRS_PER_CALL (state, frequency) pairs, with each radius's
-suprema read from its slice.  A model whose jump measure couples the
-frequencies of one evaluation (a density measure: its adaptive
-quadrature shares panels across all frequencies of a call) runs one
-radius per evaluation, so its values do not depend on the grid.
+suprema read from its slice.  Every symbol value is a function of its
+(state, frequency) pair alone, so the values do not depend on the
+grid.
 
 Power-law decay of H and h in R yields eight scaling indices: the
 R -> infinity family (indices at the origin) and the R -> 0 family
@@ -116,12 +115,23 @@ def _y_grid(model: StateModel, R: float, x=None) -> np.ndarray:
     return pts
 
 
-# (state, frequency) pairs per symbol_many call of _radius_grid; like
-# QUAD_WORK_ITEMS, enough for every one-dimensional grid of radii
+# (state, frequency) pairs per symbol_many call of _radius_grid: enough
+# for every one-dimensional grid of radii, density models included, so
+# a 1-d quantity takes one call
 GRID_PAIRS_PER_CALL = 1 << 17
 
 
-def _radius_grid(model: StateModel, R, c0=None, x=None) -> np.ndarray:
+def _state_grids(model: StateModel, R, x=None) -> list:
+    """The state grid of each radius of R (``_y_grid``), built once when
+    it does not depend on the radius: the global quantities, and
+    constant models."""
+    R = np.atleast_1d(np.asarray(R, dtype=float))
+    if x is None or model.is_constant:
+        return [_y_grid(model, R[0], x=x)] * len(R)
+    return [_y_grid(model, r, x=x) for r in R]
+
+
+def _radius_grid(model: StateModel, R, c0=None, x=None, grids=None) -> np.ndarray:
     """H at each radius of the grid R, or h when a sector constant c0
     (a number or a ConditionEstimate) is given.
 
@@ -129,8 +139,8 @@ def _radius_grid(model: StateModel, R, c0=None, x=None) -> np.ndarray:
     grid of |p(y, eps / r)| (of Re p(y, eps / (4 kappa r)) for h); H is
     their max over the states, h their min.  Consecutive radii share one
     symbol_many call of at most GRID_PAIRS_PER_CALL pairs; a radius over
-    that budget, or any radius of a model whose measure couples the
-    frequencies of a call, has a call of its own."""
+    that budget has a call of its own.  A caller that evaluates H and h
+    on the same radii passes their ``_state_grids`` as ``grids``."""
     R = np.atleast_1d(np.asarray(R, dtype=float))
     if not np.all(R > 0):
         raise ValueError("R must be positive")
@@ -144,14 +154,13 @@ def _radius_grid(model: StateModel, R, c0=None, x=None) -> np.ndarray:
         scale = 1.0 / (4.0 * kappa(float(c0)) * R)
     eps_grid = _unit_ball_grid(model.dim)
     n_e = eps_grid.shape[0]
-    ys = [_y_grid(model, r, x=x) for r in R]
+    ys = _state_grids(model, R, x) if grids is None else grids
     pairs = np.array([y.shape[0] * n_e for y in ys])
-    budget = 0 if model.measures.couples_frequencies else GRID_PAIRS_PER_CALL
     out = np.empty(len(R))
     start = 0
     while start < len(R):
         stop = start + 1
-        while stop < len(R) and pairs[start:stop + 1].sum() <= budget:
+        while stop < len(R) and pairs[start:stop + 1].sum() <= GRID_PAIRS_PER_CALL:
             stop += 1
         block = range(start, stop)
         xs = np.concatenate([np.repeat(ys[i], n_e, axis=0) for i in block])
@@ -275,7 +284,8 @@ def estimate_indices(model: StateModel, R_min: float, R_max: float,
     R = np.geomspace(R_min, R_max, n_points)
     notes: list[str] = []
     x_arr = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-    H_vals = _radius_grid(model, R, x=x_arr)
+    grids = _state_grids(model, R, x_arr)
+    H_vals = _radius_grid(model, R, x=x_arr, grids=grids)
 
     h_vals = None
     kap = None
@@ -283,7 +293,7 @@ def estimate_indices(model: StateModel, R_min: float, R_max: float,
     if c0 is not None or _symbol_known_real(model):
         try:
             c0_eff = c0 if c0 is not None else 0.0
-            h_vals = _radius_grid(model, R, c0_eff, x=x_arr)
+            h_vals = _radius_grid(model, R, c0_eff, x=x_arr, grids=grids)
             c0_val = c0_eff.constant if isinstance(c0_eff, ConditionEstimate) else float(c0_eff)
             kap = kappa(c0_val)
         except SectorConditionError as err:
@@ -406,14 +416,15 @@ def verify_maximal_inequality(sampler: PathSampler, model: StateModel, x,
     t_grid = tuple(float(t) for t in t_actual)
     half = maxima[: n_paths // 2]
 
-    H = _radius_grid(model, R_grid, x=x)
+    grids = _state_grids(model, R_grid, x)
+    H = _radius_grid(model, R_grid, x=x, grids=grids)
     h = None
     notes = []
     try:
         c0_eff = c0 if c0 is not None else (0.0 if _symbol_known_real(model) else None)
         if c0_eff is None:
             raise SectorConditionError("no sector estimate supplied")
-        h = _radius_grid(model, R_grid, c0_eff, x=x)
+        h = _radius_grid(model, R_grid, c0_eff, x=x, grids=grids)
     except SectorConditionError as err:
         notes.append(f"lower ratio skipped: {err}")
 

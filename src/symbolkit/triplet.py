@@ -8,19 +8,15 @@ The exponent of a triplet (a, l, Q, N) relative to a cut-off chi is
 
 Discrete measures evaluate the integral as an exact finite sum, and
 symmetric one-dimensional stable measures contribute the closed form
-c |xi|^alpha.  Density measures fold the two sides of the support onto
-eps <= y <= y_max and integrate every distinct frequency of a call at
-once with one adaptive composite Gauss–Kronrod (7–15) rule on log-spaced
-panels, split at the cut-off radius (relative tolerance QUAD_REL_TOL;
-QuadratureError with the achieved error when the panel cap is reached).
-Their moments (jump rate, second moment, mean over a band) use the same
-rule.
+c |xi|^alpha.  Density measures integrate by the rules of
+``quadrature``: the exponent on one panel set per cut-off radius, fixed
+by the density alone (``ExponentPanels``), their moments (jump rate,
+second moment, mean over a band) by an adaptive Gauss–Kronrod rule.
 
 Every term of the symbol is row-local: one (state, frequency) row has
 the same value in any batch.  ``_row_dot``, ``_row_quad`` and
 ``_atom_block`` sum coordinates left to right with elementwise numpy,
 where BLAS or einsum may sum in an order that depends on the batch.
-Only density measures couple the frequencies of a call.
 
 One class per measure kind: an atom or stable measure holds its rates,
 or its order and scale, as Coefficients, each a number or an Expression
@@ -37,6 +33,7 @@ samplers and to the symbol.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -44,6 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import Expression
+from .quadrature import ExponentPanels, adaptive_kronrod, require_converged
 
 __all__ = [
     "CutoffFunction",
@@ -58,7 +56,6 @@ __all__ = [
     "ConditionEstimate",
     "Coefficient",
     "CoefficientValues",
-    "QuadratureError",
     "SectorConditionError",
     "eval_exponent",
     "eval_symbol",
@@ -69,15 +66,6 @@ __all__ = [
 PSD_EIGENVALUE_FLOOR = -1e-12
 SECTOR_REAL_FLOOR = 1e-12
 SECTOR_IMAG_LEAK = 1e-9
-QUAD_REL_TOL = 1e-8
-
-
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
-        self.achieved = achieved
 
 
 class SectorConditionError(ValueError):
@@ -162,18 +150,6 @@ def _atom_block(xis: np.ndarray, jumps: np.ndarray, chi: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # jump measures
 
-def _sin_minus_chi_theta(theta: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """sin(theta) - chi theta for chi in {0, 1}, without cancellation
-    where chi = 1 and theta is small; the compensated integrand is
-    O(theta^3) there.  Below |theta| = 0.5 the Taylor series through
-    theta^13 is accurate to about 1e-15 relative, where the direct
-    difference loses 6 eps / theta^2."""
-    t2 = theta * theta
-    series = -theta * t2 / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0 * (
-        1.0 - t2 / 72.0 * (1.0 - t2 / 110.0 * (1.0 - t2 / 156.0)))))
-    return np.where(chi & (np.abs(theta) < 0.5), series, np.sin(theta) - chi * theta)
-
-
 @dataclass(frozen=True)
 class JumpSampler:
     """A measure's jumps as one simulation draws them.
@@ -209,13 +185,10 @@ class MeasureFamily:
     which is subtracted from the polynomial part; ``jump_sampler`` gives
     the JumpSampler of a run with cut-off chi, Gaussian covariance trace
     q_trace (d if state dependent) and an optional small-jump cut.
-
-    ``couples_frequencies`` is true when the exponent at one frequency
-    depends on the other frequencies of the same ``exponent_at`` call,
-    so that its bits change with the batch.
+    Every measure's I at one frequency is a function of that frequency
+    (and the state) alone: it has the same bits in any batch.
     """
 
-    couples_frequencies = False
     is_constant = True
 
     def exponent_at(self, xis: np.ndarray, cutoff: CutoffFunction):
@@ -540,50 +513,25 @@ def _vectorised(density) -> Callable[[np.ndarray], np.ndarray]:
     raise TypeError("density must be an Expression or callable")
 
 
-# Gauss–Kronrod 7–15 rule on [-1, 1] (QUADPACK's qk15): the 15 Kronrod
-# nodes with their weights, and the 7-point Gauss weights, which vanish
-# at the Kronrod-only nodes.
-_GK_HALF_X = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0])
-_GK_HALF_WK = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
-_GK_HALF_WG = np.array([
-    0.0, 0.129484966168869693270611432679082,
-    0.0, 0.279705391489276667901467771423780,
-    0.0, 0.381830050505118944950369775488975,
-    0.0, 0.417959183673469387755102040816327])
-_GK_X = np.concatenate([-_GK_HALF_X[:-1], _GK_HALF_X[::-1]])
-_GK_WK = np.concatenate([_GK_HALF_WK[:-1], _GK_HALF_WK[::-1]])
-_GK_DW = _GK_WK - np.concatenate([_GK_HALF_WG[:-1], _GK_HALF_WG[::-1]])  # K - G
-
-QUAD_MAX_PANELS = 1 << 16    # cap on the panels of one integral
-QUAD_WORK_ITEMS = 1 << 17    # integrand values per work block (2 MB complex)
-
-
 class DensityMeasure(MeasureFamily):
     """One-dimensional measure with density level(y) on the truncated
     support eps <= |y| <= y_max.
 
-    Construction integrates (1 ∧ y^2) level(y) to certify finiteness,
-    tabulates the jump-size CDF for sampling, and fits a local power law
-    at the lower truncation to bound the exponent mass that the
-    truncation discards (reported, never silently dropped).
+    Construction integrates (1 ∧ y^2) level(y) to certify finiteness and
+    fits a local power law at the lower truncation to bound the exponent
+    mass that the truncation discards (reported, never silently
+    dropped).  The jump-size CDF for sampling is tabulated at the first
+    draw (``_cdf_table``), so commands that never sample skip it.
 
     Every integral over the support folds the two sides onto
-    eps <= y <= y_max and runs through ``_integrate``, one adaptive
-    Gauss–Kronrod rule that evaluates the density once per refinement
-    round on all new nodes.  The frequencies of one ``exponent_at``
-    call share their panels, so each frequency's value depends on the
-    others in the call (``couples_frequencies``).
+    eps <= y <= y_max.  The exponent runs on one panel set per cut-off
+    radius, fixed by the density alone and built at the first exponent
+    call (``ExponentPanels``: a Kronrod rule at small xi h, a Filon-type
+    rule elsewhere), so I(xi) does not depend on the other frequencies of
+    a call.  The moments that set the jump sampler (jump rate, second
+    moment, mean over a band) run through ``adaptive_kronrod``, which
+    evaluates the density once per refinement round on all new nodes.
     """
-
-    couples_frequencies = True
 
     def __init__(self, density, eps: float, y_max: float):
         if not (0 < eps < y_max):
@@ -591,8 +539,9 @@ class DensityMeasure(MeasureFamily):
         self.levels = _vectorised(density)
         self.eps = float(eps)
         self.y_max = float(y_max)
+        self._panel_sets = {}  # cut-off radius -> ExponentPanels
         self._validate_density()
-        self._build_tables()
+        self._fit_truncation()
 
     def _validate_density(self):
         probes = np.geomspace(self.eps, self.y_max, 31)
@@ -603,12 +552,15 @@ class DensityMeasure(MeasureFamily):
         self._band(self.eps, 1.0, lambda y: y * y, "(1 ^ y^2) integral")
         self._band(1.0, self.y_max, lambda y: 1.0, "(1 ^ y^2) integral")
 
-    def _build_tables(self):
+    @functools.cached_property
+    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Signed jump sizes laid out [-y_max .. -eps] ++ [eps .. y_max]
+        (2048 log-spaced points a side) and the jump-size CDF at them, by
+        trapezoid steps."""
         n = 2048
         grid = np.geomspace(self.eps, self.y_max, n)
         levels = self.levels(np.concatenate([grid, -grid]))
         pos, neg = levels[:n], levels[n:]
-        # signed support laid out [-y_max .. -eps] ++ [eps .. y_max]
         ys = np.concatenate([-grid[::-1], grid])
         dens = np.concatenate([neg[::-1], pos])
         steps = 0.5 * (dens[1:] + dens[:-1]) * np.diff(ys)
@@ -616,8 +568,9 @@ class DensityMeasure(MeasureFamily):
         # keeps the CDF non-decreasing for np.interp
         steps[n - 1] = 0.0
         cdf = np.concatenate([[0.0], np.cumsum(steps)])
-        self._cdf_ys = ys
-        self._cdf = cdf / cdf[-1]
+        return ys, cdf / cdf[-1]
+
+    def _fit_truncation(self):
         # local power-law fit lambda(y) ~ C |y|^-(1+alpha) near eps,
         # used for the truncated small-jump second moment bound
         y1, y2 = self.eps, min(2 * self.eps, self.y_max)
@@ -644,10 +597,10 @@ class DensityMeasure(MeasureFamily):
         if hi <= lo:
             return np.zeros(2)
         kernel = lambda y, pos, neg, rows: np.stack([weight(y) * pos, weight(y) * neg])
-        total, achieved = self._integrate([lo, hi], kernel, 2)
+        total, achieved = adaptive_kronrod(self.levels, [lo, hi], kernel, 2)
         if not np.all(np.isfinite(total)):
             raise ValueError(f"density fails the {what} check: not finite")
-        _require_converged(achieved, what)
+        require_converged(achieved, what)
         return total.real
 
     def second_moment_band(self, lo: float, hi: float) -> float:
@@ -665,21 +618,21 @@ class DensityMeasure(MeasureFamily):
     def sample_sizes(self, n: int, rng: np.random.Generator, cut: float | None = None) -> np.ndarray:
         """Draw n jump sizes by inverse CDF, optionally restricted to
         |y| >= cut."""
+        ys, cdf = self._cdf_table
         if cut is None or cut <= self.eps:
             u = rng.random(n)
-            return np.interp(u, self._cdf, self._cdf_ys)
-        ys = self._cdf_ys
+            return np.interp(u, cdf, ys)
         # renormalise the tabulated CDF to the restricted support
-        lo_mass = np.interp(-cut, ys, self._cdf)
-        hi_mass = 1.0 - np.interp(cut, ys, self._cdf)
+        lo_mass = np.interp(-cut, ys, cdf)
+        hi_mass = 1.0 - np.interp(cut, ys, cdf)
         total = lo_mass + hi_mass
         u = rng.random(n) * total
         left = u < lo_mass
         out = np.empty(n)
         # inverting the interpolated CDF can land an ulp inside the cut
-        out[left] = np.minimum(np.interp(u[left], self._cdf, ys), -cut)
+        out[left] = np.minimum(np.interp(u[left], cdf, ys), -cut)
         out[~left] = np.maximum(
-            np.interp(u[~left] - lo_mass + np.interp(cut, ys, self._cdf), self._cdf, ys), cut)
+            np.interp(u[~left] - lo_mass + np.interp(cut, ys, cdf), cdf, ys), cut)
         return out
 
     def jump_sampler(self, cutoff, q_trace, small_jump_cut):
@@ -749,92 +702,12 @@ class DensityMeasure(MeasureFamily):
 
     def _exponents(self, xi: np.ndarray, r: float) -> np.ndarray:
         """I(xi) at positive frequencies xi, with the compensator on
-        y <= r (r the cut-off support radius, a panel break).  The real
-        part -2 sin^2(y xi / 2) (level(y) + level(-y)) does not cancel at
-        small xi; the imaginary part carries level(y) - level(-y), so it
-        is exactly 0 for symmetric densities."""
-
-        def kernel(y, pos, neg, rows):
-            theta = xi[rows, None, None] * y
-            f = np.zeros(theta.shape, dtype=complex)
-            f.real = -2.0 * np.sin(0.5 * theta) ** 2 * (pos + neg)
-            odd = pos - neg
-            if np.any(odd):
-                f.imag = _sin_minus_chi_theta(theta, y <= r) * odd
-            return f
-
-        breaks = [self.eps, r, self.y_max] if self.eps < r < self.y_max else [self.eps, self.y_max]
-        total, achieved = self._integrate(breaks, kernel, len(xi))
-        _require_converged(achieved, "exponent", at=xi)
-        return total
-
-    def _integrate(self, breaks, kernel, n_out: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Integrals over breaks[0] <= y <= breaks[-1] of
-        kernel(y, level(y), level(-y), rows), where rows is a slice of the
-        n_out outputs and the kernel returns one integrand per output
-        row, of shape (rows, *y.shape).
-
-        Composite Gauss–Kronrod 7–15 on panels equally spaced in log y
-        between consecutive breaks (log width at most 1 to start).  While
-        an output's summed |K - G| exceeds QUAD_REL_TOL |total|, every
-        panel whose own |K - G| for that output exceeds its share of the
-        tolerance (in proportion to its log width) is bisected; the
-        density is evaluated once per round, on the new nodes only.
-        Stops when all outputs converge, a total is not finite, or the
-        bisections would pass QUAD_MAX_PANELS.  Returns the totals and
-        the achieved relative error estimates (NaN for a non-finite
-        total).
-        """
-        logs = np.log(breaks)
-        edges = np.concatenate([np.linspace(a, b, max(1, math.ceil(b - a)) + 1)[:-1]
-                                for a, b in zip(logs[:-1], logs[1:])] + [logs[-1:]])
-        lo_u, hi_u = edges[:-1], edges[1:]
-        y, pos, neg = self._panel_nodes(lo_u, hi_u)
-        total = np.empty(n_out, dtype=complex)
-        err = np.empty(n_out)
-        while True:
-            n_panels = len(lo_u)
-            width = hi_u - lo_u
-            share = QUAD_REL_TOL * width / (logs[-1] - logs[0])
-            refine = np.zeros(n_panels, dtype=bool)
-            row_step = max(1, QUAD_WORK_ITEMS // y.size)
-            for r0 in range(0, n_out, row_step):
-                rows = slice(r0, min(r0 + row_step, n_out))
-                n_rows = rows.stop - r0
-                sums = np.empty((n_rows, n_panels), dtype=complex)
-                diff = np.empty((n_rows, n_panels))
-                panel_step = max(1, QUAD_WORK_ITEMS // (n_rows * y.shape[1]))
-                for p0 in range(0, n_panels, panel_step):
-                    blk = slice(p0, p0 + panel_step)
-                    f = kernel(y[blk], pos[blk], neg[blk], rows) * (0.5 * width[blk, None] * y[blk])
-                    sums[:, blk] = f @ _GK_WK
-                    diff[:, blk] = np.abs(f @ _GK_DW)
-                total[rows] = sums.sum(axis=1)
-                err[rows] = diff.sum(axis=1)
-                scale = np.abs(total[rows])
-                open_ = err[rows] > QUAD_REL_TOL * scale
-                refine |= np.any(diff[open_] > scale[open_, None] * share, axis=0)
-            n_refine = int(refine.sum())
-            if n_refine == 0 or n_panels + n_refine > QUAD_MAX_PANELS:
-                break
-            keep = ~refine
-            mid = 0.5 * (lo_u[refine] + hi_u[refine])
-            new_lo = np.concatenate([lo_u[refine], mid])
-            new_hi = np.concatenate([mid, hi_u[refine]])
-            y, pos, neg = (np.concatenate([old[keep], new]) for old, new
-                           in zip((y, pos, neg), self._panel_nodes(new_lo, new_hi)))
-            lo_u = np.concatenate([lo_u[keep], new_lo])
-            hi_u = np.concatenate([hi_u[keep], new_hi])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            achieved = np.where(err == 0.0, 0.0, err / np.abs(total))
-        return total, achieved
-
-    def _panel_nodes(self, lo_u: np.ndarray, hi_u: np.ndarray):
-        """Nodes y of the panels lo_u <= log y <= hi_u and the density on
-        both sides, level(y) and level(-y)."""
-        y = np.exp(0.5 * (lo_u + hi_u)[:, None] + 0.5 * (hi_u - lo_u)[:, None] * _GK_X)
-        levels = self.levels(np.concatenate([y.ravel(), -y.ravel()])).reshape(2, *y.shape)
-        return y, levels[0], levels[1]
+        y <= r (r the cut-off support radius), on the panel set of r,
+        built at the first call (``ExponentPanels``)."""
+        panels = self._panel_sets.get(r)
+        if panels is None:
+            panels = self._panel_sets[r] = ExponentPanels(self.levels, self.eps, self.y_max, r)
+        return panels.exponents(xi)
 
     def is_symmetric(self):
         probes = np.geomspace(self.eps, self.y_max, 17)
@@ -847,15 +720,6 @@ class DensityMeasure(MeasureFamily):
         if dim != 1:
             raise ValueError("density measures are one-dimensional")
 
-
-def _require_converged(achieved: np.ndarray, what: str, at: np.ndarray | None = None) -> None:
-    """Raise QuadratureError unless every achieved relative error is
-    within QUAD_REL_TOL (a NaN, from a non-finite total, never is)."""
-    failed = np.flatnonzero(~(achieved <= QUAD_REL_TOL))
-    if failed.size:
-        k = failed[0]
-        where = "" if at is None else f" at xi = {at[k]:.6g}"
-        raise QuadratureError(f"{what} quadrature did not converge{where}", float(achieved[k]))
 
 # ---------------------------------------------------------------------------
 # coefficient functions (constant or expression-backed)

@@ -11,8 +11,8 @@ benchmark's tempered density at the origin (R = 1e2 .. 1e6) and at
 infinity (R = 1e-6 .. 1e-2, x = 0 and x = 0.5), with and without the
 sector estimate, a 2-d model with three atoms, an SDE with a density
 driver, the maximal-inequality ratios (which carry H and h), and the
-exit code and message of ``indices`` when the density's quadrature
-fails.  Run from the repository root:
+exit code, stderr and written report of ``indices`` on the tempered
+density at infinity.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/data/capture_index_reports.py
 """
@@ -33,12 +33,12 @@ from symbolkit.cli import main as cli_main
 from symbolkit.config import bundled_model_path, load_model
 from symbolkit.expr import parse_expression
 from symbolkit.indices import estimate_indices, verify_maximal_inequality
+from symbolkit.quadrature import QuadratureError
 from symbolkit.simulate import PathSampler, make_sde_model
 from symbolkit.triplet import (
     DensityMeasure,
     DiscreteMeasure,
     LevyTriplet,
-    QuadratureError,
     StateModel,
     check_sector,
 )
@@ -126,8 +126,8 @@ def model_cases() -> dict:
             cases[f"atoms_2d/{direction}/c0={c0}"] = (
                 lambda direction=direction, x=x, c0=c0:
                 indices_case(_atoms_2d(), direction, x, False, c0))
-    # at infinity the driver's density fails at R = 1e-6, as the
-    # tempered model does, so the range starts at 1e-2
+    # the range pinned when the driver's density still failed at
+    # R = 1e-6; it converges there now, as the tempered model does
     cases["sde_density/origin"] = lambda: indices_case(_sde_density(), "origin", None, False)
     cases["sde_density/infinity"] = lambda: indices_case(
         _sde_density(), "infinity", 0.5, False, radii=(1e-2, 1e1))
@@ -144,20 +144,24 @@ def maximal_case() -> dict:
     return report_fields(rep)
 
 
-def cli_error_case() -> dict:
-    """Exit code and stderr of ``indices`` on the tempered density at
-    infinity, where the exponent quadrature fails at the first radius."""
+def cli_case() -> dict:
+    """Exit code, stderr and the written ``index_report.json`` of
+    ``indices`` on the tempered density at infinity, where frequencies
+    reach 10^6."""
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(["indices", "--model", str(DENSITY_MODEL), "--direction", "infinity",
                          "--rmin", "1e-6", "--rmax", "1e-2", "--x", "0", "--out", out])
-    return {"exit_code": code, "stderr": err.getvalue()}
+        report = Path(out, "index_report.json")
+        written = hexed(json.loads(report.read_text())) if report.is_file() else None
+    return {"exit_code": code, "stderr": err.getvalue(), "report": written}
 
 
 def capture() -> dict:
     data = {name: case() for name, case in model_cases().items()}
     data["maximal/stable_like"] = maximal_case()
-    data["cli/tempered_stable/infinity"] = cli_error_case()
+    data["cli/tempered_stable/infinity"] = cli_case()
     return data
 
 

@@ -8,6 +8,7 @@ direct samplers.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.stats import norm
 
 from symbolkit.expr import Binary, Const, ExpressionDomainError, Unary, Var
@@ -173,3 +174,48 @@ def e_xi_at(ens, t: float, xi) -> np.ndarray:
     out[ens.status[:, j] != STATUS_FINITE] = 0.0
     out[ens.invalid] = np.nan
     return out
+
+
+def _sin_minus_theta(theta: float) -> float:
+    """sin(theta) - theta for 0 <= theta <= 1, by its Taylor series."""
+    term, total = theta, 0.0
+    for k in range(1, 12):
+        term *= -theta * theta / ((2 * k) * (2 * k + 1))
+        total += term
+    return total
+
+
+def density_exponent_quad(level, eps: float, y_max: float, r: float, xi: float) -> complex:
+    """The integral of (e^{i y xi} - 1 - i y xi 1{|y| <= r}) level(y) over
+    eps <= |y| <= y_max at xi > 0, by scipy.integrate.quad (QUADPACK) on
+    the folded sides g = level(y) + level(-y) and o = level(y) - level(-y).
+
+    Where y xi < 1 it integrates -2 sin^2(y xi / 2) g and (sin(y xi) -
+    y xi) o without cancellation (the latter by its series); above, QAWO
+    (weight cos or sin, wvar = xi, absolute tolerance 1e-13 of the piece's
+    mass) on pieces at most a factor e long, since one piece over several
+    decades misses its tolerance at xi = 1e7, less the integrals of g and
+    of xi y o (up to r) by plain quad."""
+    g = lambda y: level(y) + level(-y)
+    o = lambda y: level(y) - level(-y)
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=2000)
+    split = min(max(1.0 / xi, eps), y_max)
+    re = im = 0.0
+    if split > eps:
+        points = [r] if eps < r < split else None
+        re += quad(lambda y: -2.0 * math.sin(0.5 * xi * y) ** 2 * g(y), eps, split,
+                   points=points, **opts)[0]
+        im += quad(lambda y: (_sin_minus_theta(xi * y) if y <= r else math.sin(xi * y)) * o(y),
+                   eps, split, points=points, **opts)[0]
+    if split < y_max:
+        edges = np.geomspace(split, y_max, math.ceil(math.log(y_max / split)) + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            # the oscillatory parts are small against the piece's mass at
+            # high xi: ask for 1e-13 of the mass (|o| <= g as level >= 0)
+            mass = quad(g, lo, hi, **opts)[0]
+            wave = dict(opts, epsabs=1e-13 * mass)
+            re += quad(g, lo, hi, weight="cos", wvar=xi, **wave)[0] - mass
+            im += quad(o, lo, hi, weight="sin", wvar=xi, **wave)[0]
+        if split < r:
+            im -= xi * quad(lambda y: y * o(y), split, min(r, y_max), **opts)[0]
+    return complex(re, im)

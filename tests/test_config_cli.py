@@ -496,7 +496,7 @@ def test_density_indices_at_infinity(tmp_path):
 
 def test_quadrature_error_exit_code(tmp_path, capsys, monkeypatch):
     import symbolkit.cli
-    from symbolkit.triplet import QuadratureError
+    from symbolkit.quadrature import QuadratureError
 
     def fail(*args, **kwargs):
         raise QuadratureError("density exponent did not converge", 1e-5)

@@ -289,21 +289,26 @@ def _symbol_calls(monkeypatch, model, *args, **kwargs) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("name", ["stable_like", "cauchy"])
-def test_one_symbol_call_per_quantity(monkeypatch, name):
-    # all 16 radii of H share one call, and so do those of h
-    calls = _symbol_calls(monkeypatch, load_model(bundled_model_path(name)),
-                          1e2, 1e6, 16, "origin")
-    assert len(calls) == 2
-    assert all(n <= GRID_PAIRS_PER_CALL for n in calls)
-
-
-def test_density_keeps_one_call_per_radius(monkeypatch):
-    # the density's quadrature couples the frequencies of a call
+def _tempered_density_model() -> StateModel:
     density = DensityMeasure(parse_expression("exp(-abs(x1))/abs(x1)^1.5", dim=1),
                              eps=1e-3, y_max=20.0)
-    model = StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[0.0]], density))
-    assert len(_symbol_calls(monkeypatch, model, 1e2, 1e6, 16, "origin")) == 32
+    return StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[0.0]], density))
+
+
+_CALL_MODELS = {
+    "stable_like": lambda: load_model(bundled_model_path("stable_like")),
+    "cauchy": lambda: load_model(bundled_model_path("cauchy")),
+    # a density's exponent at one frequency does not depend on the others
+    "tempered_density": _tempered_density_model,
+}
+
+
+@pytest.mark.parametrize("name", list(_CALL_MODELS))
+def test_one_symbol_call_per_quantity(monkeypatch, name):
+    # all 16 radii of H share one call, and so do those of h
+    calls = _symbol_calls(monkeypatch, _CALL_MODELS[name](), 1e2, 1e6, 16, "origin")
+    assert len(calls) == 2
+    assert all(n <= GRID_PAIRS_PER_CALL for n in calls)
 
 
 def test_grid_over_budget_runs_one_radius_per_call(monkeypatch):

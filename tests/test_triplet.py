@@ -31,7 +31,12 @@ from symbolkit.triplet import (
 )
 
 from helpers import load_data_module
-from oracles import atom_exponent_fsum, grid_max_ratio, stable_standard_reference
+from oracles import (
+    atom_exponent_fsum,
+    density_exponent_quad,
+    grid_max_ratio,
+    stable_standard_reference,
+)
 
 
 def test_gaussian_exponent():
@@ -524,16 +529,18 @@ def test_measure_additivity():
 
 
 def test_quadrature_nonconvergence_is_diagnostic():
-    import warnings
-    from symbolkit.triplet import QuadratureError
+    from symbolkit.quadrature import INTERP_REL_TOL, QUAD_MAX_PANELS, QuadratureError
 
-    m = DensityMeasure(lambda y: 1.0 / abs(y) ** 2.2, 1e-4, 100.0)
+    # a ripple of relative size 1e-9 and wavelength 6e-8 on 0.5 <= |y| <= 1:
+    # the moments converge, but resolving it to INTERP_REL_TOL would take
+    # about 10^6 panels
+    m = DensityMeasure(parse_expression("exp(-abs(x1))/abs(x1)^1.5*(1 + 1e-9*sin(1e8*x1))"),
+                       0.5, 1.0)
     t = LevyTriplet(0.0, [0.0], [[0.0]], m, CutoffFunction(radius=1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(QuadratureError) as err:
-            eval_exponent(t, [3e7])  # hopelessly oscillatory at this frequency
-    assert err.value.achieved > 1e-8
+    with pytest.raises(QuadratureError) as err:
+        eval_exponent(t, [1.0])
+    assert f"within {QUAD_MAX_PANELS} panels" in str(err.value)
+    assert err.value.achieved > INTERP_REL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +614,44 @@ def test_asymmetric_density_exponent():
     assert eval_exponent(t, [-xi]) == got.conjugate()
 
 
+# the symmetric tempered density and the asymmetric one of the ensemble
+# pins (tests/data/capture_ensemble_digests.py), as expressions and levels
+_ORACLE_DENSITIES = {
+    "symmetric": (TEMPERED, lambda y: math.exp(-abs(y)) / abs(y) ** 1.5),
+    "asymmetric": ("exp(-abs(x1))/abs(x1)^1.5*(1.25 + 0.25*x1/abs(x1))",
+                   lambda y: math.exp(-abs(y)) / abs(y) ** 1.5 * (1.5 if y > 0 else 1.0)),
+}
+
+
+def _oracle_triplet(kind):
+    m = DensityMeasure(parse_expression(_ORACLE_DENSITIES[kind][0]), 1e-3, 20.0)
+    return LevyTriplet(0.0, [0.0], [[0.0]], m, CutoffFunction(radius=1.0))
+
+
+@pytest.mark.parametrize("kind", sorted(_ORACLE_DENSITIES))
+def test_density_exponent_matches_quadpack(kind):
+    # Kronrod panels at small xi, Filon panels at large xi and both in
+    # between; p = -I here, so the exponent's relative error is I's
+    xis = np.geomspace(1e-3, 1e7, 21)
+    got = _oracle_triplet(kind).exponent_many(xis[:, None])
+    level = _ORACLE_DENSITIES[kind][1]
+    want = -np.array([density_exponent_quad(level, 1e-3, 20.0, 1.0, xi) for xi in xis])
+    assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want))
+
+
+@pytest.mark.parametrize("kind", sorted(_ORACLE_DENSITIES))
+def test_density_exponent_does_not_depend_on_its_batch(kind):
+    t = _oracle_triplet(kind)
+    alone = lambda xi: eval_exponent(t, [xi])
+    # I(10) moved by 2 ulp next to I(3000) when a call shared its panels
+    pair = t.exponent_many(np.array([[10.0], [3000.0]]))
+    assert [pair[0], pair[1]] == [alone(10.0), alone(3000.0)]
+    rng = np.random.default_rng(26)
+    xis = rng.permutation(np.geomspace(1e-3, 1e7, 128) * rng.choice([-1.0, 1.0], 128))
+    batch = t.exponent_many(xis[:, None])
+    assert np.array([alone(xi) for xi in xis]).tobytes() == batch.tobytes()
+
+
 class _FixedDraws:
     """Generator stand-in whose random(n) returns the given uniforms."""
 
@@ -627,8 +672,9 @@ _DENSITIES = {
 @pytest.mark.parametrize("kind", sorted(_DENSITIES))
 def test_sample_sizes_skip_the_gap(kind):
     m = DensityMeasure(_DENSITIES[kind], 1e-3, 20.0)
-    assert np.all(np.diff(m._cdf) >= 0.0)
-    plateau = m._cdf[len(m._cdf_ys) // 2]
+    ys, cdf = m._cdf_table
+    assert np.all(np.diff(cdf) >= 0.0)
+    plateau = cdf[len(ys) // 2]
     u = np.concatenate([[plateau, np.nextafter(plateau, 0.0), np.nextafter(plateau, 1.0), 0.0],
                         np.linspace(0.0, 1.0, 2001)[:-1]])
     y = m.sample_sizes(u.size, _FixedDraws(u))
@@ -641,8 +687,9 @@ def test_sample_sizes_skip_the_gap(kind):
 @pytest.mark.parametrize("cut", [0.01, 0.1, 0.5])
 def test_sample_sizes_respect_the_cut(kind, cut):
     m = DensityMeasure(_DENSITIES[kind], 1e-3, 20.0)
-    lo_mass = np.interp(-cut, m._cdf_ys, m._cdf)
-    split = lo_mass / (lo_mass + 1.0 - np.interp(cut, m._cdf_ys, m._cdf))
+    ys, cdf = m._cdf_table
+    lo_mass = np.interp(-cut, ys, cdf)
+    split = lo_mass / (lo_mass + 1.0 - np.interp(cut, ys, cdf))
     u = np.concatenate([[split, np.nextafter(split, 0.0), np.nextafter(split, 1.0),
                          0.0, np.nextafter(1.0, 0.0)], np.linspace(0.0, 1.0, 10_001)[:-1]])
     y = m.sample_sizes(u.size, _FixedDraws(u), cut=cut)
