@@ -98,15 +98,23 @@ the two.
 Determinism contract: draws come from per-(seed, purpose, chunk)
 substreams with a fixed chunk size, so results are bit-identical for a
 given spec and seed regardless of worker count, and ensembles sharing a
-seed share path prefixes chunk by chunk.  The environment variable
-SYMBOLKIT_THREADS caps the number of chunk workers.
+seed share path prefixes chunk by chunk.
+
+Workers.  A run uses one worker per usable CPU
+(``os.sched_getaffinity``), or the positive integer in the environment
+variable SYMBOLKIT_THREADS when it is set, and never more workers than
+chunks.  The calling thread works chunks beside workers - 1 helper
+threads; each takes the next chunk id in order (``_run_chunks``).  A
+chunk's buffers live while it runs, so memory holds one chunk's step
+state per worker.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -136,13 +144,23 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 14
 
+# the exit step of a path that has not left its ball
+_INSIDE = np.iinfo(np.intp).max
+
 # stream purposes and their seed codes; code 4 is retired, so that no
 # other stream moves
 _PURPOSES = {"gauss": 1, "jump": 2, "stable": 3, "clock": 5, "small": 6}
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("SYMBOLKIT_THREADS", "1")
+    """The chunk workers of a run: SYMBOLKIT_THREADS if it is set, else
+    the number of CPUs this process may run on."""
+    raw = os.environ.get("SYMBOLKIT_THREADS")
+    if raw is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # a platform without CPU affinity
+            return os.cpu_count() or 1
     try:
         workers = int(raw)
     except ValueError:
@@ -416,52 +434,67 @@ class _Tee:
 
 
 class _SnapshotRecorder:
-    """State and status at the snapshot indices, one slot per stopping
-    radius, written into one chunk's slices ``values`` (T, n, R, d) and
-    ``status`` (T, n, R) of the run's output; ``per_path()`` flags, per
-    path and radius, an exit from the ball in the first step.  The kernel
-    freezes paths at the largest radius itself; a smaller radius is
-    watched here: a path is held, finite, at its first grid exit from
-    that ball."""
+    """One chunk's states and statuses at the snapshot indices, for every
+    stopping radius.  The kernel freezes paths at the largest radius
+    itself, and ``values`` (T, n, d) and ``status`` (T, n) hold its
+    snapshots; a smaller radius is watched here: each path's first grid
+    exit from that ball, its step and the state there.  ``slot(k, r)``
+    is snapshot k at radius r, where a path that has left ball r is held,
+    finite, at its exit.  With ``out``, slices (T, n, R, d) and (T, n, R)
+    of a run's output, every slot is written there at the last snapshot.
+    ``per_path()`` flags, per path and radius, an exit from the ball in
+    the first step."""
 
-    def __init__(self, values, status, snap_idx, center, radii):
-        n, dim = values.shape[1], values.shape[3]
-        self.snap_idx = {int(i): k for k, i in enumerate(snap_idx)}
-        self.values, self.status = values, status
-        self.center = center
-        self.radii = radii
+    def __init__(self, n, dim, snap_idx, center, radii, out=None):
+        self.snap_idx = [int(i) for i in snap_idx]
+        self.snapshot_at = {i: k for k, i in enumerate(self.snap_idx)}
+        self.last = max(self.snap_idx)
+        self.values = np.full((len(snap_idx), n, dim), np.nan)
+        self.status = np.zeros((len(snap_idx), n), dtype=np.int8)
+        self.center, self.radii, self.out = center, radii, out
         self.first_step_left = np.empty((n, len(radii)), dtype=bool)
-        # slot: (held mask, held states) of each radius below the largest
-        self.watched = {r: (np.zeros(n, dtype=bool), np.empty((n, dim)))
+        # per radius below the largest: (exit step, state at the exit);
+        # a path still inside has the step _INSIDE
+        self.watched = {r: (np.full(n, _INSIDE), np.empty((n, dim)))
                         for r, k in enumerate(radii) if k < max(radii)}
-        self.diff, self.dist = np.empty((n, dim)), np.empty(n)
+        self.dist = np.empty(n)
+        self.diff = self.dist[:, None] if dim == 1 else np.empty((n, dim))
         self.new, self.fresh, self.finite = (np.empty(n, dtype=bool) for _ in range(3))
 
     def record(self, j, x, status, values):
         if j == 1 or (j > 1 and self.watched):
             # the kernel's exit test: only moved paths can be outside a
             # ball they have not left, and moved paths are finite
-            dist = _norm(np.subtract(x, self.center, out=self.diff), out=self.dist,
-                         sq=self.diff)
+            dist = _radius(np.subtract(x, self.center, out=self.diff), out=self.dist,
+                           sq=self.diff)
             if j == 1:
                 np.greater(dist[:, None], self.radii, out=self.first_step_left)
             new = self.new
-            for r, (held, held_x) in self.watched.items():
+            for r, (step, held_x) in self.watched.items():
                 np.greater(dist, self.radii[r], out=new)
-                new &= np.logical_not(held, out=self.fresh)
+                new &= np.greater_equal(step, j, out=self.fresh)
                 np.copyto(held_x, x, where=new[:, None])
-                held |= new
-        k = self.snap_idx.get(j)
+                np.copyto(step, j, where=new)
+        k = self.snapshot_at.get(j)
         if k is None:
             return
         finite = np.equal(status, STATUS_FINITE, out=self.finite)[:, None]
-        for r in range(len(self.radii)):
-            np.copyto(self.values[k, :, r], x, where=finite)
-            self.status[k, :, r] = status
-            if r in self.watched:
-                held, held_x = self.watched[r]
-                np.copyto(self.values[k, :, r], held_x, where=held[:, None])
-                np.copyto(self.status[k, :, r], STATUS_FINITE, where=held)
+        np.copyto(self.values[k], x, where=finite)
+        self.status[k] = status
+        if self.out is not None and j == self.last:
+            values_out, status_out = self.out
+            for t in range(len(self.snap_idx)):
+                for r in range(len(self.radii)):
+                    values_out[t, :, r], status_out[t, :, r] = self.slot(t, r)
+
+    def slot(self, k, r):
+        """Snapshot k at radius r: the (n, d) states and (n,) statuses."""
+        if r not in self.watched:
+            return self.values[k], self.status[k]
+        step, held_x = self.watched[r]
+        held = step <= self.snap_idx[k]
+        return (np.where(held[:, None], held_x, self.values[k]),
+                np.where(held, STATUS_FINITE, self.status[k]))
 
     def per_path(self):
         return self.first_step_left
@@ -512,6 +545,18 @@ def _norm(a: np.ndarray, out: np.ndarray | None = None,
     return np.sqrt(np.add.reduce(sq, axis=1, out=out), out=out)
 
 
+def _radius(a: np.ndarray, out: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Row norms of a real (n, d) array for the exit and explosion tests,
+    into ``out``: ``_norm`` for d > 1, and |a| for d = 1.  The two are
+    equal wherever a*a neither overflows nor underflows (sqrt(fl(a*a))
+    = |a| in binary floating point), so a comparison with a threshold
+    between 1e-150 and 1e150 gives the same answer; outside that range
+    |a| is the exact one."""
+    if a.shape[1] == 1:
+        return np.abs(a[:, 0], out=out)
+    return _norm(a, out=out, sq=sq)
+
+
 def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, seed: int,
                chunk_id: int, expl: float, recorder, stop_radius: float = math.inf):
     """Run one chunk of n paths.  Every step array is made here, once;
@@ -520,9 +565,12 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, seed: int,
     rngs = _chunk_streams(seed, chunk_id)
     scratch = dyn.scratch(n)
     x = np.tile(x0, (n, 1))
-    inc, prop, sq = (np.empty_like(x) for _ in range(3))
-    inc_finite = None if x.shape[1] == 1 else np.empty(x.shape, dtype=bool)
+    inc, prop = np.empty_like(x), np.empty_like(x)
     norm = np.empty(n)
+    # the (n, d) scratch of the norms; for d = 1, |.| needs none, and the
+    # exit test's difference is formed in norm itself
+    sq = norm[:, None] if x.shape[1] == 1 else np.empty_like(x)
+    inc_finite = None if x.shape[1] == 1 else np.empty(x.shape, dtype=bool)
     status = np.zeros(n, dtype=np.int8)
     # finite, not frozen at the stopping radius, not invalid
     active = np.ones(n, dtype=bool)
@@ -566,14 +614,14 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, seed: int,
         # the norms also see rows that do not move, whose proposals may
         # overflow; the masks drop those rows
         with np.errstate(over="ignore"):
-            np.greater_equal(_norm(prop, out=norm, sq=sq), expl, out=explode)
+            np.greater_equal(_radius(prop, out=norm, sq=sq), expl, out=explode)
             explode &= move
             np.logical_and(move, np.logical_not(explode, out=stay), out=stay)
             np.less_equal(level, hazard, out=ring)
             ring &= stay
             np.logical_and(stay, np.logical_not(ring, out=ok), out=ok)
             if stopping:
-                _norm(np.subtract(prop, x0, out=sq), out=norm, sq=sq)
+                _radius(np.subtract(prop, x0, out=sq), out=norm, sq=sq)
                 np.logical_not(np.greater(norm, stop_radius, out=active), out=active)
                 active &= ok
             else:
@@ -597,6 +645,44 @@ def _join(parts):
     return first if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
+def _run_chunks(work, n_chunks: int, workers: int) -> list:
+    """``work(cid)`` for every chunk id, on the calling thread and
+    ``workers - 1`` helper threads, each taking the next id in order;
+    the results in chunk order.  No chunk starts after an error, or
+    after the calling thread stops (having taken the last id, or been
+    interrupted).  Once every helper has joined, the error of the first
+    failed chunk is raised: every chunk before it has run, so it is the
+    error that a run on one worker raises."""
+    results, errors = [None] * n_chunks, [None] * n_chunks
+    ids, lock, stop = itertools.count(), threading.Lock(), threading.Event()
+
+    def drain():
+        while True:
+            with lock:
+                cid = n_chunks if stop.is_set() else next(ids)
+            if cid >= n_chunks:
+                return
+            try:
+                results[cid] = work(cid)
+            except BaseException as exc:
+                errors[cid] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=drain, daemon=True) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 @dataclass
 class Simulation:
     """One streamed run: each observer's per-path state joined in chunk
@@ -617,7 +703,7 @@ class Simulation:
 def simulate(model: StateModel, spec: SimSpec, observers: dict,
              stop_radius: float = math.inf) -> Simulation:
     """Run the kernel once over the paths of ``spec``, in chunks of
-    CHUNK_SIZE paths on up to SYMBOLKIT_THREADS workers.  ``observers``
+    CHUNK_SIZE paths on the workers of the module docstring.  ``observers``
     maps a name to a factory ``paths -> observer``, paths the slice of
     the chunk's path indices; every chunk gets a fresh set, fed
     ``record(j, x, status, values)`` after the start and after each step,
@@ -638,13 +724,7 @@ def simulate(model: StateModel, spec: SimSpec, observers: dict,
         return _run_chunk(dyn, spec.x0, paths.stop - paths.start, n_steps, seed, cid,
                           spec.explosion_threshold, tee, stop_radius)
 
-    workers = _worker_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(len(chunks))))
-    else:
-        results = [work(cid) for cid in range(len(chunks))]
-
+    results = _run_chunks(work, len(chunks), min(_worker_count(), len(chunks)))
     ledger = [{
         "chunk": cid,
         "paths": [paths.start, paths.stop],
@@ -730,8 +810,9 @@ def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed:
     status = np.zeros((len(snap_idx), n, len(radii)), dtype=np.int8)
     sim = simulate(
         model, spec,
-        {"snap": lambda paths: _SnapshotRecorder(values[:, paths], status[:, paths],
-                                                 snap_idx, spec.x0, radii)},
+        {"snap": lambda paths: _SnapshotRecorder(
+            paths.stop - paths.start, model.dim, snap_idx, spec.x0, radii,
+            out=(values[:, paths], status[:, paths]))},
         stop_radius=max(radii),
     )
     return actual, values, status, sim.observed["snap"].sum(axis=0)

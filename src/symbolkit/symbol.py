@@ -143,12 +143,14 @@ class _Moments:
     parts: tuple[tuple[np.float64, np.float64], ...]
 
     @classmethod
-    def of(cls, samples: np.ndarray) -> "_Moments":
+    def of(cls, samples: np.ndarray, dev: np.ndarray | None = None) -> "_Moments":
+        """The statistics of the (n,) complex samples; ``dev`` is an (n,)
+        real buffer for the deviations."""
         n = np.intp(samples.shape[0])
         parts = []
         for part in (samples.real, samples.imag):
             s = np.add.reduce(part)
-            dev = np.subtract(part, s / n)
+            dev = np.subtract(part, s / n, out=dev)
             parts.append((s, np.add.reduce(np.square(dev, out=dev))))
         return cls(n, np.add.reduce(samples), tuple(parts))
 
@@ -187,10 +189,7 @@ class _ProbeChunk:
     counts the paths that left each ball in the first step."""
 
     def __init__(self, n, snap_idx, x, xis, radii, ladder, w0):
-        t, r, d = len(snap_idx), len(radii), x.shape[0]
-        self.snap = _SnapshotRecorder(np.full((t, n, r, d), np.nan),
-                                      np.zeros((t, n, r), dtype=np.int8),
-                                      snap_idx, x, radii)
+        self.snap = _SnapshotRecorder(n, x.shape[0], snap_idx, x, radii)
         self.last = max(snap_idx)
         self.x, self.xis, self.ladder, self.w0 = x, xis, ladder, w0
 
@@ -199,24 +198,39 @@ class _ProbeChunk:
         if j == 1:
             self.first_step_exits = self.snap.first_step_left.sum(axis=0)
         if j == self.last:
-            self.moments = [[self._moments(r, xi) for xi in self.xis]
-                            for r in range(len(self.snap.radii))]
+            self.moments = self._reduce()
             self.snap = None
 
-    def _moments(self, r, xi):
-        """One (radius, xi): each rung's phase and, with the fit's
-        intercept weights w0, the per-path intercept term."""
-        rungs = []
-        # per-path contribution to the intercept captures rung correlation;
-        # summed from 0 as Python's sum does, which sets the sign of a zero
-        per_path = 0
-        for rung, (t, k) in enumerate(self.ladder):
-            phase = np.exp(1j * _row_dot(self.snap.values[k, :, r] - self.x, xi))
-            phase[self.snap.status[k, :, r] != STATUS_FINITE] = 0.0
-            rungs.append(_Moments.of(phase))
-            if self.w0 is not None:
-                per_path = per_path + self.w0[rung] * (-(phase - 1.0) / t)
-        return rungs, None if self.w0 is None else _Moments.of(per_path)
+    def _reduce(self):
+        """Each (radius, xi): each rung's phase and, with the fit's
+        intercept weights w0, the per-path intercept term, formed in
+        buffers that live for this reduction only.  The in-place ufuncs
+        perform the operations of ``np.exp(1j * <X_t - x, xi>)`` and
+        ``sum(w0 * (-(phase - 1) / t))`` in their order; the sum starts
+        from 0 as Python's sum does, which sets the sign of a zero."""
+        n, d = self.snap.values.shape[1:]
+        angle, dev = np.empty(n), np.empty(n)
+        diff = angle[:, None] if d == 1 else np.empty((n, d))
+        phase, term, per_path = (np.empty(n, dtype=complex) for _ in range(3))
+        moments = []
+        for r in range(len(self.snap.radii)):
+            moments.append([])
+            for xi in self.xis:
+                rungs = []
+                for rung, (t, k) in enumerate(self.ladder):
+                    values, status = self.snap.slot(k, r)
+                    _row_dot(np.subtract(values, self.x, out=diff), xi, out=angle)
+                    np.exp(np.multiply(1j, angle, out=phase), out=phase)
+                    np.copyto(phase, 0.0, where=status != STATUS_FINITE)
+                    rungs.append(_Moments.of(phase, dev))
+                    if self.w0 is not None:
+                        np.negative(np.subtract(phase, 1.0, out=term), out=term)
+                        np.divide(term, t, out=term)
+                        np.multiply(self.w0[rung], term, out=term)
+                        np.add(per_path if rung else 0, term, out=per_path)
+                moments[-1].append(
+                    (rungs, None if self.w0 is None else _Moments.of(per_path, dev)))
+        return moments
 
 
 def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,

@@ -293,28 +293,30 @@ class DiscreteMeasure(MeasureFamily):
         constant = np.array([c.value for c in self.rates]) if self.is_constant else None
 
         def chunk(n):
-            r, work, jumps = np.empty((n, k)), np.empty((n, k)), np.empty((n, d))
+            jumps = np.empty((n, d))
             if constant is not None:
-                # the full (n, K) rates draw the counts that the (K,)
-                # rates broadcast to (n, K) draw
-                r[:] = constant
-            else:
-                ok, rate_ok = np.empty((n, k), dtype=bool), np.empty((n, k), dtype=bool)
-                failed, compensator = np.empty(n, dtype=bool), np.empty((n, d))
+                def add_constant(inc, values, dt, rngs):
+                    # the (K,) rates draw the counts that the (n, K)
+                    # rates they broadcast to draw; one rate is passed as
+                    # a scalar, which numpy draws faster than an array
+                    lam = constant * dt
+                    counts = rngs["jump"].poisson(lam[0] if k == 1 else lam, size=(n, k))
+                    inc += np.matmul(counts, self.jumps, out=jumps)
+
+                return add_constant
+            r, work = np.empty((n, k)), np.empty((n, k))
+            ok, rate_ok = np.empty((n, k), dtype=bool), np.empty((n, k), dtype=bool)
+            failed, compensator = np.empty(n, dtype=bool), np.empty((n, d))
 
             def add(inc, values, dt, rngs):
-                if constant is None:
-                    rates = values[self]
-                    # r = rates where finite and non-negative, else 0
-                    np.greater_equal(rates, 0, out=rate_ok)
-                    np.logical_and(np.isfinite(rates, out=ok), rate_ok, out=ok)
-                    np.copyto(r, 0.0)
-                    np.copyto(r, rates, where=ok)
+                rates = values[self]
+                # r = rates where finite and non-negative, else 0
+                np.greater_equal(rates, 0, out=rate_ok)
+                np.logical_and(np.isfinite(rates, out=ok), rate_ok, out=ok)
+                np.copyto(r, 0.0)
+                np.copyto(r, rates, where=ok)
                 counts = rngs["jump"].poisson(np.multiply(r, dt, out=work))
                 np.matmul(counts, self.jumps, out=jumps)
-                if constant is not None:
-                    inc += jumps
-                    return
                 np.matmul(np.multiply(r, chi, out=work), self.jumps, out=compensator)
                 np.multiply(compensator, dt, out=compensator)
                 inc += np.subtract(jumps, compensator, out=jumps)
@@ -407,10 +409,8 @@ class StableMeasure(MeasureFamily):
         0).  The symmetric measure has no compensator."""
 
         def chunk(n):
-            draw = _StableDraw(n)
-            if self.is_constant:
-                draw.orders(np.full(n, self.alpha.value))
-            else:
+            draw = _StableDraw(n, self.alpha.value if self.is_constant else None)
+            if not self.is_constant:
                 alpha, scale_dt = np.empty(n), np.empty(n)
 
             def add(inc, values, dt, rngs):
@@ -450,8 +450,9 @@ class StableMeasure(MeasureFamily):
 class _StableDraw:
     """Symmetric stable variates for one chunk of n paths, by the polar
     (Chambers-Mallows-Stuck) method, in buffers that belong to the chunk.
+    ``alpha`` is the order of a constant measure; without it,
     ``orders(alpha)`` sets the n orders (alpha is read, not copied, by
-    the next ``draw``); ``draw(rng)`` draws (n,) uniforms for the angle
+    the next ``draw``).  ``draw(rng)`` draws (n,) uniforms for the angle
     u, then (n,) uniforms for the exponential w, from rng, and returns
     the variates in a buffer that the next draw overwrites.  Only the
     branch that is returned is evaluated: tan(u) where alpha is 1, the
@@ -461,11 +462,19 @@ class _StableDraw:
 
     elsewhere, left to right; a mixed alpha evaluates both."""
 
-    def __init__(self, n: int):
-        self.u, self.v, self.out, self.work = (np.empty(n) for _ in range(4))
+    def __init__(self, n: int, alpha: float | None = None):
+        self.u, self.out = np.empty(n), np.empty(n)
+        # a constant order of 1 draws tan(u) alone: no per-path order,
+        # and w is drawn into the output that tan(u) then overwrites
+        self.all_cauchy = alpha is not None and abs(alpha - 1.0) < 1e-12
+        if self.all_cauchy:
+            return
+        self.v, self.work = np.empty(n), np.empty(n)
         # 1/alpha, 1 - alpha and (1 - alpha)/alpha
         self.inv, self.one_minus, self.power = (np.empty(n) for _ in range(3))
         self.cauchy = np.empty(n, dtype=bool)
+        if alpha is not None:
+            self.orders(np.full(n, alpha))
 
     def orders(self, alpha: np.ndarray) -> None:
         self.alpha = alpha
@@ -479,13 +488,15 @@ class _StableDraw:
             np.divide(self.one_minus, alpha, out=self.power)
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        u, w, s, work = self.u, self.v, self.out, self.work
+        u, s = self.u, self.out
         rng.random(out=u)
         u -= 0.5
         u *= math.pi
-        rng.random(out=w)
         if self.all_cauchy:
+            rng.random(out=s)
             return np.tan(u, out=s)
+        w, work = self.v, self.work
+        rng.random(out=w)
         # w = max(-log(max(v, 1e-300)), 1e-300)
         np.maximum(w, 1e-300, out=w)
         np.negative(np.log(w, out=w), out=w)

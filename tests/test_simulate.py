@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import sys
+import threading
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -13,10 +16,18 @@ from symbolkit.cli import main
 from symbolkit.config import compile_model, load_config, resolve_model_path
 from symbolkit.expr import Expression, parse_expression
 from symbolkit.extended import STATUS_DELTA, STATUS_FINITE, STATUS_INFINITY
+from symbolkit.martingale import (
+    canonical_representation,
+    exponential_martingale,
+    killing_compensator,
+    run_checks,
+)
 from symbolkit.simulate import (
     PathSampler,
     SimSpec,
     _norm,
+    _radius,
+    _worker_count,
     make_sde_model,
     sample_autonomous,
     sample_levy,
@@ -444,8 +455,10 @@ def _threaded_runs(bm_triplet):
     """Runs of 40,000 paths, two full chunks and a part, over every kind
     of per-chunk buffer: each sampler kind, the SDE driver, hazard
     killing with a state-dependent covariance, the snapshot and
-    running-maximum recorders that write into one shared output, and the
-    symbol probe, whose reports merge per-chunk statistics."""
+    running-maximum recorders that write into one shared output, the
+    symbol probe, whose reports merge per-chunk statistics, and the
+    martingale checks of ``verify``, whose per-path state is joined in
+    chunk order."""
     spec = SimSpec(x0=[0.0], horizon=0.2, dt=0.01, n_paths=40_000, rng_seed=93)
     expr = parse_expression
     stable_family = _model(0.0, [expr("-x1")], [[0.0]],
@@ -472,13 +485,20 @@ def _threaded_runs(bm_triplet):
         "probe": lambda: estimate_symbol_grid(
             PathSampler(cauchy, dt=0.01, seed=93), [0.0], [[1.0], [2.0]], (0.5, 2.0),
             ProbeSettings(t_ladder=(0.2, 0.1, 0.05), n_samples=40_000)),
+        "checks": lambda: run_checks(
+            {"killing": killing_compensator(atom_family, spec, (0.1, 0.2)),
+             "exponential": exponential_martingale(atom_family, spec, (1.0,), (0.1, 0.2)),
+             "canonical": canonical_representation(atom_family, spec)},
+            atom_family, spec),
     }
 
 
 def _arrays(result):
     if isinstance(result, dict):
-        # a probe's reports per radius, every field written exactly
-        return [np.array(repr({r: [vars(rep) for rep in reps] for r, reps in result.items()}))]
+        # a probe's reports per radius, or the checks' reports by name,
+        # every field written exactly
+        return [np.array(repr({k: [vars(rep) for rep in v] if isinstance(v, list)
+                               else v.to_json() for k, v in result.items()}))]
     if isinstance(result, tuple):
         return [np.asarray(a) for a in result]
     return [result.values, result.status, result.invalid]
@@ -509,15 +529,99 @@ def test_seed_ledger_names_every_stream(monkeypatch):
 
 def test_worker_count_does_not_change_results(monkeypatch, bm_triplet):
     # every chunk owns its step buffers: threads that shared one would
-    # mix their paths' numbers
+    # mix their paths' numbers; the last run has the default worker count
     for name, run in _threaded_runs(bm_triplet).items():
         monkeypatch.setenv("SYMBOLKIT_THREADS", "1")
         base = _arrays(run())
-        monkeypatch.setenv("SYMBOLKIT_THREADS", "4")
-        threaded = _arrays(run())
-        for a, b in zip(base, threaded, strict=True):
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
+        for threads in ("4", None):
+            if threads is None:
+                monkeypatch.delenv("SYMBOLKIT_THREADS")
+            else:
+                monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+            threaded = _arrays(run())
+            for a, b in zip(base, threaded, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape, (name, threads)
+                assert a.tobytes() == b.tobytes(), (name, threads)
+
+
+def test_default_worker_count_is_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("SYMBOLKIT_THREADS", raising=False)
+    assert _worker_count() == len(os.sched_getaffinity(0))
+    for threads in ("1", "3"):
+        monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+        assert _worker_count() == int(threads)
+
+
+class _LaterChunkError(Exception):
+    pass
+
+
+class _FailingObserver:
+    """Raises at step 3 of every chunk that starts at or after ``first``."""
+
+    def __init__(self, paths, first):
+        self.start, self.fails = paths.start, paths.start >= first
+
+    def record(self, j, x, status, values):
+        if self.fails and j == 3:
+            raise _LaterChunkError(f"chunk at {self.start}")
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_simulate_joins_its_workers_and_raises_a_chunk_error(monkeypatch, bm_triplet,
+                                                             threads):
+    # observers that fail in the last two of four chunks leave simulate
+    # with the earlier chunk's own error, whichever failed first; no
+    # helper thread outlives the run, raised or not
+    monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 64)
+    monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+    model = StateModel.from_triplet(bm_triplet)
+    spec = _spec(n=250, dt=0.01, horizon=0.1, seed=95)
+    before = set(threading.enumerate())
+    sim = simulate_module.simulate(model, spec,
+                                   {"ok": lambda paths: _FailingObserver(paths, 250)})
+    assert sim.status.shape == (250,)
+    assert set(threading.enumerate()) == before
+    with pytest.raises(_LaterChunkError, match="^chunk at 128$"):
+        simulate_module.simulate(model, spec,
+                                 {"fails": lambda paths: _FailingObserver(paths, 128)})
+    assert set(threading.enumerate()) == before
+
+
+class _ChunkLog:
+    """Appends its chunk's first path index to ``log`` at the start."""
+
+    def __init__(self, paths, log):
+        self.start, self.log = paths.start, log
+
+    def record(self, j, x, status, values):
+        if j == 0:
+            self.log.append(self.start)
+
+
+def test_many_workers_take_every_chunk_once(monkeypatch, bm_triplet):
+    # 100 chunks on 8 workers, with the interpreter switching threads as
+    # often as it can: a chunk id taken twice, or never, would show in
+    # the log and in the paths
+    monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 4)
+    model = StateModel.from_triplet(bm_triplet)
+    spec = _spec(n=400, dt=0.01, horizon=0.05, seed=97)
+    runs = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in ("1", "8"):
+            monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+            log, values = [], np.full((400, 6, 1), np.nan)
+            simulate_module.simulate(model, spec, {
+                "log": lambda paths: _ChunkLog(paths, log),
+                "full": lambda paths: simulate_module._FullRecorder(
+                    values[paths], np.zeros((paths.stop - paths.start, 6), dtype=np.int8))})
+            assert sorted(log) == list(range(0, 400, 4)), threads
+            runs[threads] = values
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs["1"].tobytes() == runs["8"].tobytes()
 
 
 @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
@@ -571,3 +675,31 @@ def test_norm_matches_linalg_norm(d):
         got, want = _norm(rows), np.linalg.norm(rows, axis=1)
     assert got.dtype == want.dtype and got.shape == want.shape == (rows.shape[0],)
     assert got.tobytes() == want.tobytes()
+
+
+def test_radius_comparisons_match_the_square_root_in_one_dimension():
+    # for d = 1 the exit and explosion tests compare |x| where they
+    # compared sqrt(x*x); at any threshold in [1e-150, 1e150] the answers
+    # agree, on edge inputs (x*x overflowing or subnormal, subnormal x,
+    # +-inf, NaN) and on values spread over 600 decades
+    rng = np.random.default_rng(96)
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-160, 1.5e-154, 1e-150,
+                     1e150, -1.4e154, 1e200, -1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan])
+    spread = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+    x = np.concatenate([edge, spread])[:, None]
+    inside = np.abs(x[:, 0])
+    inside = inside[(inside >= 1e-150) & (inside <= 1e150)]
+    thresholds = np.concatenate([[1e-150, 1e150, 1.0, 1e9],
+                                 10.0 ** rng.uniform(-150.0, 150.0, 100), inside[:100]])
+    got = _radius(x, out=np.empty(len(x)), sq=np.empty_like(x))
+    assert got.tobytes() == np.abs(x[:, 0]).tobytes()
+    with np.errstate(over="ignore", under="ignore"):
+        root = np.sqrt(x[:, 0] * x[:, 0])
+    for compare in (np.greater, np.greater_equal):
+        assert np.array_equal(compare(got[:, None], thresholds),
+                              compare(root[:, None], thresholds))
+    # and the values themselves wherever x*x neither overflows nor underflows
+    normal = (np.abs(x[:, 0]) > 1.5e-154) & (np.abs(x[:, 0]) < 1.3e154)
+    assert got[normal].tobytes() == root[normal].tobytes()
+
