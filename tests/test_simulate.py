@@ -557,34 +557,40 @@ class _LaterChunkError(Exception):
 
 
 class _FailingObserver:
-    """Raises at step 3 of every chunk that starts at or after ``first``."""
+    """Fails in the chunk at path 192 at its first step, and in the chunk
+    at path 128 at step 9, after the one at 192 has failed when ``wait``:
+    the later chunk fails first."""
 
-    def __init__(self, paths, first):
-        self.start, self.fails = paths.start, paths.start >= first
+    def __init__(self, paths, failed, wait):
+        self.start, self.failed, self.wait = paths.start, failed, wait
 
     def record(self, j, x, status, values):
-        if self.fails and j == 3:
-            raise _LaterChunkError(f"chunk at {self.start}")
+        if self.start == 192 and j == 1:
+            self.failed.set()
+            raise _LaterChunkError("chunk at 192")
+        if self.start == 128 and j == 9:
+            if self.wait:
+                assert self.failed.wait(timeout=10)
+            raise _LaterChunkError("chunk at 128")
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
 def test_simulate_joins_its_workers_and_raises_a_chunk_error(monkeypatch, bm_triplet,
                                                              threads):
-    # observers that fail in the last two of four chunks leave simulate
-    # with the earlier chunk's own error, whichever failed first; no
-    # helper thread outlives the run, raised or not
+    # of four chunks, the last fails first and the third after it: simulate
+    # raises the third's own error, as one worker does; no helper thread
+    # outlives the run, raised or not
     monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 64)
     monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
     model = StateModel.from_triplet(bm_triplet)
     spec = _spec(n=250, dt=0.01, horizon=0.1, seed=95)
     before = set(threading.enumerate())
-    sim = simulate_module.simulate(model, spec,
-                                   {"ok": lambda paths: _FailingObserver(paths, 250)})
-    assert sim.status.shape == (250,)
+    assert simulate_module.simulate(model, spec, {}).status.shape == (250,)
     assert set(threading.enumerate()) == before
+    failed = threading.Event()
     with pytest.raises(_LaterChunkError, match="^chunk at 128$"):
-        simulate_module.simulate(model, spec,
-                                 {"fails": lambda paths: _FailingObserver(paths, 128)})
+        simulate_module.simulate(model, spec, {"fails": lambda paths: _FailingObserver(
+            paths, failed, wait=threads != "1")})
     assert set(threading.enumerate()) == before
 
 
