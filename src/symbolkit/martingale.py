@@ -3,21 +3,28 @@ simulated paths.
 
 Local-martingale claims are tested as constant-expectation claims at
 fixed grid times on bounded fixtures.  Each check (a ``Check``) is a
-per-path accumulator, an observer with the simulator's recorder
-protocol ``record(j, x, status, values)``, plus the report built from
-it.
-``run_checks`` streams: the observers of several checks run inside one
-simulation (``simulate.simulate``), so no (paths x steps) array is ever
-formed.  The functions that take an ``Ensemble`` replay its stored grid
-columns through the same observers.  An observer keeps running
-trapezoid sums and its values at the T requested grid times, with the
-states they were taken at: O(n * (d + T)) memory.  Each step works in
-place, in buffers of the observer's own chunk: the sums, the increment
-and its norm, the symbol's state-dependent terms and the phase.  The
-frequency u of the exponential check is fixed for the run, so its
-compensator evaluates ``StateModel.symbol_at(u, n)``, whose state-free
-terms are formed once per chunk of n paths.  The coefficients are read
-from the kernel's ``values`` at x, never evaluated again; ``x``,
+per-path accumulator, an observer with the simulator's protocol
+``record(j, x, status, values)`` and ``finish(valid)``, plus the report
+built from what ``finish`` returns.  ``run_checks`` streams: the
+observers of several checks run inside one simulation
+(``simulate.simulate``), so no (paths x steps) array is ever formed.
+The functions that take an ``Ensemble`` replay its stored grid columns
+through the same observers, in the chunks of ``simulate``, so both give
+the same bits.  An observer keeps running trapezoid sums and, at the T
+requested grid times, its values and the states they were taken at,
+for the n paths of its chunk: O(n * (d + T)) memory per worker.  When
+the chunk ends, ``finish(valid)`` reduces each grid time's values on
+the chunk's valid paths (not exploded, not invalid) to
+``simulate._Moments`` and drops them; a value that is not finite on a
+valid path fails the check closed there, naming the grid time and the
+state.  The report merges the chunks in chunk order
+(``simulate._merged``) into each mean and standard error it states.
+Each step works in place, in buffers of the observer's own chunk: the
+sums, the increment and its norm, the symbol's state-dependent terms
+and the phase.  The frequency u of the exponential check is fixed for
+the run, so its compensator evaluates ``StateModel.symbol_at(u, n)``,
+whose state-free terms are formed once per chunk.  The coefficients are
+read from the kernel's ``values`` at x, never evaluated again; ``x``,
 ``status`` and ``values`` are the kernel's buffers, so an observer
 copies what it keeps.  Every <u, x> is summed row by row
 (``triplet._row_dot``), so a path's phase has the same bits in any
@@ -30,9 +37,7 @@ cemetery states, and evaluates the coefficients there.  Observers see
 every path, including one that the kernel flags invalid only after the
 observer has seen the state where its coefficients fail; there the
 coefficient values are NaN, and so are the observer's (``symbol_at``
-keeps NaN rows).  The valid-path mask (not exploded, not invalid) is
-applied when the report is built; a value that is not finite on a valid
-path fails the check closed, naming the grid time and the state.
+keeps NaN rows).
 Conventions shared by the checks:
 
 * time integrals are trapezoidal along each path, summed step by step;
@@ -48,7 +53,6 @@ Conventions shared by the checks:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,7 +60,7 @@ import numpy as np
 
 from .extended import Path, STATUS_DELTA, STATUS_FINITE
 from .serialize import dump_json
-from .simulate import Ensemble, SimSpec, _norm, simulate
+from .simulate import Ensemble, SimSpec, _Moments, _chunks, _merged, _norm, simulate
 from .triplet import CoefficientValues, LevyTriplet, StateModel, _row_dot, eval_exponent
 
 __all__ = [
@@ -182,37 +186,50 @@ class _RunningTrapezoid:
 
 
 class _Columns:
-    """Per-path values kept at chosen grid columns, each stored as
-    ``(states, *values)``."""
+    """Per-path ``(states, *values)`` kept at the columns of the report's
+    (t, column) pairs ``grid``, until ``finish(valid)`` reduces each
+    pair's values on the valid paths to ``_Moments`` of check ``name``."""
 
-    def __init__(self, columns):
-        self.columns = set(columns)
+    def __init__(self, name: str, grid):
+        self.name, self.grid = name, grid
+        self.columns = {j for _, j in grid}
         self.kept = {}
 
-    def per_path(self) -> dict:
-        return self.kept
+    def finish(self, valid):
+        reduced = []
+        for t, j in self.grid:
+            states, *values = (a[valid] for a in self.kept[j])
+            for v in values:
+                bad = ~np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
+                if bad.any():
+                    raise ValueError(f"{self.name}: value not finite at t = {t:g} on a valid "
+                                     f"path, at state x = {states[np.argmax(bad)].tolist()}")
+            reduced.append([_Moments.of(v) for v in values])
+        self.kept = None
+        return reduced
 
 
 class _KillingObserver(_Columns):
-    """Kill indicator and accumulated hazard integral(a(X_s) ds)."""
+    """Kill indicator, hazard integral(a(X_s) ds) and their difference."""
 
-    def __init__(self, model: StateModel, dt: float, columns):
-        super().__init__(columns)
+    def __init__(self, model: StateModel, dt: float, name, grid):
+        super().__init__(name, grid)
         self.hazard = _RunningTrapezoid(
             lambda x, values, out: np.copyto(out, values[model.kill]), dt)
 
     def record(self, j, x, status, values):
         self.hazard.record(j, x, status, values)
         if j in self.columns:
-            self.kept[j] = (x.copy(), (status == STATUS_DELTA).astype(float),
-                            self.hazard.value.copy())
+            indicator = (status == STATUS_DELTA).astype(float)
+            self.kept[j] = (x.copy(), indicator, self.hazard.value.copy(),
+                            indicator - self.hazard.value)
 
 
 class _PhaseObserver(_Columns):
     """e^{i<u, X_t - x0>} on finite states, 0 on cemetery states."""
 
-    def __init__(self, x0: np.ndarray, u: np.ndarray, columns):
-        super().__init__(columns)
+    def __init__(self, x0: np.ndarray, u: np.ndarray, name, grid):
+        super().__init__(name, grid)
         self.x0, self.u = x0, u
 
     def record(self, j, x, status, values):
@@ -227,8 +244,8 @@ class _ExponentialObserver(_Columns):
     e^{i<u, X_s>} (e^{i<u, 1>} a(X_s) - p(X_s, u)) ds, with
     H_t = X_t^{stopped} + 1 * [t >= kill time]."""
 
-    def __init__(self, model: StateModel, u: np.ndarray, dt: float, columns, n: int):
-        super().__init__(columns)
+    def __init__(self, model: StateModel, u: np.ndarray, dt: float, name, grid, n: int):
+        super().__init__(name, grid)
         self.u = u
         # one per chunk: chunks may run on different threads
         symbol = model.symbol_at(u, n)
@@ -271,8 +288,8 @@ class _CanonicalObserver(_Columns):
     h_radius), B the drift integral over finite steps."""
 
     def __init__(self, model: StateModel, x0: np.ndarray, h_radius: float,
-                 dt: float, columns, n: int):
-        super().__init__(columns)
+                 dt: float, name, grid, n: int):
+        super().__init__(name, grid)
         drift = model.drift
         self.drift = _RunningTrapezoid(lambda x, values, out: np.copyto(out, values[drift]),
                                        dt, vec_dim=model.dim, pairwise=True)
@@ -299,17 +316,21 @@ class _CanonicalObserver(_Columns):
             self.kept[j] = (x.copy(), x - self.x0[None, :] - self.drift.value - self.big_sum)
 
 
-def _feed(ens: Ensemble, model: StateModel, observer) -> dict:
-    """Replay an ensemble's grid columns through an observer, each path
-    held at its last finite state as the kernel holds it, with the
-    coefficient values there."""
-    values = CoefficientValues(model.coefficient_blocks(), ens.n_paths)
-    x = ens.values[:, 0]
-    for j in range(len(ens.times)):
-        status = ens.status[:, j]
-        x = np.where((status == STATUS_FINITE)[:, None], ens.values[:, j], x)
-        observer.record(j, x, status, values.evaluate(x))
-    return observer.per_path()
+def _feed(ens: Ensemble, model: StateModel, observer) -> list:
+    """Replay an ensemble's grid columns through an observer per chunk of
+    ``simulate``, each path held at its last finite state as the kernel
+    holds it, with the coefficient values there; the ``finish`` results."""
+    valid, done = ens.valid, []
+    for paths in _chunks(ens.n_paths):
+        obs = observer(paths)
+        values = CoefficientValues(model.coefficient_blocks(), paths.stop - paths.start)
+        x = ens.values[paths, 0]
+        for j in range(len(ens.times)):
+            status = ens.status[paths, j]
+            x = np.where((status == STATUS_FINITE)[:, None], ens.values[paths, j], x)
+            obs.record(j, x, status, values.evaluate(x))
+        done.append(obs.finish(valid[paths]))
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +340,16 @@ def _feed(ens: Ensemble, model: StateModel, observer) -> dict:
 class Check:
     """One check of ``model``, set up before any path is simulated:
     ``observer(paths)`` builds the accumulator for the chunk of the paths
-    in the slice ``paths``, and ``report(kept, valid)`` builds the report
-    from the accumulators' joined state and the valid-path mask."""
+    in the slice ``paths``, and ``report(chunks, valid)`` the report from
+    the accumulators' ``finish`` results and the valid-path mask."""
 
     model: StateModel
     observer: Callable[[slice], object]
-    report: Callable[[dict, np.ndarray], CheckReport]
+    report: Callable[[list, np.ndarray], CheckReport]
 
     def replay(self, ens: Ensemble) -> CheckReport:
         """The report on a stored ensemble."""
-        return self.report(_feed(ens, self.model, self.observer(slice(0, ens.n_paths))),
-                           ens.valid)
+        return self.report(_feed(ens, self.model, self.observer), ens.valid)
 
 
 def run_checks(checks: dict, model: StateModel, spec: SimSpec) -> dict:
@@ -341,38 +361,31 @@ def run_checks(checks: dict, model: StateModel, spec: SimSpec) -> dict:
     return {name: c.report(sim.observed[name], valid) for name, c in checks.items()}
 
 
-def _grid(name: str, spec: SimSpec, t_grid) -> tuple[tuple[float, ...], list[int]]:
+def _grid(name: str, spec: SimSpec, t_grid) -> tuple[tuple[float, ...], list]:
+    """The grid times and the report's (t, grid index) pairs."""
     t_grid = tuple(float(t) for t in t_grid)
     if not t_grid:
         raise ValueError(f"{name}: the time grid is empty")
     # at t = 0 every path sits at x0: a row there has stderr 0 and checks nothing
     if not all(t > 0 for t in t_grid):
         raise ValueError(f"{name}: grid times must be positive, got {list(t_grid)}")
-    return t_grid, [spec.time_index(t) for t in t_grid]
+    return t_grid, [(t, spec.time_index(t)) for t in t_grid]
 
 
-def _check(name: str, model: StateModel, t_grid, columns, observer, row,
-           notes=()) -> Check:
-    """A check whose report has one row per grid time, ``row(t, n,
-    *values)`` of the values kept there on the n valid paths.  Fewer
-    than 2 valid paths, or a value that is not finite on one, fails
-    closed."""
+def _check(name: str, model: StateModel, t_grid, observer, row, notes=()) -> Check:
+    """A check whose report has one row per grid time, ``row(t, *stats)``
+    of the (mean, stderr) of each value kept there, merged over the
+    chunks' valid paths.  Fewer than 2 valid paths fail closed."""
 
-    def report(kept, valid):
+    def report(chunks, valid):
         n = int(valid.sum())
         if n < 2:
             raise ValueError(f"{name}: {n} valid paths of {valid.size}; "
                              "a standard error needs at least 2")
         rows = []
-        for t, j in zip(t_grid, columns):
-            states, *values = (a[valid] for a in kept[j])
-            for v in values:
-                bad = ~np.isfinite(v).reshape(n, -1).all(axis=1)
-                if bad.any():
-                    i = int(np.argmax(bad))
-                    raise ValueError(f"{name}: value not finite at t = {t:g} on a valid "
-                                     f"path, at state x = {states[i].tolist()}")
-            rows.append(row(t, n, *values))
+        for k, t in enumerate(t_grid):
+            # each value's moments at t, one per chunk
+            rows.append(row(t, *(_merged(m) for m in zip(*(c[k] for c in chunks)))))
         return CheckReport(name=name, t_grid=t_grid, rows=rows,
                            passed=all(r["pass"] for r in rows),
                            excluded_paths=int((~valid).sum()), notes=list(notes))
@@ -385,23 +398,21 @@ def killing_compensator(model: StateModel, spec: SimSpec, t_grid) -> Check:
     of the accumulated hazard integral(a(X_s) ds, s <= t and pre-kill);
     their difference is a mean-zero martingale evaluation."""
     name = "killing_compensator"
-    t_grid, columns = _grid(name, spec, t_grid)
+    t_grid, grid = _grid(name, spec, t_grid)
 
-    def row(t, n, indicator, compensator):
-        diff = indicator - compensator
-        mean = float(diff.mean())
-        se = float(diff.std(ddof=1) / math.sqrt(n))
+    def row(t, indicator, compensator, diff):
+        mean, se = float(diff[0]), float(diff[1])
         return {
             "t": t,
-            "kill_prob": float(indicator.mean()),
-            "mean_compensator": float(compensator.mean()),
+            "kill_prob": float(indicator[0]),
+            "mean_compensator": float(compensator[0]),
             "difference": mean,
             "stderr": se,
             "pass": abs(mean) <= 3.0 * se + 1e-12,
         }
 
-    return _check(name, model, t_grid, columns,
-                  lambda paths: _KillingObserver(model, spec.dt, columns), row)
+    return _check(name, model, t_grid,
+                  lambda paths: _KillingObserver(model, spec.dt, name, grid), row)
 
 
 def exponential_martingale(model, spec: SimSpec, u, t_grid) -> Check:
@@ -429,12 +440,12 @@ def exponential_martingale(model, spec: SimSpec, u, t_grid) -> Check:
         phi = eval_exponent(model.constant_triplet(), u)
 
         def observer(paths):
-            return _PhaseObserver(spec.x0, u, columns)
+            return _PhaseObserver(spec.x0, u, name, grid)
 
-        def row(t, n, e_vals):
+        def row(t, e_vals):
             amp = np.exp(t * phi)
-            stat = e_vals.mean() * amp
-            se = math.sqrt((e_vals.real.var(ddof=1) + e_vals.imag.var(ddof=1)) / n) * abs(amp)
+            stat = e_vals[0] * amp
+            se = e_vals[1] * abs(amp)
             ok = abs(stat - 1.0) <= 3.0 * se + 1e-12
             return {"t": t, "statistic": complex(stat), "stderr": se, "pass": ok}
     else:
@@ -442,23 +453,25 @@ def exponential_martingale(model, spec: SimSpec, u, t_grid) -> Check:
         v0 = complex(np.exp(1j * float(spec.x0 @ u)))
 
         def observer(paths):
-            return _ExponentialObserver(model, u, spec.dt, columns, paths.stop - paths.start)
+            return _ExponentialObserver(model, u, spec.dt, name, grid,
+                                        paths.stop - paths.start)
 
-        def row(t, n, col):
-            mean = complex(col.mean())
-            se = math.sqrt((col.real.var(ddof=1) + col.imag.var(ddof=1)) / n)
+        def row(t, col):
+            mean, se = complex(col[0]), col[1]
             ok = abs(mean - v0) <= 3.0 * se + 1e-12
             return {"t": t, "statistic": mean, "reference": v0, "stderr": se, "pass": ok}
 
-    t_grid, columns = _grid(name, spec, t_grid)
-    return _check(name, model, t_grid, columns, observer, row)
+    t_grid, grid = _grid(name, spec, t_grid)
+    return _check(name, model, t_grid, observer, row)
 
 
 def canonical_representation(model: StateModel, spec: SimSpec,
                              h_radius: float | None = None) -> Check:
     """Reconstruct the drift integral and the big-jump sum along each
     path and verify that the leftover (the martingale part of the
-    representation) has mean zero at (up to 9) grid times."""
+    representation) has mean zero at every s-th grid time from the first
+    step on, s = max(1, n_steps // 8): each of the n_steps grid times
+    when n_steps < 16, and 8 to 12 of them otherwise."""
     if model.sde is not None:
         raise ValueError("canonical representation check expects an autonomous "
                          "or constant-coefficient model")
@@ -466,11 +479,10 @@ def canonical_representation(model: StateModel, spec: SimSpec,
         h_radius = model.cutoff.support_radius
     name = "canonical_representation_residual"
     times = spec.times
-    t_grid, columns = _grid(name, spec, times[1:][:: max(1, (len(times) - 1) // 8)])
+    t_grid, grid = _grid(name, spec, times[1:][:: max(1, (len(times) - 1) // 8)])
 
-    def row(t, n, col):
-        mean = col.mean(axis=0)
-        se = col.std(axis=0, ddof=1) / math.sqrt(n)
+    def row(t, col):
+        mean, se = col
         return {
             "t": t,
             "mean_residual": [float(v) for v in mean],
@@ -478,8 +490,8 @@ def canonical_representation(model: StateModel, spec: SimSpec,
             "pass": bool(np.all(np.abs(mean) <= 3.0 * se + 1e-12)),
         }
 
-    return _check(name, model, t_grid, columns,
-                  lambda paths: _CanonicalObserver(model, spec.x0, h_radius, spec.dt, columns,
+    return _check(name, model, t_grid,
+                  lambda paths: _CanonicalObserver(model, spec.x0, h_radius, spec.dt, name, grid,
                                                    paths.stop - paths.start),
                   row, notes=[f"h_radius={h_radius}"])
 

@@ -7,7 +7,7 @@ count, compiles the dynamics, runs the vectorised stepping kernel
 output is an observer: ``observers`` maps a name to a factory that
 receives the slice of the chunk's path indices, so an observer can
 write straight into its slice of an output that the caller allocated,
-or keep per-path state that ``simulate`` joins in chunk order.  After
+or reduce its chunk when the chunk ends (see Chunk end below).  After
 the start and after each step the kernel calls ``record(j, x, status,
 values)`` with the grid index, the (n, d) states, the (n,) status codes
 and the coefficient values at the states
@@ -48,6 +48,14 @@ snapshots at chosen times (``_SnapshotRecorder``, behind
 time); the running maximum (``PathSampler.running_max``); and the
 martingale checks' accumulators (``martingale.run_checks``).  Only the
 first holds a (paths x steps) array.  No other code drives the kernel.
+
+Chunk end.  After a chunk's last step ``simulate`` calls
+``finish(valid)`` on each of its observers, ``valid`` the chunk's mask
+of paths neither exploded nor invalid (``_valid``), and drops them;
+``Simulation.observed[name]`` lists the results in chunk order.  A
+writer returns None; a reduction returns statistics (``_Moments``) that
+a report merges in chunk order (``_merged``), at the same bits on any
+worker count.
 
 One run serves every stopping radius of a probe.  The kernel freezes
 paths at the largest radius; the snapshot recorder holds each path at
@@ -105,8 +113,8 @@ Workers.  A run uses one worker per usable CPU
 variable SYMBOLKIT_THREADS when it is set, and never more workers than
 chunks.  The calling thread works chunks beside workers - 1 helper
 threads; each takes the next chunk id in order (``_run_chunks``).  A
-chunk's buffers live while it runs, so memory holds one chunk's step
-state per worker.
+chunk's buffers and observers live while it runs, so memory holds one
+chunk's step and per-path state per worker.
 """
 
 from __future__ import annotations
@@ -116,6 +124,8 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -231,6 +241,11 @@ class SimSpec:
         }
 
 
+def _valid(status: np.ndarray, invalid: np.ndarray) -> np.ndarray:
+    """Paths neither exploded (by their status at the horizon) nor invalid."""
+    return (status != STATUS_INFINITY) & ~invalid
+
+
 class Ensemble:
     """Simulated paths on a shared time grid, columnar storage."""
 
@@ -260,7 +275,7 @@ class Ensemble:
     def valid(self) -> np.ndarray:
         """Paths neither exploded (explosion is absorbing, so the last
         status tells) nor invalid."""
-        return (self.status[:, -1] != STATUS_INFINITY) & ~self.invalid
+        return _valid(self.status[:, -1], self.invalid)
 
     def time_index(self, t: float) -> int:
         return self.spec.time_index(t)
@@ -391,46 +406,30 @@ class _FullRecorder:
         np.copyto(self.values[:, j, :], x, where=(status == STATUS_FINITE)[:, None])
         self.status[:, j] = status
 
+    def finish(self, valid):
+        return None
+
 
 class PathWriter(_FullRecorder):
-    """Writes its chunk's paths of ``spec`` into ``folder`` at the last
-    step, one ``extended.Path`` CSV file per path named by its index in
-    the run, and then frees them: ``simulate`` keeps every chunk's
-    observers until the run ends."""
+    """Writes its chunk's paths of ``spec`` into ``folder`` when the chunk
+    ends, one ``extended.Path`` CSV file per path named by its index in
+    the run."""
 
     def __init__(self, folder, spec: SimSpec, paths: slice):
         m = spec.n_steps + 1
         n = paths.stop - paths.start
         super().__init__(np.full((n, m, spec.x0.shape[0]), np.nan),
                          np.zeros((n, m), dtype=np.int8))
-        self.folder, self.spec, self.start, self.last = FsPath(folder), spec, paths.start, m - 1
+        self.folder, self.spec, self.start = FsPath(folder), spec, paths.start
         self.width = max(5, len(str(spec.n_paths - 1)))
 
-    def record(self, j, x, status, values):
-        super().record(j, x, status, values)
-        if j == self.last:
-            self.folder.mkdir(parents=True, exist_ok=True)
-            times = self.spec.times
-            for i in range(self.status.shape[0]):
-                Path(times, self.values[i], self.status[i], dt=self.spec.dt,
-                     validate=False).to_csv(
-                    self.folder / f"path_{self.start + i:0{self.width}d}.csv")
-            self.values = self.status = None
-
-
-class _Tee:
-    """One chunk's named observers, fed in turn."""
-
-    def __init__(self, observers: dict):
-        self.observers = observers
-
-    def record(self, j, x, status, values):
-        for obs in self.observers.values():
-            obs.record(j, x, status, values)
-
-    def per_path(self) -> dict:
-        return {name: obs.per_path() for name, obs in self.observers.items()
-                if hasattr(obs, "per_path")}
+    def finish(self, valid):
+        self.folder.mkdir(parents=True, exist_ok=True)
+        times = self.spec.times
+        for i in range(self.status.shape[0]):
+            Path(times, self.values[i], self.status[i], dt=self.spec.dt,
+                 validate=False).to_csv(
+                self.folder / f"path_{self.start + i:0{self.width}d}.csv")
 
 
 class _SnapshotRecorder:
@@ -441,18 +440,16 @@ class _SnapshotRecorder:
     exit from that ball, its step and the state there.  ``slot(k, r)``
     is snapshot k at radius r, where a path that has left ball r is held,
     finite, at its exit.  With ``out``, slices (T, n, R, d) and (T, n, R)
-    of a run's output, every slot is written there at the last snapshot.
-    ``per_path()`` flags, per path and radius, an exit from the ball in
-    the first step."""
+    of a run's output, every slot is written there when the chunk ends.
+    ``finish`` returns, per radius, the count of paths that left the ball
+    in the first step."""
 
     def __init__(self, n, dim, snap_idx, center, radii, out=None):
         self.snap_idx = [int(i) for i in snap_idx]
         self.snapshot_at = {i: k for k, i in enumerate(self.snap_idx)}
-        self.last = max(self.snap_idx)
         self.values = np.full((len(snap_idx), n, dim), np.nan)
         self.status = np.zeros((len(snap_idx), n), dtype=np.int8)
         self.center, self.radii, self.out = center, radii, out
-        self.first_step_left = np.empty((n, len(radii)), dtype=bool)
         # per radius below the largest: (exit step, state at the exit);
         # a path still inside has the step _INSIDE
         self.watched = {r: (np.full(n, _INSIDE), np.empty((n, dim)))
@@ -468,7 +465,7 @@ class _SnapshotRecorder:
             dist = _radius(np.subtract(x, self.center, out=self.diff), out=self.dist,
                            sq=self.diff)
             if j == 1:
-                np.greater(dist[:, None], self.radii, out=self.first_step_left)
+                self.first_step_exits = np.count_nonzero(dist[:, None] > self.radii, axis=0)
             new = self.new
             for r, (step, held_x) in self.watched.items():
                 np.greater(dist, self.radii[r], out=new)
@@ -481,11 +478,6 @@ class _SnapshotRecorder:
         finite = np.equal(status, STATUS_FINITE, out=self.finite)[:, None]
         np.copyto(self.values[k], x, where=finite)
         self.status[k] = status
-        if self.out is not None and j == self.last:
-            values_out, status_out = self.out
-            for t in range(len(self.snap_idx)):
-                for r in range(len(self.radii)):
-                    values_out[t, :, r], status_out[t, :, r] = self.slot(t, r)
 
     def slot(self, k, r):
         """Snapshot k at radius r: the (n, d) states and (n,) statuses."""
@@ -496,8 +488,13 @@ class _SnapshotRecorder:
         return (np.where(held[:, None], held_x, self.values[k]),
                 np.where(held, STATUS_FINITE, self.status[k]))
 
-    def per_path(self):
-        return self.first_step_left
+    def finish(self, valid):
+        if self.out is not None:
+            values_out, status_out = self.out
+            for t in range(len(self.snap_idx)):
+                for r in range(len(self.radii)):
+                    values_out[t, :, r], status_out[t, :, r] = self.slot(t, r)
+        return self.first_step_exits
 
 
 class _MaxRecorder:
@@ -521,6 +518,9 @@ class _MaxRecorder:
         k = self.snap_idx.get(j)
         if k is not None:
             self.out[k] = self.running
+
+    def finish(self, valid):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +558,11 @@ def _radius(a: np.ndarray, out: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 
 def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, seed: int,
-               chunk_id: int, expl: float, recorder, stop_radius: float = math.inf):
-    """Run one chunk of n paths.  Every step array is made here, once;
-    the recorder is handed the state x, the status and the coefficient
-    values at x, which the next step overwrites."""
+               chunk_id: int, expl: float, observers, stop_radius: float = math.inf):
+    """Run one chunk of n paths; returns its invalid flags and statuses
+    at the horizon.  Every step array is made here, once; the observers
+    are handed in turn the state x, the status and the coefficient values
+    at x, which the next step overwrites."""
     rngs = _chunk_streams(seed, chunk_id)
     scratch = dyn.scratch(n)
     x = np.tile(x0, (n, 1))
@@ -591,7 +592,8 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, seed: int,
 
     stopping = math.isfinite(stop_radius)
 
-    recorder.record(0, x, status, at_x)
+    for obs in observers:
+        obs.record(0, x, status, at_x)
     for i in range(n_steps):
         dyn.increments(at_x, rngs, inc, scratch)
         np.add(x, inc, out=prop)
@@ -630,19 +632,62 @@ def _run_chunk(dyn: _Dynamics, x0: np.ndarray, n: int, n_steps: int, seed: int,
         at_x.carry(at_prop, ok)
         np.copyto(status, STATUS_INFINITY, where=explode)
         np.copyto(status, STATUS_DELTA, where=ring)
-        recorder.record(i + 1, x, status, at_x)
-    return recorder, invalid, status
+        for obs in observers:
+            obs.record(i + 1, x, status, at_x)
+    return invalid, status
 
 
-def _join(parts):
-    """Concatenate per-chunk observer states in chunk order: arrays with
-    the paths on the first axis, possibly in dicts and tuples."""
-    first = parts[0]
-    if isinstance(first, dict):
-        return {k: _join([p[k] for p in parts]) for k in first}
-    if isinstance(first, tuple):
-        return tuple(_join(list(col)) for col in zip(*parts))
-    return first if len(parts) == 1 else np.concatenate(parts, axis=0)
+@dataclass(frozen=True, slots=True)
+class _Moments:
+    """One chunk's (n,) or (n, d) samples reduced along the paths to their
+    count n, their sum, and ``parts``: (sum, M2) of a real sample, (sum,
+    M2) of the real and then of the imaginary part of a complex one, M2
+    the centred second moment; each is formed as ``np.mean`` and
+    ``np.var`` form it."""
+
+    n: int
+    total: np.generic | np.ndarray
+    parts: tuple
+
+    @classmethod
+    def of(cls, samples: np.ndarray, dev: np.ndarray | None = None) -> "_Moments":
+        """``dev`` is a real buffer of the samples' shape for the
+        deviations; an empty chunk (n = 0) has zero sums, and no mean."""
+        n = len(samples)
+        complex_ = np.iscomplexobj(samples)
+        parts = ()
+        for part in (samples.real, samples.imag) if complex_ else (samples,):
+            s = np.add.reduce(part, axis=0)
+            dev = np.subtract(part, s / max(n, 1), out=dev)
+            parts += (s, np.add.reduce(np.square(dev, out=dev), axis=0))
+        return cls(n, np.add.reduce(samples, axis=0) if complex_ else parts[0], parts)
+
+
+def _merged(chunks) -> tuple:
+    """The mean and its standard error over the chunks' samples, the
+    chunks added left to right, those with no sample skipped: each part's
+    M2 = sum M2_c + sum n_c (mean_c - mean)^2 (Chan, Golub and LeVeque,
+    1983); the stderr is sqrt(var) / sqrt(n) of a real sample and
+    sqrt((var_re + var_im) / n) of a complex one.  One chunk keeps the
+    bits of ``np.mean`` and of ``np.var(ddof=1)`` or ``np.std(ddof=1)``."""
+    chunks = [c for c in chunks if c.n]
+    n = sum(c.n for c in chunks)
+    var = []
+    for k in range(0, len(chunks[0].parts), 2):
+        mean = reduce(add, [c.parts[k] for c in chunks]) / n
+        spread = [c.n * (c.parts[k] / c.n - mean) ** 2 for c in chunks]
+        m2 = reduce(add, [c.parts[k + 1] for c in chunks]) + reduce(add, spread)
+        var.append(m2 / (n - 1))
+    mean = reduce(add, [c.total for c in chunks]) / n
+    if len(var) == 2:
+        return mean, math.sqrt((var[0] + var[1]) / n)
+    return mean, np.sqrt(var[0]) / math.sqrt(n)
+
+
+def _chunks(n_paths: int) -> list[slice]:
+    """The path slices of a run's chunks of CHUNK_SIZE paths."""
+    return [slice(start, min(start + CHUNK_SIZE, n_paths))
+            for start in range(0, n_paths, CHUNK_SIZE)]
 
 
 def _run_chunks(work, n_chunks: int, workers: int) -> list:
@@ -685,7 +730,7 @@ def _run_chunks(work, n_chunks: int, workers: int) -> list:
 
 @dataclass
 class Simulation:
-    """One streamed run: each observer's per-path state joined in chunk
+    """One streamed run: each observer's ``finish`` results in chunk
     order, and every path's status at the horizon and invalid flag."""
 
     observed: dict
@@ -697,7 +742,7 @@ class Simulation:
     @property
     def valid(self) -> np.ndarray:
         """Paths neither exploded nor invalid."""
-        return (self.status != STATUS_INFINITY) & ~self.invalid
+        return _valid(self.status, self.invalid)
 
 
 def simulate(model: StateModel, spec: SimSpec, observers: dict,
@@ -706,23 +751,24 @@ def simulate(model: StateModel, spec: SimSpec, observers: dict,
     CHUNK_SIZE paths on the workers of the module docstring.  ``observers``
     maps a name to a factory ``paths -> observer``, paths the slice of
     the chunk's path indices; every chunk gets a fresh set, fed
-    ``record(j, x, status, values)`` after the start and after each step,
-    and the ``per_path()`` state of each observer that has one is joined
-    in chunk order.  Killing follows the module docstring; each path
-    freezes at its first grid exit from the ball of radius
-    ``stop_radius`` around x0."""
+    ``record(j, x, status, values)`` after the start and after each step
+    and ``finish(valid)`` after the last, whose results
+    ``Simulation.observed`` lists in chunk order.  Killing follows the
+    module docstring; each path freezes at its first grid exit from the
+    ball of radius ``stop_radius`` around x0."""
     if spec.x0.shape[0] != model.dim:
         raise ValueError("x0 dimension mismatch")
     dyn = _Dynamics(model, spec.dt, spec.small_jump_cut)
     n_steps, seed = spec.n_steps, spec.rng_seed
-    chunks = [slice(start, min(start + CHUNK_SIZE, spec.n_paths))
-              for start in range(0, spec.n_paths, CHUNK_SIZE)]
+    chunks = _chunks(spec.n_paths)
 
     def work(cid):
         paths = chunks[cid]
-        tee = _Tee({name: make(paths) for name, make in observers.items()})
-        return _run_chunk(dyn, spec.x0, paths.stop - paths.start, n_steps, seed, cid,
-                          spec.explosion_threshold, tee, stop_radius)
+        chunk = {name: make(paths) for name, make in observers.items()}
+        invalid, status = _run_chunk(dyn, spec.x0, paths.stop - paths.start, n_steps, seed,
+                                     cid, spec.explosion_threshold, chunk.values(), stop_radius)
+        valid = _valid(status, invalid)
+        return {name: obs.finish(valid) for name, obs in chunk.items()}, invalid, status
 
     results = _run_chunks(work, len(chunks), min(_worker_count(), len(chunks)))
     ledger = [{
@@ -731,7 +777,7 @@ def simulate(model: StateModel, spec: SimSpec, observers: dict,
         "streams": {name: [seed, code, cid] for name, code in _PURPOSES.items()},
     } for cid, paths in enumerate(chunks)]
     return Simulation(
-        observed=_join([tee.per_path() for tee, _, _ in results]),
+        observed={name: [done[name] for done, _, _ in results] for name in observers},
         status=np.concatenate([status for _, _, status in results]),
         invalid=np.concatenate([invalid for _, invalid, _ in results]),
         ledger=ledger, bias_notes=dyn.bias_notes,
@@ -815,7 +861,7 @@ def snapshot_run(model: StateModel, x0, snap_times_req, n: int, dt: float, seed:
             out=(values[:, paths], status[:, paths]))},
         stop_radius=max(radii),
     )
-    return actual, values, status, sim.observed["snap"].sum(axis=0)
+    return actual, values, status, sum(sim.observed["snap"])
 
 
 @dataclass(frozen=True)

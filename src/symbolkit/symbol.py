@@ -15,16 +15,14 @@ the rung correlation is accounted for exactly.
 One ensemble serves every frequency and every radius of a command.  xi
 enters only after the stopped snapshots are taken, and the limit does
 not depend on K, so ``estimate_symbol_grid`` makes one ``simulate`` run
-and builds every (xi, K) report from it.  Its observer (``_ProbeChunk``)
-holds each path of its chunk at min(t, its exit from each ball), with
-the recorder of ``snapshot_run``, and at the chunk's last step reduces
-the chunk to statistics (``_Moments``): per (K, xi) and per rung, the
-phases' sum and the sum and centred second moment of their real and
-imaginary parts, and the same of the per-path intercept term.  Then it
-frees the snapshots, so a probe holds one chunk's snapshots per worker.
-A report merges the chunks in chunk order (``_merged``), so any worker
-count gives the same bits, and a run of at most one chunk has the bits
-of ``np.mean`` and ``np.var`` over all its paths.  The reports are
+and builds every (xi, K) report from it.  Its observer (``_ProbeChunk``,
+the recorder of ``snapshot_run``) holds each path of its chunk at
+min(t, its exit from each ball) and, when the chunk ends, reduces it to
+``simulate._Moments`` per (K, xi) and rung, and of the per-path
+intercept term, so a probe holds one chunk's snapshots per worker.  A
+report merges the chunks in chunk order (``simulate._merged``), so any
+worker count gives the same bits, and a run of at most one chunk has the
+bits of ``np.mean`` and ``np.var`` over all its paths.  The reports are
 bit-identical to one simulation per (xi, K) with the same seed: the
 paths are the same ones, each radius sees exactly the snapshots a run
 stopped at that radius would take (see the ``simulate`` docstring for
@@ -37,14 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
 
 import numpy as np
 
 from .serialize import dump_json, write_csv
 from .extended import STATUS_FINITE
-from .simulate import PathSampler, _SnapshotRecorder, simulate
+from .simulate import PathSampler, _Moments, _SnapshotRecorder, _merged, simulate
 from .triplet import _row_dot, eval_symbol
 
 __all__ = [
@@ -132,45 +128,6 @@ class SymbolReport:
             fh.write(dump_json(self.to_json()))
 
 
-@dataclass(frozen=True)
-class _Moments:
-    """One chunk's complex samples reduced to their count, their sum, and
-    the sum and the centred second moment of their real and of their
-    imaginary parts, each formed as ``np.mean`` and ``np.var`` form it."""
-
-    n: np.intp
-    total: np.complex128
-    parts: tuple[tuple[np.float64, np.float64], ...]
-
-    @classmethod
-    def of(cls, samples: np.ndarray, dev: np.ndarray | None = None) -> "_Moments":
-        """The statistics of the (n,) complex samples; ``dev`` is an (n,)
-        real buffer for the deviations."""
-        n = np.intp(samples.shape[0])
-        parts = []
-        for part in (samples.real, samples.imag):
-            s = np.add.reduce(part)
-            dev = np.subtract(part, s / n, out=dev)
-            parts.append((s, np.add.reduce(np.square(dev, out=dev))))
-        return cls(n, np.add.reduce(samples), tuple(parts))
-
-
-def _merged(chunks: list[_Moments]) -> tuple[np.complex128, float]:
-    """The mean and its standard error over every chunk's samples, the
-    chunks added left to right in order: the mean from the chunk sums, each
-    part's variance from M2 = sum M2_c + sum n_c (mean_c - mean)^2
-    (Chan, Golub and LeVeque, 1983).  One chunk keeps the bits of
-    ``np.mean`` and ``np.var(ddof=1)`` over its samples."""
-    n = reduce(add, [c.n for c in chunks])
-    var = []
-    for k in range(2):
-        mean = reduce(add, [c.parts[k][0] for c in chunks]) / n
-        spread = [c.n * (c.parts[k][0] / c.n - mean) ** 2 for c in chunks]
-        m2 = reduce(add, [c.parts[k][1] for c in chunks]) + reduce(add, spread)
-        var.append(m2 / (n - 1))
-    return reduce(add, [c.total for c in chunks]) / n, math.sqrt((var[0] + var[1]) / n)
-
-
 def _point(name: str, value, dim: int) -> np.ndarray:
     v = np.atleast_1d(np.asarray(value, dtype=float))
     if v.ndim != 1 or v.size != dim:
@@ -179,47 +136,38 @@ def _point(name: str, value, dim: int) -> np.ndarray:
     return v
 
 
-class _ProbeChunk:
-    """The observer of one chunk of a probe's run.  The snapshot recorder
-    holds the chunk's paths at each rung and stopping radius.  At the
-    last snapshot ``moments[r][i]`` becomes the chunk's statistics for
+class _ProbeChunk(_SnapshotRecorder):
+    """The observer of one chunk of a probe's run: the snapshot recorder
+    of its paths at each rung and stopping radius, whose ``finish``
+    returns the counts of paths that left each ball in the first step and
+    ``moments``, where ``moments[r][i]`` is the chunk's statistics for
     radius r and frequency ``xis[i]``: a ``_Moments`` per rung in
     ``ladder`` order, and one of the per-path intercept term (None
-    without a fit).  Then the recorder is freed.  ``first_step_exits``
-    counts the paths that left each ball in the first step."""
+    without a fit)."""
 
     def __init__(self, n, snap_idx, x, xis, radii, ladder, w0):
-        self.snap = _SnapshotRecorder(n, x.shape[0], snap_idx, x, radii)
-        self.last = max(snap_idx)
-        self.x, self.xis, self.ladder, self.w0 = x, xis, ladder, w0
+        super().__init__(n, x.shape[0], snap_idx, x, radii)
+        self.xis, self.ladder, self.w0 = xis, ladder, w0
 
-    def record(self, j, x, status, values):
-        self.snap.record(j, x, status, values)
-        if j == 1:
-            self.first_step_exits = self.snap.first_step_left.sum(axis=0)
-        if j == self.last:
-            self.moments = self._reduce()
-            self.snap = None
-
-    def _reduce(self):
+    def finish(self, valid):
         """Each (radius, xi): each rung's phase and, with the fit's
         intercept weights w0, the per-path intercept term, formed in
         buffers that live for this reduction only.  The in-place ufuncs
         perform the operations of ``np.exp(1j * <X_t - x, xi>)`` and
         ``sum(w0 * (-(phase - 1) / t))`` in their order; the sum starts
         from 0 as Python's sum does, which sets the sign of a zero."""
-        n, d = self.snap.values.shape[1:]
+        n, d = self.values.shape[1:]
         angle, dev = np.empty(n), np.empty(n)
         diff = angle[:, None] if d == 1 else np.empty((n, d))
         phase, term, per_path = (np.empty(n, dtype=complex) for _ in range(3))
         moments = []
-        for r in range(len(self.snap.radii)):
+        for r in range(len(self.radii)):
             moments.append([])
             for xi in self.xis:
                 rungs = []
                 for rung, (t, k) in enumerate(self.ladder):
-                    values, status = self.snap.slot(k, r)
-                    _row_dot(np.subtract(values, self.x, out=diff), xi, out=angle)
+                    values, status = self.slot(k, r)
+                    _row_dot(np.subtract(values, self.center, out=diff), xi, out=angle)
                     np.exp(np.multiply(1j, angle, out=phase), out=phase)
                     np.copyto(phase, 0.0, where=status != STATUS_FINITE)
                     rungs.append(_Moments.of(phase, dev))
@@ -230,7 +178,7 @@ class _ProbeChunk:
                         np.add(per_path if rung else 0, term, out=per_path)
                 moments[-1].append(
                     (rungs, None if self.w0 is None else _Moments.of(per_path, dev)))
-        return moments
+        return super().finish(valid), moments
 
 
 def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
@@ -268,18 +216,11 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
         w0 = (np.linalg.pinv(design.T @ design) @ design.T)[0]
 
     stops = tuple(float(r) for r in radii)
-    chunks = {}
-
-    def observe(paths):
-        chunks[paths.start] = _ProbeChunk(paths.stop - paths.start, snap_idx, spec.x0, xis,
-                                          stops, ladder, w0)
-        return chunks[paths.start]
-
-    simulate(model, spec, {"probe": observe}, stop_radius=max(stops))
-    # chunk order, not completion order
-    chunks = [chunks[start] for start in sorted(chunks)]
+    chunks = simulate(model, spec, {"probe": lambda paths: _ProbeChunk(
+        paths.stop - paths.start, snap_idx, spec.x0, xis, stops, ladder, w0)},
+        stop_radius=max(stops)).observed["probe"]
     for r, s in enumerate(per_radius):
-        frozen = sum(int(c.first_step_exits[r]) for c in chunks)
+        frozen = sum(int(exits[r]) for exits, _ in chunks)
         if frozen >= EXIT_FRACTION_LIMIT * n:
             raise ProbeImmediateExitError(
                 f"{frozen} of {n} paths left the radius-{s.k_radius} ball in the "
@@ -292,11 +233,11 @@ def estimate_symbol_grid(sampler: PathSampler, x, xis, radii,
         for i, (xi, a) in enumerate(zip(xis, analytic)):
             estimates, stderrs = [], []
             for rung, (t, _) in enumerate(ladder):
-                mean, se = _merged([c.moments[r][i][0][rung] for c in chunks])
+                mean, se = _merged([m[r][i][0][rung] for _, m in chunks])
                 estimates.append(complex(-(mean - 1.0) / t))
                 stderrs.append(se / t)
             if w0 is not None:
-                mean, extrapolated_stderr = _merged([c.moments[r][i][1] for c in chunks])
+                mean, extrapolated_stderr = _merged([m[r][i][1] for _, m in chunks])
                 extrapolated = complex(mean)
             else:
                 extrapolated, extrapolated_stderr = estimates[-1], stderrs[-1]

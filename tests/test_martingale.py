@@ -6,6 +6,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import pytest
 
+import symbolkit.simulate as simulate_module
 from symbolkit.expr import parse_expression
 from symbolkit.extended import Path
 from symbolkit.martingale import (
@@ -334,6 +335,68 @@ def test_non_finite_value_on_valid_path_fails_closed():
         run_checks(_checks(model, spec, (0.25, 0.5)), model, spec)
 
 
+def test_non_finite_value_error_does_not_depend_on_the_worker_count(monkeypatch):
+    # in chunks of 64 paths, each chunk checks its own values when it ends;
+    # the error raised is the first failed chunk's, at any worker count
+    monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 64)
+    model, spec = _log_drift()
+    messages = set()
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("SYMBOLKIT_THREADS", threads)
+        with pytest.raises(ValueError, match="value not finite at t = .* on a valid path, "
+                                             r"at state x = \[-") as err:
+            run_checks(_checks(model, spec, (0.25, 0.5)), model, spec)
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chunk_with_no_valid_path_is_skipped(monkeypatch):
+    # x' = x^3 from 1 explodes near t = 0.5 unless the path is killed
+    # first; in chunks of 4 paths some chunk has no valid path, and its
+    # empty moments must not enter a mean
+    monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 4)
+    model = _model(0.3, [parse_expression("x1^3")], [[0.0]], box=((-2.0, 2.0),))
+    spec = SimSpec(x0=[1.0], horizon=1.0, dt=0.01, n_paths=40, rng_seed=75,
+                   explosion_threshold=1e5)
+    valid = simulate_module.simulate(model, spec, {}).valid
+    chunk_valid = valid.reshape(-1, 4).sum(axis=1)
+    assert (chunk_valid == 0).any() and valid.sum() >= 2, chunk_valid
+    reports = run_checks(_checks(model, spec, (0.1, 0.5)), model, spec)
+    for rep in reports.values():
+        assert rep.excluded_paths == int((~valid).sum())
+        for row in rep.rows:
+            numbers = [v for k, v in row.items() if k != "pass"]
+            assert np.all(np.isfinite(np.hstack(numbers))), row
+
+
+def test_streamed_checks_hold_one_chunk_of_per_path_state(monkeypatch):
+    # every chunk's observers reduce their kept columns to moments when it
+    # ends: 16 chunks peak within one chunk's kept columns of 4 chunks
+    monkeypatch.setattr(simulate_module, "CHUNK_SIZE", 256)
+    monkeypatch.setenv("SYMBOLKIT_THREADS", "1")
+    d, t_grid = 3, (0.1, 0.25, 0.5)
+    model = _model(parse_expression("0.5 + 0.1*x1^2", dim=d),
+                   [parse_expression("-x1", dim=d), 0.2, parse_expression("-x3", dim=d)],
+                   (0.5 * np.eye(d)).tolist(), box=((-10.0, 10.0),) * d)
+    peaks = {}
+    for chunks in (1, 4, 16):   # the first run only warms up
+        spec = _spec(n=256 * chunks, dt=0.01, horizon=0.5, seed=98, x0=(0.0,) * d)
+        checks = _checks(model, spec, t_grid, u=(1.0,) * d)
+        tracemalloc.start()
+        try:
+            reports = run_checks(checks, model, spec)
+            peaks[chunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # per path: at each grid time the state and the kept values (killing
+    # 3 reals, exponential 1 complex), and the state and the residual at
+    # each canonical time
+    n_canonical = len(reports["canonical"].t_grid)
+    one_chunk = 256 * 8 * (len(t_grid) * ((d + 3) + (d + 2)) + n_canonical * 2 * d)
+    assert peaks[16] - peaks[4] < one_chunk, (peaks, one_chunk)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda spec: killing_compensator(_model(0.1, [0.0], [[1.0]]), spec, ()),
      "time grid is empty"),
@@ -442,17 +505,19 @@ def test_phase_of_a_path_does_not_depend_on_its_chunk(d):
     steps = [5.0 * rng.standard_normal((n, d)) for _ in range(3)]
     model = _model(parse_expression("0.1 + 0.05*x1^2", dim=d), [0.1] * d,
                    (0.5 * np.eye(d)).tolist(), box=((-10.0, 10.0),) * d)
+    grid = [(0.02, 2)]
     observers = {
-        "phase": lambda n: _PhaseObserver(x0, u, {2}),
-        "exponential": lambda n: _ExponentialObserver(model, u, 0.01, {2}, n),
+        "phase": lambda n: _PhaseObserver(x0, u, "phase", grid),
+        "exponential": lambda n: _ExponentialObserver(model, u, 0.01, "exponential", grid, n),
     }
 
     def recorded(make, rows):
+        # the values kept at the last column, before the chunk ends
         observer = make(len(rows[0]))
         status = np.zeros(len(rows[0]), dtype=np.int8)
         for j, x in enumerate(rows):
             observer.record(j, x, status, model.coefficient_values(x))
-        return observer.per_path()[2][1]
+        return observer.kept[2][1]
 
     for name, make in observers.items():
         chunk = recorded(make, steps)

@@ -158,7 +158,7 @@ class _KillStep:
     def record(self, j, x, status, values):
         np.copyto(self.steps, j, where=(status == STATUS_DELTA) & (self.steps == 0))
 
-    def per_path(self):
+    def finish(self, valid):
         return self.steps
 
 
@@ -227,7 +227,7 @@ class TestSampleAutonomous:
         n, dt = 100_000, 0.01
         spec = _spec(n=n, dt=dt, seed=37)
         sim = simulate_module.simulate(model, spec, {"kill": _KillStep})
-        steps = sim.observed["kill"]
+        steps = np.concatenate(sim.observed["kill"])
         t = spec.times
         hazard = np.concatenate([[0.0], np.cumsum(dt * 0.5 * (t[:-1] ** 2 + t[1:] ** 2))])
         p = np.append(np.diff(-np.expm1(-hazard)), np.exp(-hazard[-1]))
@@ -573,6 +573,9 @@ class _FailingObserver:
                 assert self.failed.wait(timeout=10)
             raise _LaterChunkError("chunk at 128")
 
+    def finish(self, valid):
+        return None
+
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
 def test_simulate_joins_its_workers_and_raises_a_chunk_error(monkeypatch, bm_triplet,
@@ -603,6 +606,9 @@ class _ChunkLog:
     def record(self, j, x, status, values):
         if j == 0:
             self.log.append(self.start)
+
+    def finish(self, valid):
+        return None
 
 
 def test_many_workers_take_every_chunk_once(monkeypatch, bm_triplet):
