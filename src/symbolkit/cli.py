@@ -114,10 +114,12 @@ class _Run:
 
     @classmethod
     def of(cls, cfg, args) -> "_Run":
+        """A setting whose flag the command does not take comes from the
+        model file or the default."""
         sim = cfg.simulation
-        horizon = getattr(args, "horizon", None)
+        x0, horizon = getattr(args, "x0", None), getattr(args, "horizon", None)
         return cls(
-            x0=(_vector(args.x0, cfg.dim, "--x0") if args.x0
+            x0=(_vector(x0, cfg.dim, "--x0") if x0
                 else np.asarray(sim.get("x0", [0.0] * cfg.dim), dtype=float)),
             dt=args.dt if args.dt is not None else float(sim.get("dt", 0.01)),
             seed=args.seed if args.seed is not None else int(sim.get("seed", 0)),
@@ -136,6 +138,16 @@ class _Run:
         return PathSampler(model=model, dt=self.dt if dt is None else dt, seed=self.seed,
                            explosion_threshold=self.explosion_threshold,
                            small_jump_cut=self.small_jump_cut)
+
+
+# the run settings' flags, each registered only on the commands that read it
+_RUN_FLAGS = {
+    "--seed": {"type": int},
+    "--paths": {"type": int},
+    "--dt": {"type": float},
+    "--x0": {"help": "start point, comma separated"},
+    "--horizon": {"type": float},
+}
 
 
 def _outdir(args) -> FsPath:
@@ -351,22 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"symbolkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, horizon=False):
+    def common(sp, *run_flags):
+        """--model, --out and the run settings of ``_RUN_FLAGS`` that the
+        command reads: a flag it would ignore is not accepted."""
         sp.add_argument("--model", required=True, help="model file path or bundled name")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--dt", type=float, default=None)
         sp.add_argument("--out", default="symbolkit_out")
-        sp.add_argument("--x0", default=None, help="start point, comma separated")
-        if horizon:
-            sp.add_argument("--horizon", type=float, default=None)
+        for flag in run_flags:
+            sp.add_argument(flag, default=None, **_RUN_FLAGS[flag])
 
     sp = sub.add_parser("simulate", help="generate and export a path ensemble")
-    common(sp, horizon=True)
+    common(sp, *_RUN_FLAGS)
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("symbol", help="Monte-Carlo symbol probe")
-    common(sp)
+    common(sp, "--seed", "--paths", "--dt")
     sp.add_argument("--x", required=True, help="probe state, comma separated")
     sp.add_argument("--xi", default=None, help="frequency, comma separated")
     sp.add_argument("--xi-grid", default=None, help="lo:hi:n scalar frequency grid")
@@ -398,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_conditions)
 
     sp = sub.add_parser("verify", help="martingale oracle battery")
-    common(sp, horizon=True)
+    common(sp, *_RUN_FLAGS)
     sp.add_argument("--suite", choices=["killing", "exponential", "canonical", "all"],
                     default="all")
     sp.add_argument("--u", default="1.0", help="frequency for the exponential check")
@@ -406,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("scaling", help="pathwise scaling classification")
-    common(sp)
+    common(sp, "--seed", "--paths", "--dt", "--x0")
     sp.add_argument("--direction", choices=["zero", "infinity"], required=True)
     sp.add_argument("--lambdas", required=True)
     sp.add_argument("--t-grid", required=True)
     sp.set_defaults(fn=_cmd_scaling)
 
     sp = sub.add_parser("maximal", help="maximal inequality ratio check")
-    common(sp)
+    common(sp, "--seed", "--paths", "--dt", "--x0")
     sp.add_argument("--t-grid", default="0.1,1.0")
     sp.add_argument("--r-grid", default="1,3,10")
     sp.set_defaults(fn=_cmd_maximal)

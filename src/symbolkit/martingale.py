@@ -27,7 +27,8 @@ whose state-free terms are formed once per chunk.  The coefficients are
 read from the kernel's ``values`` at x, never evaluated again; ``x``,
 ``status`` and ``values`` are the kernel's buffers, so an observer
 copies what it keeps.  Every <u, x> is summed row by row
-(``triplet._row_dot``), so a path's phase has the same bits in any
+(``triplet._row_dot``) and its phase e^{i<u, x>} formed elementwise
+(``triplet._phase``), so a path's phase has the same bits in any
 chunk.  No observer is part of a reference cycle, which would keep its
 chunk's buffers alive until the next full garbage collection.
 
@@ -61,7 +62,7 @@ import numpy as np
 from .extended import Path, STATUS_DELTA, STATUS_FINITE
 from .serialize import dump_json
 from .simulate import Ensemble, SimSpec, _Moments, _chunks, _merged, _norm, simulate
-from .triplet import CoefficientValues, LevyTriplet, StateModel, _row_dot, eval_exponent
+from .triplet import CoefficientValues, LevyTriplet, StateModel, _phase, _row_dot, eval_exponent
 
 __all__ = [
     "TruncationDecomposition",
@@ -234,7 +235,9 @@ class _PhaseObserver(_Columns):
 
     def record(self, j, x, status, values):
         if j in self.columns:
-            phase = np.exp(1j * _row_dot(x - self.x0, self.u))
+            n = len(x)
+            phase = _phase(_row_dot(x - self.x0, self.u), np.empty(n, dtype=complex),
+                           np.empty(n))
             phase[status != STATUS_FINITE] = 0.0
             self.kept[j] = (x.copy(), phase)
 
@@ -246,7 +249,6 @@ class _ExponentialObserver(_Columns):
 
     def __init__(self, model: StateModel, u: np.ndarray, dt: float, name, grid, n: int):
         super().__init__(name, grid)
-        self.u = u
         # one per chunk: chunks may run on different threads
         symbol = model.symbol_at(u, n)
         phase_one = self.phase_one = np.exp(1j * float(u.sum()))
@@ -254,8 +256,10 @@ class _ExponentialObserver(_Columns):
         # e^{i<u, 1>} a, formed once when the rate is constant
         constant_kill = (np.multiply(phase_one, np.full(n, killing.value))
                          if killing.is_constant else None)
-        p, bracket, phase = (np.empty(n, dtype=complex) for _ in range(3))
-        angle = np.empty(n)
+        p, bracket = (np.empty(n, dtype=complex) for _ in range(2))
+        # the phase e^{i<u, X_s>} at the last step's states, which h reads too
+        phase = self.phase = np.empty(n, dtype=complex)
+        angle, scratch = np.empty(n), np.empty(n)
 
         # complex products are not bitwise commutative: the operand
         # order below is the one the reported numbers were fixed with.
@@ -270,16 +274,15 @@ class _ExponentialObserver(_Columns):
                 np.subtract(bracket, symbol(xs, values, p), out=bracket)
             else:
                 np.subtract(constant_kill, symbol(xs, values, p), out=bracket)
-            np.multiply(1j, _row_dot(xs, u, out=angle), out=phase)
-            np.multiply(bracket, np.exp(phase, out=phase), out=out)
+            _phase(_row_dot(xs, u, out=angle), phase, scratch)
+            np.multiply(bracket, phase, out=out)
 
         self.compensator = _RunningTrapezoid(integrand, dt, dtype=complex)
 
     def record(self, j, x, status, values):
         self.compensator.record(j, x, status, values)
         if j in self.columns:
-            h = (np.where(status == STATUS_DELTA, self.phase_one, 1.0)
-                 * np.exp(1j * _row_dot(x, self.u)))
+            h = np.where(status == STATUS_DELTA, self.phase_one, 1.0) * self.phase
             self.kept[j] = (x.copy(), h - self.compensator.value)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from .serialize import dump_json, write_csv
 from .extended import STATUS_FINITE
 from .simulate import PathSampler, _Moments, _SnapshotRecorder, _merged, simulate
-from .triplet import _row_dot, eval_symbol
+from .triplet import _phase, _row_dot, eval_symbol
 
 __all__ = [
     "ProbeSettings",
@@ -152,10 +152,11 @@ class _ProbeChunk(_SnapshotRecorder):
     def finish(self, valid):
         """Each (radius, xi): each rung's phase and, with the fit's
         intercept weights w0, the per-path intercept term, formed in
-        buffers that live for this reduction only.  The in-place ufuncs
-        perform the operations of ``np.exp(1j * <X_t - x, xi>)`` and
-        ``sum(w0 * (-(phase - 1) / t))`` in their order; the sum starts
-        from 0 as Python's sum does, which sets the sign of a zero."""
+        buffers that live for this reduction only.  The phase
+        e^{i<X_t - x, xi>} is formed by ``triplet._phase``; the in-place
+        ufuncs perform the operations of ``sum(w0 * (-(phase - 1) / t))``
+        in their order; the sum starts from 0 as Python's sum does, which
+        sets the sign of a zero."""
         n, d = self.values.shape[1:]
         angle, dev = np.empty(n), np.empty(n)
         diff = angle[:, None] if d == 1 else np.empty((n, d))
@@ -168,7 +169,7 @@ class _ProbeChunk(_SnapshotRecorder):
                 for rung, (t, k) in enumerate(self.ladder):
                     values, status = self.slot(k, r)
                     _row_dot(np.subtract(values, self.center, out=diff), xi, out=angle)
-                    np.exp(np.multiply(1j, angle, out=phase), out=phase)
+                    _phase(angle, phase, dev)
                     np.copyto(phase, 0.0, where=status != STATUS_FINITE)
                     rungs.append(_Moments.of(phase, dev))
                     if self.w0 is not None:

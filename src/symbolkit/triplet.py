@@ -124,6 +124,26 @@ def _row_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
+def _phase(angle: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """e^{i angle} into the complex ``out``, by the half-angle tangent
+    t = tan(angle / 2): ((1 - t^2) + 2i t) / (1 + t^2).  numpy's tan
+    runs a SIMD kernel where its complex exp calls scalar libm, several
+    times slower.  ``angle`` is overwritten with t and the float
+    ``scratch`` with 1 + t^2.  At any finite angle the value lies within
+    4.5e-16 of ``np.exp(1j * angle)`` and its modulus within 4.5e-16 of
+    1; NaN and +-inf give NaN, as np.exp does.  It differs in the zero's
+    sign at angle = -0.0 (-0.0 here, as sin gives) and in the imaginary
+    part at angle = 5e-324 (0, the half angle rounded to 0)."""
+    t = np.tan(np.multiply(angle, 0.5, out=angle), out=angle)
+    den = np.multiply(t, t, out=scratch)
+    np.subtract(1.0, den, out=out.real)
+    den += 1.0
+    np.divide(out.real, den, out=out.real)
+    np.add(t, t, out=out.imag)
+    np.divide(out.imag, den, out=out.imag)
+    return out
+
+
 def _row_quad(xis: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """<xi, Q xi> per row of the (N, d) xis, for a (d, d) or an (N, d, d)
     Q: the terms (xi_i Q_ij) xi_j summed over (i, j) in C order, into

@@ -556,9 +556,28 @@ def test_indices_invalid_input_exit_code(tmp_path, capsys, args, message):
         "r_grid_empty"])
 def test_grid_and_frequency_input_exit_code(tmp_path, capsys, args, message):
     out = tmp_path / "out"
-    rc = main([*args, "--model", "bm", "--paths", "100", "--out", str(out)])
+    # a short run for the Monte-Carlo commands; conditions takes no --paths
+    paths = [] if args[0] == "conditions" else ["--paths", "100"]
+    rc = main([*args, "--model", "bm", *paths, "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[(["indices", "--rmin", "0.1", "--rmax", "1"], flag)
+      for flag in ("--seed", "--paths", "--dt", "--x0")],
+    *[(["conditions"], flag) for flag in ("--seed", "--paths", "--dt", "--x0")],
+    (["symbol", "--x", "0", "--xi", "1"], "--x0"),
+], ids=["indices-seed", "indices-paths", "indices-dt", "indices-x0", "conditions-seed",
+        "conditions-paths", "conditions-dt", "conditions-x0", "symbol-x0"])
+def test_run_flag_the_command_ignores_is_refused(tmp_path, capsys, command, flag):
+    # these commands never read the flag: it is a usage error, not a no-op
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--model", "bm", flag, "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not out.exists()
 
 

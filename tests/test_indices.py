@@ -186,6 +186,15 @@ class TestMaximalInequality:
         with pytest.raises(ValueError, match="n_paths = 1: the stability check halves"):
             verify_maximal_inequality(sampler, bm_model, [0.0], (0.5,), (1.0,), 1)
 
+    def test_model_other_than_the_samplers_is_refused(self, bm_model):
+        # H and h would describe another process than the one simulated
+        drift = StateModel.from_triplet(LevyTriplet(0.0, [1.0], [[0.0]], ZeroMeasure()),
+                                        name="drift")
+        sampler = PathSampler(model=bm_model, dt=0.01, seed=62)
+        with pytest.raises(ValueError, match=f"simulates model {bm_model.name!r} but H and h "
+                                             "would be computed from model 'drift'"):
+            verify_maximal_inequality(sampler, drift, [0.0], (0.5,), (1.0,), 100)
+
     def test_lower_ratio_skipped_without_sector(self):
         drift = StateModel.from_triplet(LevyTriplet(0.0, [1.0], [[0.0]], ZeroMeasure()))
         sampler = PathSampler(model=drift, dt=0.01, seed=63)

@@ -293,8 +293,9 @@ def _hexed(reports):
 
 
 def test_streamed_two_chunks_match_ensemble_checks(monkeypatch):
-    # 20,000 paths are two kernel chunks: the observers' per-path state is
-    # joined in chunk order, so the reports match at any worker count
+    # 20,000 paths are two kernel chunks: each chunk's observers are
+    # reduced to moments when the chunk ends, and the moments are merged
+    # in chunk order, so the reports match at any worker count
     model = _model(parse_expression("0.5 + 0.2*x1^2"), [parse_expression("-x1")],
                    [[parse_expression("0.5 + 0.1*sin(x1)")]],
                    DiscreteMeasure([[0.3], [-0.3], [2.0]],

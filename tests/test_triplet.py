@@ -24,6 +24,7 @@ from symbolkit.triplet import (
     VectorCoefficient,
     ZeroMeasure,
     _StableDraw,
+    _phase,
     check_growth,
     check_sector,
     eval_exponent,
@@ -412,6 +413,36 @@ def test_atom_exponent_within_two_eps_of_an_fsum_oracle():
             want, scale = atom_exponent_fsum(xi, measure.jumps,
                                              [c.value for c in measure.rates], chi)
             assert abs(got - want) <= 2.0 * eps * scale, (m, xi)
+
+
+def test_half_angle_phase_matches_complex_exp():
+    # 10^6 angles of both signs, log-uniform over 1e-300 ... 1e300, and
+    # the special angles: within 4.5e-16 of np.exp(1j * theta) and of the
+    # unit circle; NaN and +-inf give NaN, as np.exp does
+    rng = np.random.default_rng(31)
+    n = 10**6
+    theta = np.concatenate([
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n),
+        [0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, 1e-300, 1e300],
+    ])
+    got = _phase(theta.copy(), np.empty(theta.size, dtype=complex), np.empty(theta.size))
+    want = np.exp(1j * theta)
+    assert np.abs(got - want).max() <= 4.5e-16
+    assert np.abs(np.abs(got) - 1.0).max() <= 4.5e-16
+    bad = np.array([np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        out = _phase(bad.copy(), np.empty(3, dtype=complex), np.empty(3))
+    assert np.isnan(out.real).all() and np.isnan(out.imag).all()
+    # the two known differences from np.exp(1j * theta): at -0.0 the
+    # imaginary part is -0.0 (the sign sin(-0.0) has), where the complex
+    # product 1j * -0.0 gives exp an argument of +0.0 and the result +0.0;
+    # at 5e-324 the half angle rounds to 0, so the imaginary part is 0
+    # where exp gives 5e-324
+    edge = _phase(np.array([-0.0, 5e-324]), np.empty(2, dtype=complex), np.empty(2))
+    assert edge.real.tolist() == [1.0, 1.0]
+    assert math.copysign(1.0, edge.imag[0]) == -1.0
+    assert math.copysign(1.0, np.exp(1j * np.array([-0.0])).imag[0]) == 1.0
+    assert edge.imag[1] == 0.0 and np.exp(1j * np.array([5e-324])).imag[0] == 5e-324
 
 
 # ---------------------------------------------------------------------------
