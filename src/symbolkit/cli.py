@@ -340,7 +340,7 @@ def _cmd_maximal(args) -> int:
     if run.n_paths < 2:
         raise ValueError(f"--paths {run.n_paths}: the stability check halves the sample, "
                          "so at least 2 paths are needed")
-    rep = verify_maximal_inequality(run.sampler(model), model, run.x0,
+    rep = verify_maximal_inequality(run.sampler(model), run.x0,
                                     _numbers(args.t_grid, "--t-grid"),
                                     _numbers(args.r_grid, "--r-grid",
                                              "finite positive numbers"),

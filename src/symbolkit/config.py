@@ -16,6 +16,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .expr import ExpressionDomainError, ExpressionSyntaxError, parse_expression
+from .quadrature import QuadratureError
 from .triplet import (
     Coefficient,
     CutoffFunction,
@@ -249,7 +250,7 @@ def _build_measure(measure_raw: dict, dim: int, constant: bool):
                                        f"expected a number, got {measure_raw[key]!r}") from err
         try:
             return DensityMeasure(expr, *bounds)
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, QuadratureError) as err:
             raise ModelConfigError("levy_measure", str(err)) from err
     raise AssertionError(kind)
 

@@ -400,18 +400,14 @@ class MaximalInequalityReport:
         }
 
 
-def verify_maximal_inequality(sampler: PathSampler, model: StateModel, x,
-                              t_grid, R_grid, n_paths: int,
+def verify_maximal_inequality(sampler: PathSampler, x, t_grid, R_grid, n_paths: int,
                               c0=None) -> MaximalInequalityReport:
     """Estimate P(sup_{s<=t} |X_s - x| >= R) over the grids and check
     that the ratios against t*H(x,R) (and 1/(t h(x,R)) when the sector
     condition holds) stay bounded and stable under halving the sample.
-    ``model`` must be the sampler's own model, the one simulated.
+    H and h are those of the sampler's own model, the one simulated.
     """
-    if sampler.model is not model:
-        raise ValueError(f"the sampler simulates model {sampler.model.name!r} but H and h "
-                         f"would be computed from model {model.name!r}; pass the "
-                         "sampler's own model")
+    model = sampler.model
     if n_paths < 2:
         raise ValueError(f"n_paths = {n_paths}: the stability check halves the sample, "
                          "so at least 2 paths are needed")

@@ -1,21 +1,17 @@
 """Quadrature of density measures.
 
-Both rules fold the two sides of a density's support onto
-eps <= y <= y_max and read the density through its level map, which
-takes a 1-d array of jump sizes to their levels; nodes are evaluated on
-both sides at once.
-
-``adaptive_kronrod`` integrates a batch of integrands with one adaptive
-composite Gauss–Kronrod (7–15) rule on log-spaced panels (relative
-tolerance QUAD_REL_TOL); a density measure takes its moments for
-simulation (jump rate, second moment, mean over a band) from it.
-``ExponentPanels`` is the panel set of a density's exponent, fixed by
-the density and the cut-off radius alone: a Kronrod rule where a
-frequency oscillates little over a panel and a Filon-type rule
-elsewhere, so the exponent at one frequency does not depend on the
-other frequencies of a call.  Both raise QuadratureError with the
-relative error achieved when they cannot reach their tolerance within
-QUAD_MAX_PANELS panels.
+``ExponentPanels`` is the one tabulation of a density measure per
+cut-off radius, fixed by the density and the radius alone.  It folds the
+two sides of the support onto eps <= y <= y_max and reads the density
+through its level map, which takes a 1-d array of jump sizes to their
+levels; nodes are evaluated on both sides at once.  The exponent takes a
+Kronrod rule where a frequency oscillates little over a panel and a
+Filon-type rule elsewhere, so the exponent at one frequency does not
+depend on the other frequencies of a call; the moments for simulation
+(jump rate, second moment, mean over a band) integrate the same panels'
+interpolants (``ExponentPanels.band``).  The build raises
+QuadratureError with the relative error achieved when it cannot reach
+its tolerance within QUAD_MAX_PANELS panels.
 """
 
 from __future__ import annotations
@@ -27,33 +23,27 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "QUAD_REL_TOL",
     "QUAD_MAX_PANELS",
     "INTERP_REL_TOL",
     "ExponentPanels",
     "QuadratureError",
-    "adaptive_kronrod",
-    "require_converged",
 ]
 
 # a density's level map: jump sizes (1-d) to their levels
 Levels = Callable[[np.ndarray], np.ndarray]
 
-QUAD_REL_TOL = 1e-8
-
 
 class QuadratureError(ArithmeticError):
-    """A density quadrature failed to reach its tolerance: the adaptive
-    rule within QUAD_MAX_PANELS panels, or the exponent's interpolation."""
+    """A density's panel set failed to reach its interpolation tolerance
+    within QUAD_MAX_PANELS panels."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
         self.achieved = achieved
 
 
-# Gauss–Kronrod 7–15 rule on [-1, 1] (QUADPACK's qk15): the 15 Kronrod
-# nodes with their weights, and the 7-point Gauss weights, which vanish
-# at the Kronrod-only nodes.
+# Kronrod 15-point rule on [-1, 1] (QUADPACK's qk15): the nodes in [0, 1]
+# and their weights, mirrored below.
 _GK_HALF_X = np.array([
     0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
@@ -64,16 +54,10 @@ _GK_HALF_WK = np.array([
     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
     0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
-_GK_HALF_WG = np.array([
-    0.0, 0.129484966168869693270611432679082,
-    0.0, 0.279705391489276667901467771423780,
-    0.0, 0.381830050505118944950369775488975,
-    0.0, 0.417959183673469387755102040816327])
 _GK_X = np.concatenate([-_GK_HALF_X[:-1], _GK_HALF_X[::-1]])
 _GK_WK = np.concatenate([_GK_HALF_WK[:-1], _GK_HALF_WK[::-1]])
-_GK_DW = _GK_WK - np.concatenate([_GK_HALF_WG[:-1], _GK_HALF_WG[::-1]])  # K - G
 
-QUAD_MAX_PANELS = 1 << 16    # cap on the panels of one integral or panel set
+QUAD_MAX_PANELS = 1 << 16    # cap on the panels of one panel set
 QUAD_WORK_ITEMS = 1 << 17    # integrand values per work block (2 MB complex)
 
 
@@ -91,75 +75,6 @@ def _kronrod_nodes(levels: Levels, lo_u: np.ndarray, hi_u: np.ndarray):
     y = np.exp(0.5 * (lo_u + hi_u)[:, None] + 0.5 * (hi_u - lo_u)[:, None] * _GK_X)
     pos, neg = levels(np.concatenate([y.ravel(), -y.ravel()])).reshape(2, *y.shape)
     return y, pos, neg
-
-
-def adaptive_kronrod(levels: Levels, breaks, kernel, n_out: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals over breaks[0] <= y <= breaks[-1] of
-    kernel(y, level(y), level(-y), rows), where rows is a slice of the
-    n_out outputs and the kernel returns one integrand per output
-    row, of shape (rows, *y.shape).
-
-    Composite Gauss–Kronrod 7–15 on panels equally spaced in log y
-    between consecutive breaks (log width at most 1 to start).  While
-    an output's summed |K - G| exceeds QUAD_REL_TOL |total|, every
-    panel whose own |K - G| for that output exceeds its share of the
-    tolerance (in proportion to its log width) is bisected; the
-    density is evaluated once per round, on the new nodes only.
-    Stops when all outputs converge, a total is not finite, or the
-    bisections would pass QUAD_MAX_PANELS.  Returns the totals and
-    the achieved relative error estimates (NaN for a non-finite
-    total).
-    """
-    logs = np.log(breaks)
-    edges = _log_edges(breaks)
-    lo_u, hi_u = edges[:-1], edges[1:]
-    y, pos, neg = _kronrod_nodes(levels, lo_u, hi_u)
-    total = np.empty(n_out, dtype=complex)
-    err = np.empty(n_out)
-    while True:
-        n_panels = len(lo_u)
-        width = hi_u - lo_u
-        share = QUAD_REL_TOL * width / (logs[-1] - logs[0])
-        refine = np.zeros(n_panels, dtype=bool)
-        row_step = max(1, QUAD_WORK_ITEMS // y.size)
-        for r0 in range(0, n_out, row_step):
-            rows = slice(r0, min(r0 + row_step, n_out))
-            n_rows = rows.stop - r0
-            sums = np.empty((n_rows, n_panels), dtype=complex)
-            diff = np.empty((n_rows, n_panels))
-            panel_step = max(1, QUAD_WORK_ITEMS // (n_rows * y.shape[1]))
-            for p0 in range(0, n_panels, panel_step):
-                blk = slice(p0, p0 + panel_step)
-                f = kernel(y[blk], pos[blk], neg[blk], rows) * (0.5 * width[blk, None] * y[blk])
-                sums[:, blk] = f @ _GK_WK
-                diff[:, blk] = np.abs(f @ _GK_DW)
-            total[rows] = sums.sum(axis=1)
-            err[rows] = diff.sum(axis=1)
-            scale = np.abs(total[rows])
-            open_ = err[rows] > QUAD_REL_TOL * scale
-            refine |= np.any(diff[open_] > scale[open_, None] * share, axis=0)
-        n_refine = int(refine.sum())
-        if n_refine == 0 or n_panels + n_refine > QUAD_MAX_PANELS:
-            break
-        keep = ~refine
-        mid = 0.5 * (lo_u[refine] + hi_u[refine])
-        new_lo = np.concatenate([lo_u[refine], mid])
-        new_hi = np.concatenate([mid, hi_u[refine]])
-        y, pos, neg = (np.concatenate([old[keep], new]) for old, new
-                       in zip((y, pos, neg), _kronrod_nodes(levels, new_lo, new_hi)))
-        lo_u = np.concatenate([lo_u[keep], new_lo])
-        hi_u = np.concatenate([hi_u[keep], new_hi])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        achieved = np.where(err == 0.0, 0.0, err / np.abs(total))
-    return total, achieved
-
-
-def require_converged(achieved: np.ndarray, what: str) -> None:
-    """Raise QuadratureError unless every achieved relative error is
-    within QUAD_REL_TOL (a NaN, from a non-finite total, never is)."""
-    failed = np.flatnonzero(~(achieved <= QUAD_REL_TOL))
-    if failed.size:
-        raise QuadratureError(f"{what} quadrature did not converge", float(achieved[failed[0]]))
 
 
 # The exponent's panel set: Gauss–Legendre interpolation nodes per panel;
@@ -278,6 +193,9 @@ class ExponentPanels:
     Each (frequency, panel) value depends on that pair alone, and a
     frequency's panel values are summed in panel order, so I(xi) is a
     function of xi alone, bit for bit, in any batch.
+
+    ``band`` integrates the same interpolants against a power of y over
+    part of the support: the moments that set a density's jump sampler.
     """
 
     def __init__(self, levels: Levels, eps: float, y_max: float, r: float):
@@ -308,8 +226,9 @@ class ExponentPanels:
         order = np.argsort(np.concatenate([part[0] for part in kept]))
         lo_u, hi_u, even, odd = (np.concatenate([part[i] for part in kept])[order]
                                  for i in range(4))
-        a, b = np.exp(lo_u), np.exp(hi_u)
+        self.left, self.right = a, b = np.exp(lo_u), np.exp(hi_u)
         self.center, self.half = 0.5 * (a + b), 0.5 * (b - a)
+        self.even_coefs, self.odd_coefs = even, odd
         # Kronrod rule in log y: halved nodes and weighted levels
         y, pos, neg = _kronrod_nodes(levels, lo_u, hi_u)
         weight = 0.5 * (hi_u - lo_u)[:, None] * y * _GK_WK
@@ -352,6 +271,28 @@ class ExponentPanels:
             tail = np.maximum(np.abs(even[:, -2:]).sum(axis=1), np.abs(odd[:, -2:]).sum(axis=1))
             parts.append((even, odd, mass, 2.0 * h * tail))
         return [np.concatenate(column) for column in zip(*parts)]
+
+    def band(self, lo: float, hi: float, power: int) -> np.ndarray:
+        """Integrals of y^power (level(y), level(-y)) over lo <= y <= hi,
+        one value per side: each panel's interpolants integrated over the
+        panel's part of the band by the INTERP_NODES-point Gauss–Legendre
+        rule, exact for an interpolant times y^2, in blocks of at most
+        QUAD_WORK_ITEMS Legendre values."""
+        t, w, _ = _legendre_interpolation(INTERP_NODES)
+        a, b = np.maximum(self.left, lo), np.minimum(self.right, hi)
+        inside = np.flatnonzero(b > a)
+        total = np.zeros(2)
+        step = max(1, QUAD_WORK_ITEMS // (INTERP_NODES * INTERP_NODES))
+        for i in range(0, inside.size, step):
+            p = inside[i:i + step]
+            h = 0.5 * (b[p] - a[p])
+            y = (0.5 * (a[p] + b[p]))[:, None] + h[:, None] * t
+            u = (y - self.center[p, None]) / self.half[p, None]
+            vander = _legendre_vander(u.ravel(), INTERP_NODES).reshape(*u.shape, INTERP_NODES)
+            even, odd = self.even_coefs[p, :, None], self.odd_coefs[p, :, None]
+            sides = vander @ np.concatenate([even + odd, even - odd], axis=2)
+            total += 0.5 * ((h[:, None] * w * y ** power)[..., None] * sides).sum(axis=(0, 1))
+        return total
 
     def exponents(self, xi: np.ndarray) -> np.ndarray:
         """I at the (m,) positive frequencies xi, in blocks of frequencies

@@ -8,10 +8,10 @@ The exponent of a triplet (a, l, Q, N) relative to a cut-off chi is
 
 Discrete measures evaluate the integral as an exact finite sum, and
 symmetric one-dimensional stable measures contribute the closed form
-c |xi|^alpha.  Density measures integrate by the rules of
-``quadrature``: the exponent on one panel set per cut-off radius, fixed
-by the density alone (``ExponentPanels``), their moments (jump rate,
-second moment, mean over a band) by an adaptive Gauss–Kronrod rule.
+c |xi|^alpha.  Density measures integrate on one panel set per cut-off
+radius, fixed by the density alone (``quadrature.ExponentPanels``): the
+exponent, and on the set of radius 1 the moments (jump rate, second
+moment, mean over a band).
 
 Every term of the symbol is row-local: one (state, frequency) row has
 the same value in any batch.  ``_row_dot``, ``_row_quad`` and
@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import Expression
-from .quadrature import ExponentPanels, adaptive_kronrod, require_converged
+from .quadrature import ExponentPanels
 
 __all__ = [
     "CutoffFunction",
@@ -548,20 +548,22 @@ class DensityMeasure(MeasureFamily):
     """One-dimensional measure with density level(y) on the truncated
     support eps <= |y| <= y_max.
 
-    Construction integrates (1 ∧ y^2) level(y) to certify finiteness and
-    fits a local power law at the lower truncation to bound the exponent
-    mass that the truncation discards (reported, never silently
-    dropped).  The jump-size CDF for sampling is tabulated at the first
-    draw (``_cdf_table``), so commands that never sample skip it.
+    Construction builds the panel set of radius 1, which certifies that
+    (1 ∧ y^2) level(y) integrates, and fits a local power law at the
+    lower truncation to bound the exponent mass that the truncation
+    discards (reported, never silently dropped).  The jump-size CDF for
+    sampling is tabulated at the first draw (``_cdf_table``), so commands
+    that never sample skip it.
 
     Every integral over the support folds the two sides onto
-    eps <= y <= y_max.  The exponent runs on one panel set per cut-off
-    radius, fixed by the density alone and built at the first exponent
-    call (``ExponentPanels``: a Kronrod rule at small xi h, a Filon-type
-    rule elsewhere), so I(xi) does not depend on the other frequencies of
-    a call.  The moments that set the jump sampler (jump rate, second
-    moment, mean over a band) run through ``adaptive_kronrod``, which
-    evaluates the density once per refinement round on all new nodes.
+    eps <= y <= y_max and runs on one panel set per cut-off radius, fixed
+    by the density alone and built at its first use (``_panels``).  The
+    exponent takes a Kronrod rule at small xi h and a Filon-type rule
+    elsewhere, so I(xi) does not depend on the other frequencies of a
+    call.  The moments that set the jump sampler (jump rate, second
+    moment, mean over a band) integrate the interpolants of the set of
+    radius 1, which has the (1 ∧ y^2) split as a break and is the default
+    cut-off's own set (``ExponentPanels.band``).
     """
 
     def __init__(self, density, eps: float, y_max: float):
@@ -579,9 +581,8 @@ class DensityMeasure(MeasureFamily):
         vals = self.levels(np.concatenate([-probes, probes]))
         if np.any(~np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("density must be finite and non-negative on its support")
-        # _band raises unless (1 ^ y^2) level(y) integrates
-        self._band(self.eps, 1.0, lambda y: y * y, "(1 ^ y^2) integral")
-        self._band(1.0, self.y_max, lambda y: 1.0, "(1 ^ y^2) integral")
+        # raises QuadratureError unless (1 ^ y^2) level(y) integrates
+        self._panels(1.0)
 
     @functools.cached_property
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -620,30 +621,28 @@ class DensityMeasure(MeasureFamily):
         else:
             self.small_mass_second_moment = math.inf
 
-    def _band(self, lo: float, hi: float, weight, what: str) -> np.ndarray:
-        """integral of weight(y) (level(y), level(-y)) over
-        max(lo, eps) <= y <= min(hi, y_max), one value per side."""
-        lo = max(lo, self.eps)
-        hi = min(hi, self.y_max)
-        if hi <= lo:
-            return np.zeros(2)
-        kernel = lambda y, pos, neg, rows: np.stack([weight(y) * pos, weight(y) * neg])
-        total, achieved = adaptive_kronrod(self.levels, [lo, hi], kernel, 2)
-        if not np.all(np.isfinite(total)):
-            raise ValueError(f"density fails the {what} check: not finite")
-        require_converged(achieved, what)
-        return total.real
+    def _panels(self, r: float) -> ExponentPanels:
+        """The panel set of cut-off radius r, built at its first use."""
+        panels = self._panel_sets.get(r)
+        if panels is None:
+            panels = self._panel_sets[r] = ExponentPanels(self.levels, self.eps, self.y_max, r)
+        return panels
+
+    def _band(self, lo: float, hi: float, power: int) -> np.ndarray:
+        """integral of y^power (level(y), level(-y)) over
+        lo <= y <= hi, one value per side, on the panel set of radius 1."""
+        return self._panels(1.0).band(lo, hi, power)
 
     def second_moment_band(self, lo: float, hi: float) -> float:
         """integral of y^2 level(y) over lo <= |y| <= hi."""
-        return float(self._band(lo, hi, lambda y: y * y, "second moment").sum())
+        return float(self._band(lo, hi, 2).sum())
 
     def rate_above(self, cut: float) -> float:
-        return float(self._band(cut, self.y_max, lambda y: 1.0, "jump rate").sum())
+        return float(self._band(cut, self.y_max, 0).sum())
 
     def mean_band(self, lo: float, hi: float) -> float:
         """integral of y level(y) over lo <= |y| <= hi (signed)."""
-        plus, minus = self._band(lo, hi, lambda y: y, "mean")
+        plus, minus = self._band(lo, hi, 1)
         return float(plus - minus)
 
     def sample_sizes(self, n: int, rng: np.random.Generator, cut: float | None = None) -> np.ndarray:
@@ -724,21 +723,12 @@ class DensityMeasure(MeasureFamily):
         vals = np.zeros(absxi.shape, dtype=complex)
         todo = absxi != 0.0
         if np.any(todo):
-            vals[todo] = self._exponents(absxi[todo], cutoff.support_radius)
+            vals[todo] = self._panels(cutoff.support_radius).exponents(absxi[todo])
         out = vals[inverse.ravel()]
         return np.where(xis[:, 0] < 0, out.conj(), out)
 
     def _exponent_scalar(self, xi: float, cutoff: CutoffFunction) -> complex:
         return complex(self.exponent_at(np.array([[xi]]), cutoff)[0])
-
-    def _exponents(self, xi: np.ndarray, r: float) -> np.ndarray:
-        """I(xi) at positive frequencies xi, with the compensator on
-        y <= r (r the cut-off support radius), on the panel set of r,
-        built at the first call (``ExponentPanels``)."""
-        panels = self._panel_sets.get(r)
-        if panels is None:
-            panels = self._panel_sets[r] = ExponentPanels(self.levels, self.eps, self.y_max, r)
-        return panels.exponents(xi)
 
     def is_symmetric(self):
         probes = np.geomspace(self.eps, self.y_max, 17)

@@ -139,7 +139,7 @@ def maximal_case() -> dict:
     ratios divide by t H(x, R) and multiply by t h(x, R)."""
     model = load_model(bundled_model_path("stable_like"))
     sampler = PathSampler(model=model, dt=0.01, seed=5)
-    rep = verify_maximal_inequality(sampler, model, [0.0], (0.1, 1.0),
+    rep = verify_maximal_inequality(sampler, [0.0], (0.1, 1.0),
                                     (0.5, 1.0, 3.0, 10.0), 2000)
     return report_fields(rep)
 

@@ -218,7 +218,7 @@ def test_criterion_06_maximal_inequality():
     # Brownian case with the reflection-principle cross-check
     bm = StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[1.0]], ZeroMeasure()))
     sampler = PathSampler(model=bm, dt=1e-4, seed=4001)
-    rep = verify_maximal_inequality(sampler, bm, [0.0], (0.1, 1.0),
+    rep = verify_maximal_inequality(sampler, [0.0], (0.1, 1.0),
                                     (1.0, 3.0, 10.0), N_BIG)
     ok &= math.isfinite(rep.sup_ratio_upper) and rep.stability < 0.5
     ti, ri = rep.t_grid.index(1.0), rep.R_grid.index(3.0)
@@ -232,7 +232,7 @@ def test_criterion_06_maximal_inequality():
     cauchy = StateModel.from_triplet(
         LevyTriplet(0.0, [0.0], [[0.0]], StableMeasure(1.0, 1.0)))
     sampler = PathSampler(model=cauchy, dt=1e-3, seed=4002)
-    rep2 = verify_maximal_inequality(sampler, cauchy, [0.0], (0.1, 1.0),
+    rep2 = verify_maximal_inequality(sampler, [0.0], (0.1, 1.0),
                                      (1.0, 3.0, 10.0), N_BIG)
     ok &= math.isfinite(rep2.sup_ratio_upper) and rep2.stability < 0.5
     details.append(f"cauchy: sup ratio {rep2.sup_ratio_upper:.3g}, "

@@ -480,6 +480,19 @@ def test_density_bound_not_numeric(tmp_path, capsys, key):
     assert f"levy_measure.{key}" in capsys.readouterr().err
 
 
+def test_density_the_panels_cannot_resolve_names_the_field(tmp_path, capsys):
+    # the pole at 0.7 inside the support defeats the panel set's
+    # interpolation; the model is refused when it is loaded
+    measure = {"kind": "density", "density": "1/abs(x1-0.7)", "eps": 0.5, "y_max": 1.0}
+    f = _write(tmp_path, {**BASE, "covariance": [[0.0]], "levy_measure": measure})
+    rc = main(["symbol", "--model", str(f), "--x", "0", "--xi", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "levy_measure" in err
+    assert "did not converge" in err
+
+
 def test_density_indices_at_infinity(tmp_path):
     # R down to 1e-4 asks for the exponent at frequencies up to 1.6e4
     f = _write(tmp_path, {

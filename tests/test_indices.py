@@ -158,7 +158,7 @@ class TestMaximalInequality:
     def test_bm_ratio_finite_and_crosschecked(self, bm_model):
         n = 20_000
         sampler = PathSampler(model=bm_model, dt=5e-4, seed=61)
-        rep = verify_maximal_inequality(sampler, bm_model, [0.0],
+        rep = verify_maximal_inequality(sampler, [0.0],
                                         t_grid=(0.1, 1.0), R_grid=(1.0, 3.0),
                                         n_paths=n)
         assert math.isfinite(rep.sup_ratio_upper)
@@ -176,7 +176,7 @@ class TestMaximalInequality:
     def test_zero_model_all_zero_ratios(self):
         model = StateModel.from_triplet(LevyTriplet(0.0, [0.0], [[0.0]], ZeroMeasure()))
         sampler = PathSampler(model=model, dt=0.01, seed=62)
-        rep = verify_maximal_inequality(sampler, model, [0.0], (0.5, 1.0),
+        rep = verify_maximal_inequality(sampler, [0.0], (0.5, 1.0),
                                         (1.0, 10.0), 500)
         assert np.all(rep.exceed_prob == 0.0)
         assert rep.sup_ratio_upper == 0.0
@@ -184,22 +184,13 @@ class TestMaximalInequality:
     def test_one_path_is_refused(self, bm_model):
         sampler = PathSampler(model=bm_model, dt=0.01, seed=62)
         with pytest.raises(ValueError, match="n_paths = 1: the stability check halves"):
-            verify_maximal_inequality(sampler, bm_model, [0.0], (0.5,), (1.0,), 1)
-
-    def test_model_other_than_the_samplers_is_refused(self, bm_model):
-        # H and h would describe another process than the one simulated
-        drift = StateModel.from_triplet(LevyTriplet(0.0, [1.0], [[0.0]], ZeroMeasure()),
-                                        name="drift")
-        sampler = PathSampler(model=bm_model, dt=0.01, seed=62)
-        with pytest.raises(ValueError, match=f"simulates model {bm_model.name!r} but H and h "
-                                             "would be computed from model 'drift'"):
-            verify_maximal_inequality(sampler, drift, [0.0], (0.5,), (1.0,), 100)
+            verify_maximal_inequality(sampler, [0.0], (0.5,), (1.0,), 1)
 
     def test_lower_ratio_skipped_without_sector(self):
         drift = StateModel.from_triplet(LevyTriplet(0.0, [1.0], [[0.0]], ZeroMeasure()))
         sampler = PathSampler(model=drift, dt=0.01, seed=63)
         est = check_sector(drift, np.zeros((1, 1)), np.linspace(-5, 5, 11).reshape(-1, 1))
-        rep = verify_maximal_inequality(sampler, drift, [0.0], (0.5, 1.0),
+        rep = verify_maximal_inequality(sampler, [0.0], (0.5, 1.0),
                                         (0.5, 2.0), 500, c0=est)
         assert rep.ratio_lower is None
         assert rep.notes

@@ -563,13 +563,11 @@ def test_quadrature_nonconvergence_is_diagnostic():
     from symbolkit.quadrature import INTERP_REL_TOL, QUAD_MAX_PANELS, QuadratureError
 
     # a ripple of relative size 1e-9 and wavelength 6e-8 on 0.5 <= |y| <= 1:
-    # the moments converge, but resolving it to INTERP_REL_TOL would take
-    # about 10^6 panels
-    m = DensityMeasure(parse_expression("exp(-abs(x1))/abs(x1)^1.5*(1 + 1e-9*sin(1e8*x1))"),
-                       0.5, 1.0)
-    t = LevyTriplet(0.0, [0.0], [[0.0]], m, CutoffFunction(radius=1.0))
+    # resolving it to INTERP_REL_TOL would take about 10^6 panels, so the
+    # panel set that construction builds fails
     with pytest.raises(QuadratureError) as err:
-        eval_exponent(t, [1.0])
+        DensityMeasure(parse_expression("exp(-abs(x1))/abs(x1)^1.5*(1 + 1e-9*sin(1e8*x1))"),
+                       0.5, 1.0)
     assert f"within {QUAD_MAX_PANELS} panels" in str(err.value)
     assert err.value.achieved > INTERP_REL_TOL
 
@@ -681,6 +679,26 @@ def test_density_exponent_does_not_depend_on_its_batch(kind):
     xis = rng.permutation(np.geomspace(1e-3, 1e7, 128) * rng.choice([-1.0, 1.0], 128))
     batch = t.exponent_many(xis[:, None])
     assert np.array([alone(xi) for xi in xis]).tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_ORACLE_DENSITIES))
+@pytest.mark.parametrize("lo, hi", [(1e-3, 0.0017), (0.3, 7.0), (1.0, 20.0)])
+def test_density_moments_match_reference(kind, lo, hi):
+    # on the panel set of radius 1: two bands whose ends cut panels
+    # mid-way, and the band from the break at 1 to y_max
+    t = _oracle_triplet(kind)
+    m = t.measure
+    level = np.vectorize(_ORACLE_DENSITIES[kind][1])
+    side = lambda power, sign, top: _log_leggauss(
+        lambda y: y ** power * (level(y) + sign * level(-y)), lo, top, 2_000)
+    for got, want in [(m.rate_above(lo), side(0, 1.0, 20.0)),
+                      (m.second_moment_band(lo, hi), side(2, 1.0, hi)),
+                      (m.mean_band(lo, hi), side(1, -1.0, hi))]:
+        assert abs(got - want) <= 1e-12 * abs(want)
+    m.jump_sampler(t.cutoff, 0.0, None)
+    StateModel.from_triplet(t).symbol_many(np.zeros((3, 1)), np.array([[-2.0], [0.5], [1e4]]))
+    # the moments, the sampler and the exponent share one panel set
+    assert len(m._panel_sets) == 1
 
 
 class _FixedDraws:
